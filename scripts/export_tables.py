@@ -4,8 +4,8 @@
 Writes, for every admissible triple up to a spin cap:
   cg_ur_<j1>_<j2>_<j>_r<r>.csv      coupling coefficients in the shift basis
   fbar_<j1>_<j2>_<j3>_r<r>.csv      symmetric symbols
-and a single magnetic_cg.txt holding every plain coefficient the run touched,
-in the loadable '2j1 2j2 2j 2m1 2m2 2m value' format.
+and a single magnetic_cg.txt holding every coefficient of the magnetic
+blocks the run touched, in the loadable '2j1 2j2 2j 2m1 2m2 2m value' format.
 """
 
 import argparse

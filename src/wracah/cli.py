@@ -17,7 +17,7 @@ import sys
 
 import click
 
-from .errors import WracahError
+from .errors import InvalidArgumentError, WracahError
 from .fock import quon_operators, verify_quon_relations
 from .qarith import HalfInt, ToleranceRule, halfint_range
 from .report import Check, VerificationReport
@@ -49,12 +49,29 @@ class HalfIntParam(click.ParamType):
         if isinstance(value, HalfInt):
             return value
         try:
-            return HalfInt.parse(str(value))
+            spin = HalfInt.parse(str(value))
         except WracahError as exc:
             self.fail(str(exc), param, ctx)
+        if spin.twice < 0:
+            self.fail(f"spins are nonnegative, got {value!r}", param, ctx)
+        return spin
 
 
 HALFINT = HalfIntParam()
+
+
+class WracahCommand(click.Command):
+    """Every library error raised by a command is a usage error: exit 2 with its message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except WracahError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+class WracahGroup(click.Group):
+    command_class = WracahCommand
 
 
 def _resolve_tol(explicit: float | None) -> ToleranceRule | None:
@@ -63,7 +80,10 @@ def _resolve_tol(explicit: float | None) -> ToleranceRule | None:
         return ToleranceRule(explicit, explicit)
     env = os.environ.get("WRACAH_TOL")
     if env:
-        value = float(env)
+        try:
+            value = float(env)
+        except ValueError:
+            raise InvalidArgumentError(f"WRACAH_TOL={env!r} is not a number") from None
         return ToleranceRule(value, value)
     return None
 
@@ -153,7 +173,7 @@ OUTPUT = click.option("--output", type=click.Path(dir_okay=False, writable=True)
 TOL = click.option("--tol", type=float, default=None, help="override the default tolerance")
 
 
-@click.group()
+@click.group(cls=WracahGroup)
 @click.version_option(package_name="wracah")
 def main() -> None:
     """su(2) from twin deformed oscillators, with coupling calculus in the
@@ -167,10 +187,7 @@ def main() -> None:
 @TOL
 def quon_check(k: int, fmt: str, output: str | None, tol: float | None) -> None:
     """Verify the deformed commutators, number operators, and nilpotency."""
-    try:
-        report = verify_quon_relations(quon_operators(k), _resolve_tol(tol))
-    except WracahError as exc:
-        raise click.UsageError(str(exc))
+    report = verify_quon_relations(quon_operators(k), _resolve_tol(tol))
     payload = {"command": "quon-check", "k": k, "pass": report.passed, "suites": [report.to_dict()]}
     _finish_verification(payload, [report], fmt, output)
 
@@ -185,14 +202,11 @@ def quon_check(k: int, fmt: str, output: str | None, tol: float | None) -> None:
 def su2_check(k: int, r: float, seed: int, fmt: str, output: str | None, tol: float | None) -> None:
     """Verify the polar construction and its analytic eigenbasis."""
     rule = _resolve_tol(tol)
-    try:
-        params = ShiftParams(k, r)
-        reports = [
-            verify_su2(params, rule, seed=seed),
-            verify_shift_eigenbasis(params.j, r, rule),
-        ]
-    except WracahError as exc:
-        raise click.UsageError(str(exc))
+    params = ShiftParams(k, r)
+    reports = [
+        verify_su2(params, rule, seed=seed),
+        verify_shift_eigenbasis(params.j, r, rule),
+    ]
     payload = {
         "command": "su2-check",
         "k": k,
@@ -210,10 +224,7 @@ def su2_check(k: int, r: float, seed: int, fmt: str, output: str | None, tol: fl
 @OUTPUT
 def basis(j: HalfInt, r: float, fmt: str, output: str | None) -> None:
     """Emit the shift eigenbasis: labels, eigenvalues, transform matrix."""
-    try:
-        data = shift_eigenbasis(j, r)
-    except WracahError as exc:
-        raise click.UsageError(str(exc))
+    data = shift_eigenbasis(j, r)
     if fmt == "csv":
         _write(matrix_to_csv(data.transform), output)
     elif fmt == "text":
@@ -242,41 +253,36 @@ def cg_ur_cmd(j1, j2, j, r, s1, s2, s, fmt, output) -> None:
     chosen = (s1, s2, s)
     if any(x is not None for x in chosen) and not all(x is not None for x in chosen):
         raise click.UsageError("give all of --s1 --s2 --s or none of them")
-    try:
-        records = []
-        if triangle(j1, j2, j):
-            table = cg_ur_table(j1, j2, j, r)
-            a1, a2, a = alpha_labels(j1, r), alpha_labels(j2, r), alpha_labels(j, r)
-            if s1 is not None:
-                if not (0 <= s1 <= j1.twice and 0 <= s2 <= j2.twice and 0 <= s <= j.twice):
-                    raise click.UsageError("s labels out of range")
-                triples = [(s1, s2, s)]
-            else:
-                triples = [
-                    (x1, x2, x)
-                    for x1 in range(j1.twice + 1)
-                    for x2 in range(j2.twice + 1)
-                    for x in range(j.twice + 1)
-                ]
-            for x1, x2, x in triples:
-                value = table[x1, x2, x]
-                records.append(
-                    {
-                        "j1": float(j1),
-                        "j2": float(j2),
-                        "j": float(j),
-                        "alpha1": a1[x1],
-                        "alpha2": a2[x2],
-                        "alpha": a[x],
-                        "r": float(r),
-                        "re": value.real,
-                        "im": value.imag,
-                    }
-                )
-    except click.UsageError:
-        raise
-    except WracahError as exc:
-        raise click.UsageError(str(exc))
+    records = []
+    if triangle(j1, j2, j):
+        table = cg_ur_table(j1, j2, j, r)
+        a1, a2, a = alpha_labels(j1, r), alpha_labels(j2, r), alpha_labels(j, r)
+        if s1 is not None:
+            if not (0 <= s1 <= j1.twice and 0 <= s2 <= j2.twice and 0 <= s <= j.twice):
+                raise click.UsageError("s labels out of range")
+            triples = [(s1, s2, s)]
+        else:
+            triples = [
+                (x1, x2, x)
+                for x1 in range(j1.twice + 1)
+                for x2 in range(j2.twice + 1)
+                for x in range(j.twice + 1)
+            ]
+        for x1, x2, x in triples:
+            value = table[x1, x2, x]
+            records.append(
+                {
+                    "j1": float(j1),
+                    "j2": float(j2),
+                    "j": float(j),
+                    "alpha1": a1[x1],
+                    "alpha2": a2[x2],
+                    "alpha": a[x],
+                    "r": float(r),
+                    "re": value.real,
+                    "im": value.imag,
+                }
+            )
     payload = {
         "command": "cg-ur",
         "j1": str(j1),
@@ -297,11 +303,8 @@ def cg_ur_cmd(j1, j2, j, r, s1, s2, s, fmt, output) -> None:
 @OUTPUT
 def fbar_cmd(j1, j2, j3, r, fmt, output) -> None:
     """The symmetric recoupling symbol over all label triples."""
-    try:
-        table = fbar_table(j1, j2, j3, r)
-        a1, a2, a3 = alpha_labels(j1, r), alpha_labels(j2, r), alpha_labels(j3, r)
-    except WracahError as exc:
-        raise click.UsageError(str(exc))
+    table = fbar_table(j1, j2, j3, r)
+    a1, a2, a3 = alpha_labels(j1, r), alpha_labels(j2, r), alpha_labels(j3, r)
     records = []
     for x1 in range(j1.twice + 1):
         for x2 in range(j2.twice + 1):
@@ -348,10 +351,7 @@ def fbar_cmd(j1, j2, j3, r, fmt, output) -> None:
 @TOL
 def ortho(j1, j2, r, mismatch_r, fmt, output, tol) -> None:
     """Both orthogonality sums of the symmetric symbol."""
-    try:
-        report = verify_fbar_orthogonality(j1, j2, r, _resolve_tol(tol), mismatched_r=mismatch_r)
-    except WracahError as exc:
-        raise click.UsageError(str(exc))
+    report = verify_fbar_orthogonality(j1, j2, r, _resolve_tol(tol), mismatched_r=mismatch_r)
     payload = {
         "command": "ortho",
         "j1": str(j1),
@@ -372,10 +372,7 @@ def ortho(j1, j2, r, mismatch_r, fmt, output, tol) -> None:
 @TOL
 def we_check(j, rank, r, fmt, output, tol) -> None:
     """Factorize shift-basis tensor matrix elements through the first symbol."""
-    try:
-        report = verify_wigner_eckart(j, [rank], r, _resolve_tol(tol))
-    except WracahError as exc:
-        raise click.UsageError(str(exc))
+    report = verify_wigner_eckart(j, [rank], r, _resolve_tol(tol))
     payload = {
         "command": "we-check",
         "j": str(j),
@@ -398,12 +395,9 @@ def winf(k, r, max_index, fmt, output, tol) -> None:
     """Sine-algebra commutators of the clock-shift monomials."""
     if max_index < 0:
         raise click.UsageError("--max-index must be nonnegative")
-    try:
-        report = verify_sine_algebra(
-            ShiftParams(k, r), range(-max_index, max_index + 1), _resolve_tol(tol)
-        )
-    except WracahError as exc:
-        raise click.UsageError(str(exc))
+    report = verify_sine_algebra(
+        ShiftParams(k, r), range(-max_index, max_index + 1), _resolve_tol(tol)
+    )
     payload = {
         "command": "winf",
         "k": k,
@@ -427,19 +421,13 @@ def winf(k, r, max_index, fmt, output, tol) -> None:
 @OUTPUT
 def yr(ell, s, r, theta, phi, grid_theta, grid_phi, fmt, output) -> None:
     """Pointwise value of a shift-family eigenfunction on the sphere."""
-    try:
-        point = SphericalPoint(theta, phi)
-        value = y_r_eigenfunction(ell, s, r, point)
-    except WracahError as exc:
-        raise click.UsageError(str(exc))
+    point = SphericalPoint(theta, phi)
+    value = y_r_eigenfunction(ell, s, r, point)
     if (grid_theta is None) != (grid_phi is None):
         raise click.UsageError("give both --grid-theta and --grid-phi or neither")
     if grid_theta is not None:
-        try:
-            grid = QuadratureGrid(grid_theta, grid_phi)
-            samples = y_r_grid_values(ell, r, grid)[s]
-        except WracahError as exc:
-            raise click.UsageError(str(exc))
+        grid = QuadratureGrid(grid_theta, grid_phi)
+        samples = y_r_grid_values(ell, r, grid)[s]
         rows = []
         for it, th in enumerate(grid.thetas):
             for ip, ph in enumerate(grid.phis):
@@ -624,10 +612,7 @@ def report_cmd(max_j, r, seed, fmt, output, tol) -> None:
     """Full verification sweep across every suite, sized by --max-j."""
     if max_j.twice < 1:
         raise click.UsageError("--max-j must be at least 1/2")
-    try:
-        reports = _build_report(max_j, float(r), seed, _resolve_tol(tol))
-    except WracahError as exc:
-        raise click.UsageError(str(exc))
+    reports = _build_report(max_j, float(r), seed, _resolve_tol(tol))
 
     if os.environ.get("WRACAH_CORRUPT"):
         first = reports[0].checks[0]

@@ -30,7 +30,7 @@ class DegenerateFactorialError(WracahError):
 
 
 class TableConflictError(WracahError):
-    """A memo-table insert disagreed with the value already stored."""
+    """Two records of a coupling table give one coefficient different values."""
 
 
 class UndeterminedReducedElementError(WracahError):

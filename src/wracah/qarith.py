@@ -210,8 +210,8 @@ class ToleranceRule:
     rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise InvalidArgumentError("tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise InvalidArgumentError("tolerances must be positive and finite")
 
     @staticmethod
     def for_order(k: int) -> "ToleranceRule":

@@ -39,6 +39,7 @@ from .qarith import (
 )
 from .report import Check, VerificationReport
 from .serialize import complex_record, matrix_to_json_entries
+from .wigner import default_table
 
 __all__ = [
     "ShiftParams",
@@ -53,6 +54,7 @@ __all__ = [
     "angular_momentum_ops",
     "verify_su2",
     "basis_transform_matrix",
+    "phase_matrix",
     "shift_eigenvalue",
     "shift_eigenbasis",
     "verify_shift_eigenbasis",
@@ -351,16 +353,18 @@ def verify_su2(
     cyclic = (u_ang.power(k) - params.wrap_phase * Operator.identity(space)).norm()
     report.add(Check.residual_check("shift_cyclicity", cyclic, tol.abs_tol))
 
-    # distinct wrap phases must give non-commuting shifts
+    # distinct wrap phases must give non-commuting shifts; the offsets are
+    # added exactly, because in floating point r0 + offset rounds back to r0
+    # once |r0| is beyond 2**53
     rng = np.random.default_rng(seed)
-    r0 = float(params.r)
+    r0 = _as_fraction(params.r)
     wrap0 = params.wrap_phase
     smallest = math.inf
     found = 0
     attempts = 0
     while found < commutation_samples and attempts < 100 * commutation_samples:
         attempts += 1
-        s = r0 + float(rng.uniform(0.1, 1.9))
+        s = r0 + _as_fraction(rng.uniform(0.1, 1.9))
         other = ShiftParams(k, s)
         if abs(other.wrap_phase - wrap0) < 0.5:
             continue
@@ -372,16 +376,32 @@ def verify_su2(
     return report
 
 
+def phase_matrix(j, r, sign: int) -> np.ndarray:
+    """Read-only P[s, m_index] = exp(sign * 2*pi*i * alpha_s * m / (2j+1)).
+
+    alpha_s = -j*r + s.  Entries are alpha_phase values, cached per
+    (j, exact r, sign).  The sign = -1 matrix is evaluated on its own:
+    conjugating the sign = +1 one can differ in the last bit.
+    """
+    j = HalfInt.of(j)
+    r = _as_fraction(r)
+
+    def build() -> np.ndarray:
+        order = j.twice + 1
+        mat = np.empty((order, order), dtype=complex)
+        for s in range(order):
+            for col, m in enumerate(halfint_range(-j, j)):
+                mat[s, col] = alpha_phase(j, r, s, m, sign)
+        return mat
+
+    return default_table().get(("phase", j.twice, r.numerator, r.denominator, sign), build)
+
+
 def basis_transform_matrix(j, r) -> np.ndarray:
     """Columns are the shift eigenvectors: T[m_index, s] = q^(alpha_s m)/sqrt(2j+1)."""
     j = HalfInt.of(j)
-    order = j.twice + 1
-    scale = 1.0 / math.sqrt(order)
-    mat = np.empty((order, order), dtype=complex)
-    for col in range(order):
-        for row, m in enumerate(halfint_range(-j, j)):
-            mat[row, col] = alpha_phase(j, r, col, m) * scale
-    return mat
+    # a C-ordered copy: the einsums downstream would round differently on a transposed view
+    return np.ascontiguousarray(phase_matrix(j, r, +1).T) * (1.0 / math.sqrt(j.twice + 1))
 
 
 def shift_eigenvalue(j, r, s: int) -> complex:

@@ -10,9 +10,10 @@ symmetric symbol into the 9-j contraction, transformed tensor operators,
 and the matrix-element factorization check that extracts reduced
 elements.
 
-Tables are dense ndarrays indexed by s labels and are memoized per
-(labels, r); r is compared bitwise, never within a tolerance, because it
-is an input parameter rather than a measured quantity.
+Tables are dense ndarrays indexed by s labels and are memoized in the
+package's one cache per (labels, r).  r is keyed by its exact rational
+value (a float by its binary expansion), never within a tolerance,
+because it is an input parameter rather than a measured quantity.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, UndeterminedReducedElementError
-from .qarith import HalfInt, ToleranceRule, alpha_phase, alpha_value, halfint_range
+from .qarith import HalfInt, ToleranceRule, _as_fraction, alpha_value, halfint_range
 from .report import Check, VerificationReport
-from .su2 import AngularSpace, _expected_ladder, basis_transform_matrix
-from .wigner import cg, threejm, triangle, ninej
+from .su2 import AngularSpace, _expected_ladder, basis_transform_matrix, phase_matrix
+from .wigner import cg, cg_block, clear_cache, default_table, ninej, threejm_block, triangle
 
 __all__ = [
     "cg_ur_table",
@@ -55,20 +56,6 @@ __all__ = [
     "verify_wigner_eckart",
 ]
 
-_PHASE_CACHE: dict[tuple[int, str, int], np.ndarray] = {}
-_CG_UR_CACHE: dict[tuple[tuple[int, int, int], str], np.ndarray] = {}
-_F_CACHE: dict[tuple[tuple[int, int, int], str], np.ndarray] = {}
-_FBAR_CACHE: dict[tuple[tuple[int, int, int], str], np.ndarray] = {}
-
-
-def clear_cache() -> None:
-    for store in (_PHASE_CACHE, _CG_UR_CACHE, _F_CACHE, _FBAR_CACHE):
-        store.clear()
-
-
-def _r_key(r) -> str:
-    return float(r).hex()
-
 
 def _validate_s(j: HalfInt, s, label: str) -> int:
     s = int(s)
@@ -83,34 +70,6 @@ def alpha_labels(j, r) -> list[float]:
     return [alpha_value(j, r, s) for s in range(j.twice + 1)]
 
 
-def _phase_matrix(j: HalfInt, r, sign: int) -> np.ndarray:
-    """P[s, m_index] = exp(sign * 2*pi*i * alpha_s * m / (2j+1))."""
-    key = (j.twice, _r_key(r), sign)
-    cached = _PHASE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    order = j.twice + 1
-    mat = np.empty((order, order), dtype=complex)
-    for s in range(order):
-        for col, m in enumerate(halfint_range(-j, j)):
-            mat[s, col] = alpha_phase(j, r, s, m, sign)
-    mat.setflags(write=False)
-    _PHASE_CACHE[key] = mat
-    return mat
-
-
-def _cg_tensor(j1: HalfInt, j2: HalfInt, j: HalfInt) -> np.ndarray:
-    """Magnetic-basis coupling coefficients as a dense (m1, m2, m) block."""
-    tens = np.zeros((j1.twice + 1, j2.twice + 1, j.twice + 1))
-    for i1, m1 in enumerate(halfint_range(-j1, j1)):
-        for i2, m2 in enumerate(halfint_range(-j2, j2)):
-            m = m1 + m2
-            if abs(m.twice) > j.twice or (m.twice - j.twice) % 2:
-                continue
-            tens[i1, i2, (m.twice + j.twice) // 2] = cg(j1, m1, j2, m2, j, m)
-    return tens
-
-
 def cg_ur_table(j1, j2, j, r) -> np.ndarray:
     """Coupling coefficients between shift eigenbases, indexed [s1, s2, s].
 
@@ -122,19 +81,16 @@ def cg_ur_table(j1, j2, j, r) -> np.ndarray:
     shared through the memo table.
     """
     j1, j2, j = HalfInt.of(j1), HalfInt.of(j2), HalfInt.of(j)
-    key = ((j1.twice, j2.twice, j.twice), _r_key(r))
-    cached = _CG_UR_CACHE.get(key)
-    if cached is not None:
-        return cached
-    p1 = _phase_matrix(j1, r, -1)
-    p2 = _phase_matrix(j2, r, -1)
-    p = _phase_matrix(j, r, +1)
-    core = _cg_tensor(j1, j2, j)
-    norm = 1.0 / math.sqrt((j1.twice + 1) * (j2.twice + 1) * (j.twice + 1))
-    table = norm * np.einsum("am,bn,cp,mnp->abc", p1, p2, p, core, optimize=True)
-    table.setflags(write=False)
-    _CG_UR_CACHE[key] = table
-    return table
+    r = _as_fraction(r)
+
+    def build() -> np.ndarray:
+        p1 = phase_matrix(j1, r, -1)
+        p2 = phase_matrix(j2, r, -1)
+        p = phase_matrix(j, r, +1)
+        norm = 1.0 / math.sqrt((j1.twice + 1) * (j2.twice + 1) * (j.twice + 1))
+        return norm * np.einsum("am,bn,cp,mnp->abc", p1, p2, p, cg_block(j1, j2, j), optimize=True)
+
+    return default_table().get(("cg_ur", j1.twice, j2.twice, j.twice, r.numerator, r.denominator), build)
 
 
 def cg_ur(j1, j2, s1, s2, j, s, r) -> complex:
@@ -154,16 +110,14 @@ def f_table(j1, j2, j3, r) -> np.ndarray:
     the alpha labels redistributed so the first slot carries j1.
     """
     j1, j2, j3 = HalfInt.of(j1), HalfInt.of(j2), HalfInt.of(j3)
-    key = ((j1.twice, j2.twice, j3.twice), _r_key(r))
-    cached = _F_CACHE.get(key)
-    if cached is not None:
-        return cached
-    base = cg_ur_table(j2, j3, j1, r)  # [s2, s3, s1]
-    sign = -1.0 if j3.twice % 2 else 1.0
-    table = sign / math.sqrt(j1.twice + 1) * np.conj(np.transpose(base, (2, 0, 1)))
-    table.setflags(write=False)
-    _F_CACHE[key] = table
-    return table
+    r = _as_fraction(r)
+
+    def build() -> np.ndarray:
+        base = cg_ur_table(j2, j3, j1, r)  # [s2, s3, s1]
+        sign = -1.0 if j3.twice % 2 else 1.0
+        return sign / math.sqrt(j1.twice + 1) * np.conj(np.transpose(base, (2, 0, 1)))
+
+    return default_table().get(("f", j1.twice, j2.twice, j3.twice, r.numerator, r.denominator), build)
 
 
 def f_symbol(j1, j2, j3, s1, s2, s3, r) -> complex:
@@ -183,25 +137,17 @@ def fbar_table(j1, j2, j3, r) -> np.ndarray:
     conjugation law fbar* = (-1)^(j1+j2+j3) fbar.
     """
     j1, j2, j3 = HalfInt.of(j1), HalfInt.of(j2), HalfInt.of(j3)
-    key = ((j1.twice, j2.twice, j3.twice), _r_key(r))
-    cached = _FBAR_CACHE.get(key)
-    if cached is not None:
-        return cached
-    core = np.zeros((j1.twice + 1, j2.twice + 1, j3.twice + 1))
-    for i1, m1 in enumerate(halfint_range(-j1, j1)):
-        for i2, m2 in enumerate(halfint_range(-j2, j2)):
-            m3 = -(m1 + m2)
-            if abs(m3.twice) > j3.twice or (m3.twice - j3.twice) % 2:
-                continue
-            core[i1, i2, (m3.twice + j3.twice) // 2] = threejm(j1, m1, j2, m2, j3, m3)
-    p1 = _phase_matrix(j1, r, -1)
-    p2 = _phase_matrix(j2, r, -1)
-    p3 = _phase_matrix(j3, r, -1)
-    norm = 1.0 / math.sqrt((j1.twice + 1) * (j2.twice + 1) * (j3.twice + 1))
-    table = norm * np.einsum("am,bn,cp,mnp->abc", p1, p2, p3, core, optimize=True)
-    table.setflags(write=False)
-    _FBAR_CACHE[key] = table
-    return table
+    r = _as_fraction(r)
+
+    def build() -> np.ndarray:
+        p1 = phase_matrix(j1, r, -1)
+        p2 = phase_matrix(j2, r, -1)
+        p3 = phase_matrix(j3, r, -1)
+        core = threejm_block(j1, j2, j3)
+        norm = 1.0 / math.sqrt((j1.twice + 1) * (j2.twice + 1) * (j3.twice + 1))
+        return norm * np.einsum("am,bn,cp,mnp->abc", p1, p2, p3, core, optimize=True)
+
+    return default_table().get(("fbar", j1.twice, j2.twice, j3.twice, r.numerator, r.denominator), build)
 
 
 def fbar_symbol(j1, j2, j3, s1, s2, s3, r) -> complex:
@@ -396,6 +342,7 @@ def ninej_from_fbar(j1, j2, j3, j4, j5, j6, j7, j8, j9, r) -> NinejSubstitution:
     is reported, never corrected.
     """
     js = [HalfInt.of(x) for x in (j1, j2, j3, j4, j5, j6, j7, j8, j9)]
+    r = _as_fraction(r)
     rows = [
         fbar_table(js[0], js[1], js[2], r),
         fbar_table(js[3], js[4], js[5], r),

@@ -7,11 +7,17 @@ and the squared prefactor are accumulated as Fractions and rounded exactly
 once at the end.  An independent construction by explicit highest-weight
 vectors and lowering is provided as a cross-check oracle; the two routes
 are compared by the verification suite, never merged.
+
+Coefficients are computed a whole (j1, j2, j) block at a time and kept in
+the package's one bounded cache; cg() and threejm() read single entries
+of those blocks.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +30,9 @@ from .report import Check, VerificationReport
 __all__ = [
     "triangle",
     "cg",
+    "cg_block",
     "threejm",
+    "threejm_block",
     "ninej",
     "SymbolKey",
     "CouplingTable",
@@ -67,67 +75,91 @@ def triangle(j1, j2, j3) -> bool:
     return abs(t1 - t2) <= t3 <= t1 + t2
 
 
+def _check_labels(twice_j, twice_m) -> None:
+    for tj, tm in zip(twice_j, twice_m):
+        _check_jm(tj, tm)
+        if abs(tm) > tj:
+            raise InvalidArgumentError(f"|2m| = {abs(tm)} exceeds 2j = {tj}")
+
+
 @dataclass(frozen=True)
 class SymbolKey:
-    """Cache key: twice-integer labels plus a variant tag."""
+    """Record key of one coupling coefficient: twice-integer labels plus a variant tag."""
 
     variant: str
     twice_j: tuple[int, ...]
     twice_m: tuple[int, ...]
 
     def __post_init__(self):
-        if self.variant not in ("cg", "threejm", "ninej"):
+        if self.variant != "cg":
             raise InvalidArgumentError(f"unknown symbol variant {self.variant!r}")
-        if self.variant == "ninej":
-            if len(self.twice_j) != 9 or self.twice_m:
-                raise InvalidArgumentError("ninej keys carry nine j labels and no m labels")
-        else:
-            if len(self.twice_j) != 3 or len(self.twice_m) != 3:
-                raise InvalidArgumentError("coupling keys carry three j and three m labels")
-            for tj, tm in zip(self.twice_j, self.twice_m):
-                _check_jm(tj, tm)
-                if abs(tm) > tj:
-                    raise InvalidArgumentError(f"|2m| = {abs(tm)} exceeds 2j = {tj}")
+        if len(self.twice_j) != 3 or len(self.twice_m) != 3:
+            raise InvalidArgumentError("coupling keys carry three j and three m labels")
+        _check_labels(self.twice_j, self.twice_m)
+
+
+# Entries, not bytes: report --max-j 6 holds about 1,800 blocks, tables and values.
+_CACHE_BOUND = 4096
 
 
 class CouplingTable:
-    """Memo table with hit/miss counters and idempotent insertion."""
+    """Bounded LRU memo with hit/miss counters, safe to share between threads.
+
+    It is the one cache of the package.  Keys are tuples whose first item
+    names the kind of entry ("cg", "threejm", "ninej", "phase", "cg_ur",
+    "f", "fbar"); the rest are twice-integer labels and, for shift-basis
+    entries, the numerator and denominator of the exact family parameter.
+    Cached arrays are read-only.
+    """
 
     def __init__(self):
-        self._store: dict[SymbolKey, float] = {}
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
-    def lookup(self, key: SymbolKey):
-        try:
-            value = self._store[key]
-        except KeyError:
+    def get(self, key: tuple, build):
+        """The value stored under key, built by build() and stored on a miss."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return value
             self.misses += 1
-            return None
-        self.hits += 1
+        # built outside the lock: builders look up other entries themselves
+        value = build()
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        with self._lock:
+            value = self._entries.setdefault(key, value)
+            self._entries.move_to_end(key)
+            while len(self._entries) > _CACHE_BOUND:
+                self._entries.popitem(last=False)
         return value
 
-    def insert(self, key: SymbolKey, value: float) -> float:
-        stored = self._store.setdefault(key, value)
-        if stored != value:
-            raise TableConflictError(
-                f"key {key} already stores {stored!r}, refused insert of {value!r}"
-            )
-        return stored
-
     def __len__(self) -> int:
-        return len(self._store)
-
-    def __contains__(self, key: SymbolKey) -> bool:
-        return key in self._store
+        return len(self._entries)
 
     def items(self):
-        return self._store.items()
+        """(SymbolKey, value) records of every entry with m = m1 + m2 of the cached cg blocks."""
+        with self._lock:
+            blocks = [(key[1:], value) for key, value in self._entries.items() if key[0] == "cg"]
+        for (tj1, tj2, tj), block in blocks:
+            if (tj1 + tj2 + tj) % 2:
+                continue
+            for i1, tm1 in enumerate(range(-tj1, tj1 + 1, 2)):
+                for i2, tm2 in enumerate(range(-tj2, tj2 + 1, 2)):
+                    tm = tm1 + tm2
+                    if abs(tm) <= tj:
+                        key = SymbolKey("cg", (tj1, tj2, tj), (tm1, tm2, tm))
+                        yield key, float(block[i1, i2, (tm + tj) // 2])
 
     def clear(self) -> None:
-        self._store.clear()
-        self.hits = 0
-        self.misses = 0
+        with self._lock:
+            self._entries.clear()
+            self.hits = 0
+            self.misses = 0
 
 
 _DEFAULT_TABLE = CouplingTable()
@@ -139,6 +171,10 @@ def default_table() -> CouplingTable:
 
 def clear_cache() -> None:
     _DEFAULT_TABLE.clear()
+
+
+def _cached(table: CouplingTable | None, key: tuple, build):
+    return build() if table is None else table.get(key, build)
 
 
 def _cg_exact(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> float:
@@ -187,24 +223,71 @@ def _cg_exact(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> float
     return magnitude if total > 0 else -magnitude
 
 
+def _cg_block(tj1: int, tj2: int, tj: int, table: CouplingTable | None) -> np.ndarray:
+    """Coupling coefficients as a dense (m1, m2, m) block, m ascending from -j.
+
+    Only the entries with m = m1 + m2 can be nonzero; they are filled from
+    the exact closed form, every other entry is an exact zero.
+    """
+
+    def build() -> np.ndarray:
+        block = np.zeros((tj1 + 1, tj2 + 1, tj + 1))
+        if triangle(HalfInt(tj1), HalfInt(tj2), HalfInt(tj)):
+            for i1, tm1 in enumerate(range(-tj1, tj1 + 1, 2)):
+                for i2, tm2 in enumerate(range(-tj2, tj2 + 1, 2)):
+                    tm = tm1 + tm2
+                    if abs(tm) <= tj:
+                        block[i1, i2, (tm + tj) // 2] = _cg_exact(tj1, tm1, tj2, tm2, tj, tm)
+        return block
+
+    return _cached(table, ("cg", tj1, tj2, tj), build)
+
+
+def _threejm_block(tj1: int, tj2: int, tj3: int, table: CouplingTable | None) -> np.ndarray:
+    """3-jm symbols as a dense (m1, m2, m3) block, from the cg block at m = -m3."""
+
+    def build() -> np.ndarray:
+        base = _cg_block(tj1, tj2, tj3, table)[:, :, ::-1]
+        tm3 = np.arange(-tj3, tj3 + 1, 2)
+        sign = np.where(((tj1 - tj2 - tm3) // 2) % 2, -1.0, 1.0)
+        block = (sign * base) / math.sqrt(tj3 + 1)
+        block[base == 0.0] = 0.0  # as in the scalar path, every zero is +0.0
+        return block
+
+    return _cached(table, ("threejm", tj1, tj2, tj3), build)
+
+
+def _spins(*values) -> tuple[int, ...]:
+    twice = tuple(_twice(v) for v in values)
+    if min(twice) < 0:
+        raise InvalidArgumentError(f"negative angular momentum 2j = {min(twice)}")
+    return twice
+
+
+def cg_block(j1, j2, j) -> np.ndarray:
+    """Read-only (2j1+1, 2j2+1, 2j+1) block of <j1 m1 j2 m2 | j m>, each m ascending."""
+    return _cg_block(*_spins(j1, j2, j), _DEFAULT_TABLE)
+
+
+def threejm_block(j1, j2, j3) -> np.ndarray:
+    """Read-only (2j1+1, 2j2+1, 2j3+1) block of 3-jm symbols, each m ascending."""
+    return _threejm_block(*_spins(j1, j2, j3), _DEFAULT_TABLE)
+
+
 def cg(j1, m1, j2, m2, j, m, table: CouplingTable | None = _DEFAULT_TABLE) -> float:
     """Vector coupling coefficient <j1 m1 j2 m2 | j m>, Condon-Shortley phases.
 
     Returns 0 unless m = m1 + m2 and (j1, j2, j) satisfies the triangle rule.
-    Pass table=None to bypass the memo table.
+    Pass table=None to bypass the memo table and evaluate this one entry.
     """
     tj1, tm1 = _twice(j1), _twice(m1)
     tj2, tm2 = _twice(j2), _twice(m2)
     tj, tm = _twice(j), _twice(m)
-    key = SymbolKey("cg", (tj1, tj2, tj), (tm1, tm2, tm))
-    if table is not None:
-        cached = table.lookup(key)
-        if cached is not None:
-            return cached
-    value = _cg_exact(tj1, tm1, tj2, tm2, tj, tm)
-    if table is not None:
-        table.insert(key, value)
-    return value
+    _check_labels((tj1, tj2, tj), (tm1, tm2, tm))
+    if table is None:
+        return _cg_exact(tj1, tm1, tj2, tm2, tj, tm)
+    block = _cg_block(tj1, tj2, tj, table)
+    return float(block[(tm1 + tj1) // 2, (tm2 + tj2) // 2, (tm + tj) // 2])
 
 
 def threejm(j1, m1, j2, m2, j3, m3, table: CouplingTable | None = _DEFAULT_TABLE) -> float:
@@ -212,45 +295,20 @@ def threejm(j1, m1, j2, m2, j3, m3, table: CouplingTable | None = _DEFAULT_TABLE
     tj1, tm1 = _twice(j1), _twice(m1)
     tj2, tm2 = _twice(j2), _twice(m2)
     tj3, tm3 = _twice(j3), _twice(m3)
-    key = SymbolKey("threejm", (tj1, tj2, tj3), (tm1, tm2, tm3))
+    _check_labels((tj1, tj2, tj3), (tm1, tm2, tm3))
     if table is not None:
-        cached = table.lookup(key)
-        if cached is not None:
-            return cached
-    base = cg(HalfInt(tj1), HalfInt(tm1), HalfInt(tj2), HalfInt(tm2), HalfInt(tj3), HalfInt(-tm3), table)
+        block = _threejm_block(tj1, tj2, tj3, table)
+        return float(block[(tm1 + tj1) // 2, (tm2 + tj2) // 2, (tm3 + tj3) // 2])
+    base = _cg_exact(tj1, tm1, tj2, tm2, tj3, -tm3)
     if base == 0.0:
-        value = 0.0
-    else:
-        exponent = (tj1 - tj2 - tm3) // 2
-        sign = -1.0 if exponent % 2 else 1.0
-        value = sign * base / math.sqrt(tj3 + 1)
-    if table is not None:
-        table.insert(key, value)
-    return value
-
-
-def _threejm_array(tj1: int, tj2: int, tj3: int, table: CouplingTable | None) -> np.ndarray:
-    arr = np.zeros((tj1 + 1, tj2 + 1, tj3 + 1))
-    for i1, tm1 in enumerate(range(-tj1, tj1 + 1, 2)):
-        for i2, tm2 in enumerate(range(-tj2, tj2 + 1, 2)):
-            tm3 = -tm1 - tm2
-            if abs(tm3) > tj3:
-                continue
-            i3 = (tm3 + tj3) // 2
-            arr[i1, i2, i3] = threejm(
-                HalfInt(tj1), HalfInt(tm1), HalfInt(tj2), HalfInt(tm2), HalfInt(tj3), HalfInt(tm3), table
-            )
-    return arr
+        return 0.0
+    sign = -1.0 if ((tj1 - tj2 - tm3) // 2) % 2 else 1.0
+    return sign * base / math.sqrt(tj3 + 1)
 
 
 def ninej(j1, j2, j3, j4, j5, j6, j7, j8, j9, table: CouplingTable | None = _DEFAULT_TABLE) -> float:
     """9-j symbol by full contraction of the six 3-jm symbols of its rows and columns."""
     tj = tuple(_twice(x) for x in (j1, j2, j3, j4, j5, j6, j7, j8, j9))
-    key = SymbolKey("ninej", tj, ())
-    if table is not None:
-        cached = table.lookup(key)
-        if cached is not None:
-            return cached
     triads = [
         (tj[0], tj[1], tj[2]),
         (tj[3], tj[4], tj[5]),
@@ -259,41 +317,24 @@ def ninej(j1, j2, j3, j4, j5, j6, j7, j8, j9, table: CouplingTable | None = _DEF
         (tj[1], tj[4], tj[7]),
         (tj[2], tj[5], tj[8]),
     ]
-    if all(triangle(HalfInt(a), HalfInt(b), HalfInt(c)) for a, b, c in triads):
-        rows = [_threejm_array(*triads[i], table) for i in range(3)]
-        cols = [_threejm_array(*triads[i], table) for i in range(3, 6)]
-        value = float(
-            np.einsum(
-                "abc,def,ghi,adg,beh,cfi->",
-                rows[0],
-                rows[1],
-                rows[2],
-                cols[0],
-                cols[1],
-                cols[2],
-                optimize=True,
-            )
-        )
-    else:
-        value = 0.0
-    if table is not None:
-        table.insert(key, value)
-    return value
+
+    def build() -> float:
+        if not all(triangle(HalfInt(a), HalfInt(b), HalfInt(c)) for a, b, c in triads):
+            return 0.0
+        blocks = [_threejm_block(*triad, table) for triad in triads]
+        return float(np.einsum("abc,def,ghi,adg,beh,cfi->", *blocks, optimize=True))
+
+    return _cached(table, ("ninej", *tj), build)
 
 
 def export_table(table: CouplingTable, path) -> int:
-    """Write coupling records as '2j1 2j2 2j 2m1 2m2 2m value' lines.
+    """Write the table's coupling records as '2j1 2j2 2j 2m1 2m2 2m value' lines.
 
-    Only plain coupling entries are exported.  Values are rendered with 17
-    significant digits, so reloading reproduces them bit for bit.
+    Values are rendered with 17 significant digits, so reloading
+    reproduces them bit for bit.
     """
-    lines = []
-    for key, value in sorted(table.items(), key=lambda kv: (kv[0].variant, kv[0].twice_j, kv[0].twice_m)):
-        if key.variant != "cg":
-            continue
-        tj1, tj2, tj = key.twice_j
-        tm1, tm2, tm = key.twice_m
-        lines.append(f"{tj1} {tj2} {tj} {tm1} {tm2} {tm} {value:.17g}")
+    records = sorted(table.items(), key=lambda kv: (kv[0].twice_j, kv[0].twice_m))
+    lines = [" ".join(map(str, key.twice_j + key.twice_m)) + f" {value:.17g}" for key, value in records]
     text = "\n".join(lines) + ("\n" if lines else "")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
@@ -301,17 +342,35 @@ def export_table(table: CouplingTable, path) -> int:
 
 
 def load_table(path) -> CouplingTable:
-    table = CouplingTable()
+    """Rebuild the cg blocks of an exported file.
+
+    The records must fill their blocks completely, and a coefficient given
+    twice must carry the same value both times.
+    """
+    records: dict[SymbolKey, float] = {}
     with open(path, "r", encoding="ascii") as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
             parts = line.split()
+            if not parts:
+                continue
             if len(parts) != 7:
-                raise InvalidArgumentError(f"malformed coupling record: {line!r}")
-            tj1, tj2, tj, tm1, tm2, tm = (int(p) for p in parts[:6])
-            table.insert(SymbolKey("cg", (tj1, tj2, tj), (tm1, tm2, tm)), float(parts[6]))
+                raise InvalidArgumentError(f"malformed coupling record: {line.strip()!r}")
+            labels = [int(p) for p in parts[:6]]
+            key = SymbolKey("cg", tuple(labels[:3]), tuple(labels[3:]))
+            value = float(parts[6])
+            stored = records.setdefault(key, value)
+            if stored != value:
+                raise TableConflictError(f"key {key} already stores {stored!r}, refused {value!r}")
+    blocks: dict[tuple[int, ...], np.ndarray] = {}
+    for key, value in records.items():
+        (tj1, tj2, tj), (tm1, tm2, tm) = key.twice_j, key.twice_m
+        block = blocks.setdefault(key.twice_j, np.zeros((tj1 + 1, tj2 + 1, tj + 1)))
+        block[(tm1 + tj1) // 2, (tm2 + tj2) // 2, (tm + tj) // 2] = value
+    table = CouplingTable()
+    for twice_j, block in blocks.items():
+        table.get(("cg", *twice_j), lambda block=block: block)
+    if dict(table.items()) != records:
+        raise InvalidArgumentError(f"{path}: the records do not fill complete cg blocks")
     return table
 
 
@@ -380,9 +439,8 @@ def verify_cg_against_lowering(max_j, tol: ToleranceRule | None = None) -> Verif
             oracle = cg_lowering_table(HalfInt(tj1), HalfInt(tj2))
             worst = 0.0
             for (tm1, tm2, tj, tm), expected in oracle.items():
-                value = cg(
-                    HalfInt(tj1), HalfInt(tm1), HalfInt(tj2), HalfInt(tm2), HalfInt(tj), HalfInt(tm)
-                )
+                block = _cg_block(tj1, tj2, tj, _DEFAULT_TABLE)
+                value = float(block[(tm1 + tj1) // 2, (tm2 + tj2) // 2, (tm + tj) // 2])
                 worst = max(worst, abs(value - expected))
             report.add(
                 Check.residual_check(f"lowering_agreement_2j1_{tj1}_2j2_{tj2}", worst, tol.abs_tol)
@@ -398,29 +456,13 @@ def verify_cg_orthogonality(max_j, tol: ToleranceRule | None = None) -> Verifica
     report = VerificationReport(suite="wigner-core-orthogonality", k=None, r=None)
     for tj1 in range(0, max_t + 1):
         for tj2 in range(0, max_t + 1):
-            worst = 0.0
-            pairs = [
-                (tm1, tm2)
-                for tm1 in range(-tj1, tj1 + 1, 2)
-                for tm2 in range(-tj2, tj2 + 1, 2)
-            ]
-            blocks = []
-            for tj in range(abs(tj1 - tj2), tj1 + tj2 + 2, 2):
-                for tm in range(-tj, tj + 1, 2):
-                    blocks.append(
-                        [
-                            cg(
-                                HalfInt(tj1),
-                                HalfInt(tm1),
-                                HalfInt(tj2),
-                                HalfInt(tm2),
-                                HalfInt(tj),
-                                HalfInt(tm),
-                            )
-                            for tm1, tm2 in pairs
-                        ]
-                    )
-            mat = np.array(blocks)
+            # rows (j, m) ascending, columns (m1, m2) with m1 major
+            mat = np.concatenate(
+                [
+                    _cg_block(tj1, tj2, tj, _DEFAULT_TABLE).reshape((tj1 + 1) * (tj2 + 1), tj + 1).T
+                    for tj in range(abs(tj1 - tj2), tj1 + tj2 + 2, 2)
+                ]
+            )
             gram = mat @ mat.T
             worst = float(np.max(np.abs(gram - np.eye(mat.shape[0]))))
             report.add(

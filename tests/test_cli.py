@@ -6,6 +6,8 @@ import json
 import jsonschema
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wracah.cli import main
 
@@ -215,6 +217,63 @@ class TestUsageErrors:
     def test_bad_order(self, runner):
         result = runner.invoke(main, ["quon-check", "--k", "1"])
         assert result.exit_code == 2
+
+    def test_env_tolerance_not_a_number(self, runner):
+        result = runner.invoke(main, ["quon-check", "--k", "3"], env={"WRACAH_TOL": "abc"})
+        assert result.exit_code == 2
+        assert "WRACAH_TOL" in result.output
+
+    def test_zero_tolerance_flag(self, runner):
+        result = runner.invoke(main, ["su2-check", "--k", "3", "--tol", "0"])
+        assert result.exit_code == 2
+        assert "tolerance" in result.output
+
+    def test_negative_spin(self, runner):
+        result = runner.invoke(main, ["basis", "--j", "-1", "--r", "1"])
+        assert result.exit_code == 2
+
+    def test_huge_r_is_no_false_failure(self, runner):
+        result = runner.invoke(main, ["su2-check", "--k", "3", "--r", "1e300"])
+        assert result.exit_code == 0, result.output
+
+    # Malformed values only: a well-formed large --k or --j is a valid and
+    # expensive request, not a usage error.
+    _not_numbers = st.text(alphabet="abxe/._- ", max_size=5)
+    _bad_tols = st.one_of(
+        _not_numbers,
+        st.sampled_from(["0", "-0", "nan", "inf", "-inf"]),
+        st.floats(max_value=0.0).map(repr),
+    )
+    _bad_orders = st.one_of(
+        _not_numbers, st.integers(max_value=1).map(str), st.sampled_from(["2.5", "1e3"])
+    )
+    _bad_spins = st.one_of(
+        _not_numbers,
+        st.integers(min_value=-40, max_value=-1).map(lambda t: f"{t}/2"),
+        st.sampled_from(["0.3", "1/3", "1/0", "inf", "nan", "1e400"]),
+    )
+
+    @given(
+        st.one_of(
+            st.tuples(st.just(["quon-check", "--k", "3", "--tol"]), _bad_tols, st.just(None)),
+            st.tuples(st.just(["su2-check", "--k", "3", "--tol"]), _bad_tols, st.just(None)),
+            # an empty WRACAH_TOL counts as unset
+            st.tuples(st.just(["quon-check", "--k", "3"]), st.none(), _bad_tols.filter(bool)),
+            st.tuples(st.just(["quon-check", "--k"]), _bad_orders, st.just(None)),
+            st.tuples(st.just(["su2-check", "--k"]), _bad_orders, st.just(None)),
+            st.tuples(st.just(["winf", "--k"]), _bad_orders, st.just(None)),
+            st.tuples(st.just(["basis", "--j"]), _bad_spins, st.just(None)),
+            st.tuples(st.just(["we-check", "--rank", "1", "--j"]), _bad_spins, st.just(None)),
+        )
+    )
+    @settings(max_examples=60)
+    def test_malformed_input_always_exits_two(self, case):
+        head, value, env_tol = case
+        args = head if value is None else head + [value]
+        env = {"WRACAH_TOL": env_tol} if env_tol is not None else {"WRACAH_TOL": None}
+        result = CliRunner().invoke(main, args, env=env)
+        assert result.exit_code == 2, (args, env, result.output, result.exception)
+        assert isinstance(result.exception, SystemExit)
 
 
 class TestReport:

@@ -148,6 +148,21 @@ class TestCgUr:
         # values still agree to rounding
         assert np.max(np.abs(t1 - t2)) < 1e-12
 
+    def test_exact_and_rounded_r_never_share_a_slot(self):
+        """Fraction(1, 3) and the float 1/3 are different family parameters:
+        each call returns its own cold result, whichever runs first."""
+        exact, rounded = Fraction(1, 3), 1 / 3
+        clear_cache()
+        cold_exact = fbar_table(TWO, TWO, TWO, exact).tobytes()
+        clear_cache()
+        cold_rounded = fbar_table(TWO, TWO, TWO, rounded).tobytes()
+        assert cold_exact != cold_rounded
+        for order in ((exact, rounded), (rounded, exact)):
+            clear_cache()
+            got = [fbar_table(TWO, TWO, TWO, r).tobytes() for r in order]
+            want = [cold_exact if r is exact else cold_rounded for r in order]
+            assert got == want
+
     def test_alpha_labels(self):
         assert alpha_labels(ONE, 1.0) == pytest.approx([-1.0, 0.0, 1.0])
         assert alpha_labels(HALF, 0.5) == pytest.approx([-0.25, 0.75])

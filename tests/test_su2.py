@@ -16,6 +16,7 @@ from wracah import (
     SubspaceLeakageError,
     ToleranceRule,
     UnsupportedLimitError,
+    alpha_phase,
     angular_momentum_ops,
     basis_transform_matrix,
     clock_shift_monomial,
@@ -28,7 +29,8 @@ from wracah import (
     verify_sine_algebra,
     verify_su2,
 )
-from wracah.su2 import restrict_to_angular, shift_eigenvalue
+from wracah.qarith import halfint_range
+from wracah.su2 import phase_matrix, restrict_to_angular, shift_eigenvalue
 
 R_GRID = (0.0, 0.5, 1.0, 2.37)
 
@@ -206,3 +208,28 @@ def test_basis_transform_matrix_is_unitary():
         dim = j.twice + 1
         assert v.shape == (dim, dim)
         assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-13
+
+
+def test_distinct_shift_sampling_at_huge_r():
+    """Offsets of order one vanish when added to 1e300 in floating point;
+    drawn exactly, they still give distinct, non-commuting family members."""
+    report = verify_su2(ShiftParams(3, 1e300))
+    check = next(c for c in report.checks if c.name == "distinct_shift_noncommuting")
+    assert check.passed, check
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0, 0.37, -2.37, Fraction(1, 3), 1 / 3])
+def test_phase_matrix_equals_alpha_phase_bitwise(r):
+    """The one phase-matrix builder reproduces alpha_phase entry for entry,
+    and the shift eigenbasis is its sign = +1 output, transposed and scaled."""
+    for tj in range(0, 9):
+        j = HalfInt(tj)
+        ms = halfint_range(-j, j)
+        for sign in (+1, -1):
+            expected = np.array(
+                [[alpha_phase(j, r, s, m, sign) for m in ms] for s in range(tj + 1)]
+            )
+            assert np.array_equal(phase_matrix(j, r, sign), expected)
+        scale = 1.0 / math.sqrt(tj + 1)
+        expected = np.array([[alpha_phase(j, r, s, m) * scale for s in range(tj + 1)] for m in ms])
+        assert basis_transform_matrix(j, r).tobytes() == expected.tobytes()

@@ -7,8 +7,11 @@ against the lowering-operator construction, and against frozen literals.
 
 import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wracah import (
@@ -23,11 +26,14 @@ from wracah import (
     threejm,
     triangle,
 )
+from wracah import wigner
 from wracah.wigner import (
+    cg_block,
     clear_cache,
     default_table,
     export_table,
     load_table,
+    threejm_block,
     verify_cg_against_lowering,
     verify_cg_orthogonality,
 )
@@ -236,13 +242,16 @@ class TestCaching:
         assert table.hits == before_hits + 1
         assert table.misses == misses
 
-    def test_conflicting_insert_rejected(self):
-        table = CouplingTable()
-        key = SymbolKey("cg", (2, 2, 4), (0, 0, 0))
-        table.insert(key, 0.5)
-        table.insert(key, 0.5)  # idempotent
+    def test_load_rejects_conflicting_records(self, tmp_path):
+        path = tmp_path / "table.dat"
+        path.write_text("2 2 4 0 0 0 0.5\n2 2 4 0 0 0 0.5\n")  # a repeat is idempotent
+        with pytest.raises(InvalidArgumentError):  # but one record leaves the block incomplete
+            load_table(path)
+        path.write_text("0 0 0 0 0 0 1\n0 0 0 0 0 0 1\n")
+        assert dict(load_table(path).items()) == {SymbolKey("cg", (0, 0, 0), (0, 0, 0)): 1.0}
+        path.write_text("0 0 0 0 0 0 1\n0 0 0 0 0 0 0.5\n")
         with pytest.raises(TableConflictError):
-            table.insert(key, 0.25)
+            load_table(path)
 
     def test_symbol_key_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -258,15 +267,96 @@ class TestCaching:
         cg(Fraction(3, 2), HALF, 1, -1, HALF, -HALF)
         path = tmp_path / "table.dat"
         count = export_table(default_table(), path)
-        assert count == len([1 for k, _ in default_table().items() if k.variant == "cg"])
-        loaded = load_table(path)
-        for key, value in default_table().items():
-            if key.variant != "cg":
-                continue
-            assert loaded.lookup(key) == value  # bit identical via 17 digits
+        records = dict(default_table().items())
+        assert count > 0
+        assert count == len(records)
+        # bit identical via 17 digits
+        assert dict(load_table(path).items()) == records
 
     def test_load_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.dat"
         path.write_text("2 2 4 0 0\n")
         with pytest.raises(InvalidArgumentError):
             load_table(path)
+
+
+class TestBlocks:
+    """The block kernel against the scalar evaluation, entry by entry."""
+
+    @staticmethod
+    def scalar_block(symbol, tj1, tj2, tj3):
+        """The block filled entry by entry through the scalar path, bypassing the cache."""
+        j1, j2, j3 = (Fraction(t, 2) for t in (tj1, tj2, tj3))
+        m1s, m2s, m3s = ([Fraction(tm, 2) for tm in range(-t, t + 1, 2)] for t in (tj1, tj2, tj3))
+        return np.array(
+            [
+                [[symbol(j1, m1, j2, m2, j3, m3, table=None) for m3 in m3s] for m2 in m2s]
+                for m1 in m1s
+            ]
+        )
+
+    def test_blocks_match_scalar_path_bitwise(self):
+        clear_cache()
+        for tj1, tj2, tj3 in itertools.product(range(7), repeat=3):
+            js = (Fraction(tj1, 2), Fraction(tj2, 2), Fraction(tj3, 2))
+            for block, symbol in ((cg_block(*js), cg), (threejm_block(*js), threejm)):
+                assert block.tobytes() == self.scalar_block(symbol, tj1, tj2, tj3).tobytes()
+
+    def test_blocks_are_cached_and_read_only(self):
+        clear_cache()
+        first = cg_block(1, HALF, HALF)
+        assert cg_block(1, HALF, HALF) is first
+        assert len(default_table()) == 1
+        with pytest.raises(ValueError):
+            first[0, 0, 0] = 1.0
+
+    def test_negative_spin_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            cg_block(-1, 0, 1)
+
+
+class TestSharedCache:
+    def test_bounded_lru(self):
+        table = CouplingTable()
+        bound = wigner._CACHE_BOUND
+        for i in range(bound + 10):
+            table.get(("value", i), lambda i=i: float(i))
+            table.get(("value", 0), lambda: 0.0)  # kept recent, so never evicted
+        assert len(table) == bound
+        assert table.misses == bound + 10
+        misses = table.misses
+        assert table.get(("value", 0), lambda: -1.0) == 0.0
+        assert table.get(("value", bound + 9), lambda: -1.0) == float(bound + 9)
+        assert table.misses == misses
+        assert table.get(("value", 1), lambda: -1.0) == -1.0  # the oldest was evicted
+        assert table.misses == misses + 1
+
+    def test_threads_share_one_table(self):
+        """Concurrent lookups lose no counter update and see the cold values."""
+        labels = [tuple(Fraction(t, 2) for t in tj) for tj in itertools.product(range(5), repeat=3)]
+        cold = {js: cg_block(*js).copy() for js in labels}
+        table = CouplingTable()
+        results = []
+        calls_per_thread = 3 * len(labels)
+
+        def work():
+            for _ in range(3):
+                for js in labels:
+                    tj = [int(2 * x) for x in js]
+                    results.append((js, wigner._cg_block(*tj, table)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 6 * calls_per_thread
+        assert table.hits + table.misses == 6 * calls_per_thread
+        assert len(table) == len(labels)
+        assert all(block.tobytes() == cold[js].tobytes() for js, block in results)
