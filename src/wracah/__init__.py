@@ -25,7 +25,6 @@ from .errors import (
 )
 from .fock import FockSpace, Operator, QuonOps, commutator, quon_operators, verify_quon_relations
 from .qarith import (
-    Amplitude,
     HalfInt,
     ToleranceRule,
     UnitPhase,
@@ -87,7 +86,6 @@ from .wigner import CouplingTable, SymbolKey, cg, cg_lowering_table, ninej, thre
 __version__ = "0.1.0"
 
 __all__ = [
-    "Amplitude",
     "AngularSpace",
     "Check",
     "CouplingTable",

@@ -78,10 +78,6 @@ class Operator:
         return Operator(space, np.eye(space.dim, dtype=complex))
 
     @staticmethod
-    def zero(space) -> "Operator":
-        return Operator(space, np.zeros((space.dim, space.dim), dtype=complex))
-
-    @staticmethod
     def diagonal(space, entries) -> "Operator":
         entries = np.asarray(entries, dtype=complex)
         if entries.shape != (space.dim,):

@@ -19,7 +19,6 @@ from fractions import Fraction
 from .errors import InvalidArgumentError, InvalidOrderError
 
 __all__ = [
-    "Amplitude",
     "HalfInt",
     "UnitPhase",
     "ToleranceRule",
@@ -34,10 +33,6 @@ __all__ = [
     "alpha_phase",
     "phase_from_turn",
 ]
-
-# Complex scalars are plain machine complex numbers; the exact layer below
-# only ever feeds them through a single final rounding.
-Amplitude = complex
 
 # Rational turns with denominators up to this bound take the exact path;
 # anything finer (in practice: irrational family parameters stored as
@@ -220,12 +215,6 @@ class ToleranceRule:
         if k > 16:
             base *= (k / 16.0) ** 2
         return ToleranceRule(base, base)
-
-    def bound(self, scale: float = 1.0) -> float:
-        return max(self.abs_tol, self.rel_tol * abs(scale))
-
-    def allows(self, residual: float, scale: float = 1.0) -> bool:
-        return residual <= self.bound(scale)
 
 
 def phase_from_turn(turn) -> complex:

@@ -59,9 +59,6 @@ class VerificationReport:
     def add(self, check: Check) -> None:
         self.checks.append(check)
 
-    def extend(self, checks) -> None:
-        self.checks.extend(checks)
-
     def to_dict(self) -> dict:
         return {
             "suite": self.suite,

@@ -23,7 +23,7 @@ from .errors import (
     SubspaceLeakageError,
     UnsupportedLimitError,
 )
-from .fock import FockSpace, Operator, commutator, quon_operators
+from .fock import FockSpace, Operator, QuonOps, commutator, quon_operators
 from .qarith import (
     HalfInt,
     ToleranceRule,
@@ -48,7 +48,6 @@ __all__ = [
     "ShiftEigenbasis",
     "modulus_op",
     "shift_op",
-    "clock_op",
     "restrict_to_angular",
     "angular_indices",
     "angular_momentum_ops",
@@ -149,28 +148,30 @@ def modulus_op(k: int) -> Operator:
 def shift_op(params: ShiftParams) -> Operator:
     """Unitary cyclic shift: one bracket per mode, each a single-step ladder
     plus a phased order-(k-1) wraparound divided by [k-1]!."""
-    k = params.k
+    return _shift_family(quon_operators(params.k))(params)
+
+
+def _shift_family(ops: QuonOps):
+    """The shift as a function of its parameters over one quon algebra.
+
+    Only the wrap phase depends on r, so the two order-(k-1) wrap powers
+    are built once and every family member reuses them.
+    """
+    k = ops.space.k
     if q_factorial_is_degenerate(k - 1, k):
         raise DegenerateFactorialError(f"[{k - 1}]! vanishes at order {k}")
-    ops = quon_operators(k)
-    half = params.half_wrap_phase
     fact = q_factorial(k - 1, k)
-    wrap1 = ops.lower1.power(k - 1) * (half / fact)
-    wrap2 = ops.raise2.power(k - 1) * (half / fact)
-    bracket1 = ops.raise1 + wrap1
-    bracket2 = ops.lower2 + wrap2
-    return bracket1 @ bracket2
+    power1 = ops.lower1.power(k - 1)
+    power2 = ops.raise2.power(k - 1)
+
+    def shift(params: ShiftParams) -> Operator:
+        scale = params.half_wrap_phase / fact
+        return (ops.raise1 + power1 * scale) @ (ops.lower2 + power2 * scale)
+
+    return shift
 
 
-def clock_op(params: ShiftParams) -> Operator:
-    """Diagonal unitary q^(N1 - N2), restricted to the angular subspace."""
-    k = params.k
-    space = FockSpace(k)
-    diag = [q_power(n1 - n2, k) for n1 in range(k) for n2 in range(k)]
-    return restrict_to_angular(Operator.diagonal(space, diag))
-
-
-def restrict_to_angular(op: Operator, k: int | None = None, tol: ToleranceRule | None = None) -> Operator:
+def restrict_to_angular(op: Operator, k: int | None = None) -> Operator:
     """Project onto the n1 + n2 = k - 1 subspace, refusing leaky operators."""
     if not isinstance(op.space, FockSpace):
         raise InvalidArgumentError("restriction expects an operator on a Fock space")
@@ -178,8 +179,7 @@ def restrict_to_angular(op: Operator, k: int | None = None, tol: ToleranceRule |
         k = op.space.k
     elif k != op.space.k:
         raise InvalidArgumentError(f"order {k} does not match the operator space order {op.space.k}")
-    if tol is None:
-        tol = ToleranceRule.for_order(k)
+    tol = ToleranceRule.for_order(k)
     idx = angular_indices(k)
     outside = np.setdiff1d(np.arange(op.space.dim), idx)
     leak = op.mat[np.ix_(outside, idx)]
@@ -208,10 +208,12 @@ class Su2Ops:
 
 def angular_momentum_ops(params: ShiftParams) -> Su2Ops:
     """J+ = H U, J- = U* H, J3 = (N1 - N2)/2, all restricted."""
-    k = params.k
-    ops = quon_operators(k)
-    h = modulus_op(k)
-    u = shift_op(params)
+    ops = quon_operators(params.k)
+    return _ladders(ops, modulus_op(params.k), _shift_family(ops)(params))
+
+
+def _ladders(ops: QuonOps, h: Operator, u: Operator) -> Su2Ops:
+    k = ops.space.k
     plus = restrict_to_angular(h @ u, k)
     minus = restrict_to_angular(u.adjoint() @ h, k)
     z = restrict_to_angular((ops.number1 - ops.number2) * 0.5, k)
@@ -233,7 +235,6 @@ def verify_su2(
     params: ShiftParams,
     tol: ToleranceRule | None = None,
     *,
-    commutation_samples: int = 3,
     seed: int = 0,
 ) -> VerificationReport:
     """Residuals for the polar construction on the angular subspace.
@@ -242,15 +243,18 @@ def verify_su2(
     steps, the two phased single-mode wraps, the phased double wrap),
     unitarity and monomial structure of the shift, Hermitecity
     of the modulus, the su(2) commutators and ladder matrix elements, the
-    Casimir identity against H^2 + J3^2 - J3, cyclicity of the shift, and a
-    seeded sample of family members whose shifts must not commute.
+    Casimir identity against H^2 + J3^2 - J3, cyclicity of the shift, and
+    three family members, drawn with `seed`, whose shifts must not commute.
+    One quon algebra serves every operator, the sampled shifts included.
     """
     k = params.k
     if tol is None:
         tol = ToleranceRule.for_order(k)
     report = VerificationReport(suite="su2-polar", k=k, r=float(params.r))
     fock = FockSpace(k)
-    u = shift_op(params)
+    ops = quon_operators(k)
+    shift = _shift_family(ops)
+    u = shift(params)
     h = modulus_op(k)
 
     # literal action, all four column families: interior steps carry no
@@ -298,7 +302,7 @@ def verify_su2(
 
     report.add(Check.residual_check("modulus_hermitean", (h - h.adjoint()).norm(), tol.abs_tol))
 
-    su2 = angular_momentum_ops(params)
+    su2 = _ladders(ops, h, u)
     plus, minus, z = su2.plus, su2.minus, su2.z
     report.add(
         Check.residual_check(
@@ -362,14 +366,14 @@ def verify_su2(
     smallest = math.inf
     found = 0
     attempts = 0
-    while found < commutation_samples and attempts < 100 * commutation_samples:
+    while found < 3 and attempts < 300:
         attempts += 1
         s = r0 + _as_fraction(rng.uniform(0.1, 1.9))
         other = ShiftParams(k, s)
         if abs(other.wrap_phase - wrap0) < 0.5:
             continue
         found += 1
-        smallest = min(smallest, commutator(u, shift_op(other)).norm())
+        smallest = min(smallest, commutator(u, shift(other)).norm())
     if found == 0:
         smallest = 0.0
     report.add(Check.threshold_check("distinct_shift_noncommuting", smallest, tol.abs_tol))
@@ -457,7 +461,8 @@ def verify_shift_eigenbasis(j, r, tol: ToleranceRule | None = None) -> Verificat
     k = j.twice + 1
     if tol is None:
         tol = ToleranceRule.for_order(k)
-    params = ShiftParams(k, float(r))
+    # the exact r, so the shift and the basis see the same wrap turn
+    params = ShiftParams(k, _as_fraction(r))
     u = restrict_to_angular(shift_op(params), k)
     report = VerificationReport(suite="shift-eigenbasis", k=k, r=float(r))
 
@@ -494,9 +499,12 @@ def clock_shift_monomial(params: ShiftParams, m1: int, m2: int) -> Operator:
     """q^(m1 m2) U^m1 V^m2 on the angular space, V the diagonal clock q^(N1-N2)."""
     if not isinstance(m1, numbers.Integral) or not isinstance(m2, numbers.Integral):
         raise InvalidArgumentError("monomial indices must be integers")
-    m1, m2 = int(m1), int(m2)
-    k = params.k
-    u = restrict_to_angular(shift_op(params), k)
+    return _monomial(restrict_to_angular(shift_op(params), params.k), int(m1), int(m2))
+
+
+def _monomial(u: Operator, m1: int, m2: int) -> Operator:
+    """q^(m1 m2) U^m1 V^m2 from the shift U already restricted to the angular space."""
+    k = u.space.k
     shift_part = u.power(m1) if m1 >= 0 else u.adjoint().power(-m1)
     tj = k - 1
     clock_diag = [q_power(tm * m2, k) for tm in range(-tj, tj + 1, 2)]
@@ -508,32 +516,30 @@ def verify_sine_algebra(
     params: ShiftParams, index_range, tol: ToleranceRule | None = None
 ) -> VerificationReport:
     """Commutators of clock-shift monomials against the sine structure constants:
-    [T_m, T_n] = -2i sin((2*pi/k) (m1 n2 - m2 n1)) T_(m+n)."""
+    [T_m, T_n] = -2i sin((2*pi/k) (m1 n2 - m2 n1)) T_(m+n),
+    for every m and n with both components in `index_range` (which must not
+    be empty).  Every monomial is derived from one restricted shift."""
     k = params.k
     if tol is None:
         tol = ToleranceRule.for_order(k)
     indices = [int(i) for i in index_range]
+    if not indices:
+        raise InvalidArgumentError("the sine algebra check needs at least one monomial index")
     pairs = [(a, b) for a in indices for b in indices]
-    cache: dict[tuple[int, int], Operator] = {}
-
-    def monomial(a: int, b: int) -> Operator:
-        key = (a, b)
-        if key not in cache:
-            cache[key] = clock_shift_monomial(params, a, b)
-        return cache[key]
+    u = restrict_to_angular(shift_op(params), k)
+    needed = set(pairs) | {(am + an, bm + bn) for am, bm in pairs for an, bn in pairs}
+    monomials = {key: _monomial(u, *key) for key in needed}
+    eye = Operator.identity(u.space)
 
     worst_comm = 0.0
     worst_unitary = 0.0
-    eye = None
     for am, bm in pairs:
-        t_m = monomial(am, bm)
-        if eye is None:
-            eye = Operator.identity(t_m.space)
+        t_m = monomials[am, bm]
         worst_unitary = max(worst_unitary, (t_m.adjoint() @ t_m - eye).norm())
         for an, bn in pairs:
-            t_n = monomial(an, bn)
+            t_n = monomials[an, bn]
             cross = am * bn - bm * an
-            target = monomial(am + an, bm + bn)
+            target = monomials[am + an, bm + bn]
             residual = (
                 commutator(t_m, t_n) + (2j * math.sin(2 * math.pi * cross / k)) * target
             ).norm()

@@ -35,3 +35,9 @@ def test_ninej_substitution_scan_runs():
     result = run_script("ninej_substitution_scan.py", "--max-twice-j", "1", "--r", "1.0")
     assert result.returncode == 0, result.stderr
     assert "worst residual" in result.stdout
+
+
+def test_verification_sweep_passes():
+    result = run_script("verification_sweep.py", "--k-max", "3", "--r-steps", "1", "--r-span", "1")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "all suites passed" in result.stdout

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wracah.su2
 from wracah import (
     FockSpace,
     HalfInt,
+    InvalidArgumentError,
     ShiftParams,
     SubspaceLeakageError,
     ToleranceRule,
@@ -167,6 +169,17 @@ class TestShiftEigenbasis:
             for l in range(i + 1, len(vals)):
                 assert abs(vals[i] - vals[l]) > 1e-3
 
+    @pytest.mark.parametrize(
+        "k, r",
+        [(2, Fraction(1, 2)), (4, Fraction(1, 3)), (10, Fraction(1, 3)), (7, Fraction(-5, 11)), (3, HalfInt(1))],
+    )
+    def test_exact_r_closes_wrap_phase_exactly(self, k, r):
+        """The shift and the basis see the same exact turn, so they agree to the bit."""
+        report = verify_shift_eigenbasis(HalfInt(k - 1), r)
+        check = next(c for c in report.checks if c.name == "wrap_phase_consistency")
+        assert check.residual == 0.0
+        assert report.r == float(r)
+
     def test_to_dict_shape(self):
         d = shift_eigenbasis(HalfInt(1), 1.0).to_dict()
         assert d["j"] == "1/2"
@@ -183,6 +196,10 @@ class TestSineAlgebra:
         report = verify_sine_algebra(ShiftParams(k, r), index_range=range(-2, 3))
         assert report.passed
         assert report.max_residual <= 1e-10
+
+    def test_empty_index_range_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            verify_sine_algebra(ShiftParams(3, 0.5), [])
 
     def test_monomials_unitary(self):
         params = ShiftParams(5, 1.0)
@@ -233,3 +250,25 @@ def test_phase_matrix_equals_alpha_phase_bitwise(r):
         scale = 1.0 / math.sqrt(tj + 1)
         expected = np.array([[alpha_phase(j, r, s, m) * scale for s in range(tj + 1)] for m in ms])
         assert basis_transform_matrix(j, r).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "verify",
+    [
+        lambda: verify_sine_algebra(ShiftParams(5, 0.3), range(-2, 3)),
+        lambda: verify_su2(ShiftParams(5, 0.3)),
+    ],
+    ids=["sine_algebra", "su2"],
+)
+def test_verifier_builds_one_quon_algebra(monkeypatch, verify):
+    """Each verifier derives every operator it checks from one quon algebra."""
+    calls = []
+    build = wracah.su2.quon_operators
+
+    def counting(k):
+        calls.append(k)
+        return build(k)
+
+    monkeypatch.setattr(wracah.su2, "quon_operators", counting)
+    assert verify().passed
+    assert calls == [5]
