@@ -77,14 +77,14 @@ class WracahGroup(click.Group):
 def _resolve_tol(explicit: float | None) -> ToleranceRule | None:
     """--tol beats WRACAH_TOL beats each suite's own default."""
     if explicit is not None:
-        return ToleranceRule(explicit, explicit)
+        return ToleranceRule(explicit)
     env = os.environ.get("WRACAH_TOL")
     if env:
         try:
             value = float(env)
         except ValueError:
             raise InvalidArgumentError(f"WRACAH_TOL={env!r} is not a number") from None
-        return ToleranceRule(value, value)
+        return ToleranceRule(value)
     return None
 
 

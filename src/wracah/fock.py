@@ -5,10 +5,17 @@ k*k-dimensional product space with lexicographic occupation labels (n1, n2).
 The two modes carry intentionally asymmetric matrix elements (the bracket
 factor sits on the lowering side of mode 1 and on the raising side of mode
 2); the pairing is not unitary and nothing downstream assumes it is.
+
+Every generator here is diagonal or a weighted permutation, and so is every
+product, adjoint and power of them that the verifiers form.  `Operator` is
+therefore monomial: one target row and one weight per column, with O(dim)
+algebra and an exact spectral norm.  A sum or an adjoint that would leave
+that form raises InvalidArgumentError.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -56,33 +63,52 @@ class FockSpace:
 
 
 class Operator:
-    """Immutable dense complex operator tied to a labeled space."""
+    """Immutable monomial operator tied to a labeled space.
 
-    __slots__ = ("space", "mat")
+    Column c holds the single entry weight[c] in row target[c], so every
+    operation here costs O(dim).  The target of a column whose weight is
+    zero carries no meaning.  `mat` is a dense, read-only view built on
+    demand.
+    """
 
-    def __init__(self, space, mat):
-        mat = np.array(mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape != (space.dim, space.dim):
-            raise InvalidArgumentError(
-                f"matrix shape {mat.shape} does not match space dimension {space.dim}"
-            )
-        mat.setflags(write=False)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "mat", mat)
+    __slots__ = ("space", "target", "weight")
+
+    def __new__(cls, space, target, weight):
+        target = np.array(target)
+        weight = np.array(weight, dtype=complex)
+        if target.dtype.kind not in "iu" or {target.shape, weight.shape} != {(space.dim,)}:
+            raise InvalidArgumentError(f"an operator needs {space.dim} integer target rows and {space.dim} weights")
+        if target.min() < 0 or target.max() >= space.dim:
+            raise InvalidArgumentError(f"target rows must lie in 0..{space.dim - 1}")
+        return cls._built(space, target.astype(np.intp), weight)
+
+    @classmethod
+    def _built(cls, space, target: np.ndarray, weight: np.ndarray) -> "Operator":
+        """Wrap arrays that an operation made valid by construction, unchecked and uncopied."""
+        op = object.__new__(cls)
+        target.setflags(write=False)
+        weight.setflags(write=False)
+        for name, value in zip(cls.__slots__, (space, target, weight)):
+            object.__setattr__(op, name, value)
+        return op
 
     def __setattr__(self, name, value):
         raise AttributeError("Operator is immutable")
 
     @staticmethod
     def identity(space) -> "Operator":
-        return Operator(space, np.eye(space.dim, dtype=complex))
+        return Operator.diagonal(space, np.ones(space.dim))
 
     @staticmethod
     def diagonal(space, entries) -> "Operator":
-        entries = np.asarray(entries, dtype=complex)
-        if entries.shape != (space.dim,):
-            raise InvalidArgumentError("diagonal length does not match space dimension")
-        return Operator(space, np.diag(entries))
+        return Operator(space, np.arange(space.dim), entries)
+
+    @property
+    def mat(self) -> np.ndarray:
+        dense = np.zeros((self.space.dim, self.space.dim), dtype=complex)
+        dense[self.target, np.arange(self.space.dim)] = self.weight
+        dense.setflags(write=False)
+        return dense
 
     def _check_space(self, other: "Operator") -> None:
         if self.space != other.space:
@@ -90,40 +116,67 @@ class Operator:
 
     def __matmul__(self, other: "Operator") -> "Operator":
         self._check_space(other)
-        return Operator(self.space, self.mat @ other.mat)
+        a, b = self.weight[other.target], other.weight
+        # separate real ufuncs, never a fused multiply-add, so that the
+        # product of two weights is the same bits in either order
+        weight = np.empty(self.space.dim, dtype=complex)
+        weight.real = a.real * b.real - a.imag * b.imag
+        weight.imag = a.real * b.imag + a.imag * b.real
+        return Operator._built(self.space, self.target[other.target], weight)
 
     def __add__(self, other: "Operator") -> "Operator":
         self._check_space(other)
-        return Operator(self.space, self.mat + other.mat)
+        mine = self.weight != 0
+        if np.any(mine & (other.weight != 0) & (self.target != other.target)):
+            raise InvalidArgumentError("sum leaves monomial form: a column holds entries in two rows")
+        target = np.where(mine, self.target, other.target)
+        return Operator._built(self.space, target, self.weight + other.weight)
 
     def __sub__(self, other: "Operator") -> "Operator":
-        self._check_space(other)
-        return Operator(self.space, self.mat - other.mat)
+        # x - y and x + (-y) are the same IEEE operation
+        return self + -other
 
     def __mul__(self, scalar) -> "Operator":
         if not isinstance(scalar, numbers.Complex):
             return NotImplemented
-        return Operator(self.space, self.mat * complex(scalar))
+        return Operator._built(self.space, self.target, self.weight * complex(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Operator":
-        return Operator(self.space, -self.mat)
+        return Operator._built(self.space, self.target, -self.weight)
 
     def adjoint(self) -> "Operator":
-        return Operator(self.space, self.mat.conj().T)
+        cols = np.flatnonzero(self.weight)
+        rows = self.target[cols]
+        if np.unique(rows).size != rows.size:
+            raise InvalidArgumentError("adjoint leaves monomial form: two columns share a nonzero row")
+        target = np.arange(self.space.dim)
+        weight = np.zeros(self.space.dim, dtype=complex)
+        target[rows] = cols
+        weight[rows] = self.weight[cols].conj()
+        return Operator._built(self.space, target, weight)
 
     def power(self, n: int) -> "Operator":
         if not isinstance(n, numbers.Integral) or n < 0:
             raise InvalidArgumentError("power expects a nonnegative integer")
-        return Operator(self.space, np.linalg.matrix_power(self.mat, int(n)))
+        result = Operator.identity(self.space)
+        for _ in range(int(n)):
+            result = self @ result
+        return result
 
     def norm(self) -> float:
-        """Spectral norm."""
-        return float(np.linalg.norm(self.mat, 2))
+        """Spectral norm.
+
+        With one entry per column, A A^H is diagonal and holds the squared
+        row 2-norms, so the largest of those is exact, not a bound.
+        """
+        squares = self.weight.real**2 + self.weight.imag**2
+        rows = np.bincount(self.target, weights=squares, minlength=self.space.dim)
+        return math.sqrt(float(np.max(rows)))
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.mat))) if self.mat.size else 0.0
+        return float(np.max(np.abs(self.weight)))
 
     def __repr__(self) -> str:
         return f"Operator({self.space!r}, dim={self.space.dim})"
@@ -146,21 +199,6 @@ class QuonOps:
     number2: Operator
 
 
-def _mode_matrices(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    brackets = [q_bracket(n, k) for n in range(k + 1)]
-    raise1 = np.zeros((k, k), dtype=complex)
-    lower1 = np.zeros((k, k), dtype=complex)
-    raise2 = np.zeros((k, k), dtype=complex)
-    lower2 = np.zeros((k, k), dtype=complex)
-    for n in range(k - 1):
-        raise1[n + 1, n] = 1.0
-        lower1[n, n + 1] = brackets[n + 1]
-        raise2[n + 1, n] = brackets[n + 1]
-        lower2[n, n + 1] = 1.0
-    number = np.diag(np.arange(k, dtype=float)).astype(complex)
-    return raise1, lower1, raise2, lower2, number
-
-
 def quon_operators(k: int) -> QuonOps:
     """Build both mode algebras on the k*k product space.
 
@@ -169,16 +207,21 @@ def quon_operators(k: int) -> QuonOps:
     annihilate.
     """
     space = FockSpace(k)
-    r1, l1, r2, l2, num = _mode_matrices(space.k)
-    eye = np.eye(space.k, dtype=complex)
+    column = np.arange(space.dim)
+    n1, n2 = np.divmod(column, k)
+    brackets = np.array([q_bracket(n, k) for n in range(k + 1)])
+
+    def ladder(step: int, stays, weight) -> Operator:
+        return Operator(space, np.where(stays, column + step, column), np.where(stays, weight, 0))
+
     return QuonOps(
         space=space,
-        raise1=Operator(space, np.kron(r1, eye)),
-        lower1=Operator(space, np.kron(l1, eye)),
-        raise2=Operator(space, np.kron(eye, r2)),
-        lower2=Operator(space, np.kron(eye, l2)),
-        number1=Operator(space, np.kron(num, eye)),
-        number2=Operator(space, np.kron(eye, num)),
+        raise1=ladder(k, n1 < k - 1, 1.0),
+        lower1=ladder(-k, n1 > 0, brackets[n1]),
+        raise2=ladder(1, n2 < k - 1, brackets[n2 + 1]),
+        lower2=ladder(-1, n2 > 0, 1.0),
+        number1=Operator.diagonal(space, n1),
+        number2=Operator.diagonal(space, n2),
     )
 
 
@@ -191,28 +234,19 @@ def verify_quon_relations(ops: QuonOps, tol: ToleranceRule | None = None) -> Ver
     one = Operator.identity(ops.space)
     report = VerificationReport(suite="quon", k=k, r=None)
 
-    modes = [
-        ("mode1", ops.raise1, ops.lower1, ops.number1),
-        ("mode2", ops.raise2, ops.lower2, ops.number2),
-    ]
-    for label, up, down, num in modes:
-        deformed = down @ up - q * (up @ down) - one
-        report.add(Check.residual_check(f"{label}_deformed_commutator", deformed.norm(), tol.abs_tol))
-        report.add(
-            Check.residual_check(
-                f"{label}_number_raises", (commutator(num, up) - up).norm(), tol.abs_tol
-            )
-        )
-        report.add(
-            Check.residual_check(
-                f"{label}_number_lowers", (commutator(num, down) + down).norm(), tol.abs_tol
-            )
-        )
-        report.add(Check.residual_check(f"{label}_raise_nilpotent", up.power(k).norm(), tol.abs_tol))
-        report.add(Check.residual_check(f"{label}_lower_nilpotent", down.power(k).norm(), tol.abs_tol))
+    mode1 = (ops.raise1, ops.lower1, ops.number1)
+    mode2 = (ops.raise2, ops.lower2, ops.number2)
+    for label, (up, down, num) in (("mode1", mode1), ("mode2", mode2)):
+        residuals = {
+            "deformed_commutator": down @ up - q * (up @ down) - one,
+            "number_raises": commutator(num, up) - up,
+            "number_lowers": commutator(num, down) + down,
+            "raise_nilpotent": up.power(k),
+            "lower_nilpotent": down.power(k),
+        }
+        for name, residual in residuals.items():
+            report.add(Check.residual_check(f"{label}_{name}", residual.norm(), tol.abs_tol))
 
-    mode1_ops = (ops.raise1, ops.lower1, ops.number1)
-    mode2_ops = (ops.raise2, ops.lower2, ops.number2)
-    cross = max(commutator(x, y).norm() for x in mode1_ops for y in mode2_ops)
+    cross = max(commutator(x, y).norm() for x in mode1 for y in mode2)
     report.add(Check.residual_check("cross_mode_commutators", cross, tol.abs_tol))
     return report

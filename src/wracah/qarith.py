@@ -199,13 +199,12 @@ class UnitPhase:
 
 @dataclass(frozen=True)
 class ToleranceRule:
-    """Absolute and relative comparison thresholds for verification checks."""
+    """Absolute comparison threshold for verification checks."""
 
     abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+        if not 0 < self.abs_tol < math.inf:
             raise InvalidArgumentError("tolerances must be positive and finite")
 
     @staticmethod
@@ -214,7 +213,7 @@ class ToleranceRule:
         base = 1e-10
         if k > 16:
             base *= (k / 16.0) ** 2
-        return ToleranceRule(base, base)
+        return ToleranceRule(base)
 
 
 def phase_from_turn(turn) -> complex:

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written against a different stack than the
 package: coupling coefficients come from sympy's symbolic evaluator, phases
-are raw cmath exponentials, and the deformed coupling symbols are direct
-brute-force sums over magnetic quantum numbers.  None of the package's
-phase bookkeeping, caching, or einsum wiring is reused, so agreement is
+are raw cmath exponentials, the deformed coupling symbols are direct
+brute-force sums over magnetic quantum numbers, and the Fock generators are
+dense Kronecker products.  None of the package's phase bookkeeping, caching,
+einsum wiring or monomial operator algebra is reused, so agreement is
 meaningful.
 """
 
@@ -15,6 +16,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 from sympy import Rational
 from sympy.physics.wigner import clebsch_gordan, wigner_3j, wigner_9j
 
@@ -149,3 +151,52 @@ def brute_ninej(j1, j2, j3, j4, j5, j6, j7, j8, j9) -> float:
                     )
                     total += term
     return total
+
+
+def cmath_bracket(n: int, k: int) -> complex:
+    """(1 - q^n) / (1 - q) with q = exp(2 pi i / k), from raw exponentials."""
+    return (1 - cmath.exp(2j * math.pi * n / k)) / (1 - cmath.exp(2j * math.pi / k))
+
+
+def dense_quon_generators(k: int) -> dict[str, np.ndarray]:
+    """The six generators as dense k^2 x k^2 matrices, one Kronecker factor
+    per mode, with (n1, n2) stored at row n1 * k + n2.
+
+    Mode 1 raises with a bare step and lowers with the bracket [n1]; mode 2
+    raises with [n2 + 1] and lowers with a bare step.
+    """
+    eye = np.eye(k)
+    step_up = np.diag(np.ones(k - 1), -1)
+    bracket_up = np.diag([cmath_bracket(n + 1, k) for n in range(k - 1)], -1)
+    number = np.diag(np.arange(k, dtype=float))
+    return {
+        "raise1": np.kron(step_up, eye),
+        "lower1": np.kron(bracket_up.T, eye),
+        "raise2": np.kron(eye, bracket_up),
+        "lower2": np.kron(eye, step_up.T),
+        "number1": np.kron(number, eye),
+        "number2": np.kron(eye, number),
+    }
+
+
+def dense_shift(k: int, r: float) -> np.ndarray:
+    """The cyclic shift built densely from the oracle generators:
+    (R1 + s L1^(k-1)) (L2 + s R2^(k-1)), s = exp(i pi (k-1) r / 2) / [k-1]!."""
+    gen = dense_quon_generators(k)
+    factorial = 1.0 + 0.0j
+    for n in range(1, k):
+        factorial *= cmath_bracket(n, k)
+    scale = cmath.exp(1j * math.pi * (k - 1) * r / 2) / factorial
+    mode1 = gen["raise1"] + scale * np.linalg.matrix_power(gen["lower1"], k - 1)
+    mode2 = gen["lower2"] + scale * np.linalg.matrix_power(gen["raise2"], k - 1)
+    return mode1 @ mode2
+
+
+def dense_modulus(k: int) -> np.ndarray:
+    """sqrt(N1 (N2 + 1)) as a dense diagonal."""
+    return np.diag([math.sqrt(n1 * (n2 + 1)) for n1 in range(k) for n2 in range(k)]).astype(complex)
+
+
+def angular_rows(k: int) -> list[int]:
+    """Rows of the n1 + n2 = k - 1 states, m = (n1 - n2) / 2 ascending."""
+    return [n1 * k + (k - 1 - n1) for n1 in range(k)]

@@ -56,7 +56,7 @@ def _line(num: int, label: str, ok: bool, detail: str) -> None:
 def test_criterion_01_quon_relations():
     worst = 0.0
     for k in K_RANGE:
-        report = verify_quon_relations(quon_operators(k), ToleranceRule(1e-12, 1e-12))
+        report = verify_quon_relations(quon_operators(k), ToleranceRule(1e-12))
         worst = max(worst, report.max_residual)
         if not report.passed:
             break
@@ -195,7 +195,7 @@ def test_criterion_05_sine_algebra():
     for k in (3, 5):
         for r in (0.0, 1.0):
             report = verify_sine_algebra(
-                ShiftParams(k, r), index_range=range(-2, 3), tol=ToleranceRule(1e-10, 1e-10)
+                ShiftParams(k, r), index_range=range(-2, 3), tol=ToleranceRule(1e-10)
             )
             worst = max(worst, report.max_residual)
             assert report.passed
@@ -208,7 +208,7 @@ def test_criterion_05_sine_algebra():
 
 
 def test_criterion_06_coupling_against_lowering():
-    report = verify_cg_against_lowering(3, ToleranceRule(1e-12, 1e-12))
+    report = verify_cg_against_lowering(3, ToleranceRule(1e-12))
     worst = report.max_residual
     _line(
         6,
@@ -223,14 +223,14 @@ def test_criterion_07_fbar_orthogonality_and_symmetry():
     worst_orth = 0.0
     for j1, j2 in itertools.product(spins, repeat=2):
         for r in R_GRID:
-            report = verify_fbar_orthogonality(j1, j2, r, ToleranceRule(1e-10, 1e-10))
+            report = verify_fbar_orthogonality(j1, j2, r, ToleranceRule(1e-10))
             worst_orth = max(worst_orth, report.max_residual)
             assert report.passed, (str(j1), str(j2), r)
     worst_perm = 0.0
     for j1, j2, j3 in itertools.product(spins, repeat=3):
         if not triangle(j1.as_fraction, j2.as_fraction, j3.as_fraction):
             continue
-        report = verify_fbar_permutation(j1, j2, j3, 1.0, ToleranceRule(1e-10, 1e-10))
+        report = verify_fbar_permutation(j1, j2, j3, 1.0, ToleranceRule(1e-10))
         worst_perm = max(worst_perm, report.max_residual)
         assert report.passed, (str(j1), str(j2), str(j3))
     ok = worst_orth <= 1e-10 and worst_perm <= 1e-10

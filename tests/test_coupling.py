@@ -238,7 +238,7 @@ class TestFSymbols:
 
 class TestOrthogonality:
     def test_tight_spin_half_case(self):
-        report = verify_fbar_orthogonality(HALF, HALF, 1.0, ToleranceRule(1e-12, 1e-12))
+        report = verify_fbar_orthogonality(HALF, HALF, 1.0, ToleranceRule(1e-12))
         assert report.passed
         assert report.max_residual <= 1e-12
 

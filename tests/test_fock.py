@@ -79,7 +79,7 @@ def test_number_operators_are_diagonal_counts():
 
 @pytest.mark.parametrize("k", range(2, 10))
 def test_deformed_commutation_all_orders(k):
-    report = verify_quon_relations(quon_operators(k), ToleranceRule(1e-12, 1e-12))
+    report = verify_quon_relations(quon_operators(k), ToleranceRule(1e-12))
     assert report.passed, [c.name for c in report.checks if not c.passed]
     assert report.max_residual <= 1e-12
 

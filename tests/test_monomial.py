@@ -1,0 +1,275 @@
+"""The monomial operator type against dense numpy references.
+
+Products, sums, adjoints, powers, restriction and the spectral norm are
+compared with the same operations on the dense matrices; the residuals of
+the quon and su(2) verifiers are recomputed from the dense Kronecker
+generators in tests/_oracles.py with SVD norms.
+"""
+
+import cmath
+import math
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wracah import (
+    FockSpace,
+    InvalidArgumentError,
+    Operator,
+    ShiftParams,
+    SubspaceLeakageError,
+    quon_operators,
+    verify_quon_relations,
+    verify_su2,
+)
+from wracah.qarith import ToleranceRule
+from wracah.su2 import restrict_to_angular
+
+from _oracles import angular_rows, dense_modulus, dense_quon_generators, dense_shift
+
+# both residuals sit at the rounding level of operators whose entries stay
+# below 50 (k <= 7); they agreed to 8e-16 when this bound was set
+RESIDUAL_MATCH = 1e-14
+
+
+def _random_monomial(rng, space, *, target=None, injective=False) -> Operator:
+    dim = space.dim
+    if target is None:
+        target = rng.permutation(dim) if injective else rng.integers(0, dim, dim)
+    weight = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    weight[rng.random(dim) < 0.3] = 0.0
+    return Operator(space, target, weight)
+
+
+def _close(got: np.ndarray, want: np.ndarray) -> bool:
+    scale = max(1.0, float(np.max(np.abs(want))))
+    return float(np.max(np.abs(got - want))) <= 1e-12 * scale
+
+
+cases = st.tuples(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
+
+
+@given(cases)
+@settings(max_examples=60)
+def test_algebra_matches_dense(case):
+    k, seed = case
+    rng = np.random.default_rng(seed)
+    space = FockSpace(k)
+    a = _random_monomial(rng, space)
+    b = _random_monomial(rng, space)
+    assert _close((a @ b).mat, a.mat @ b.mat)
+
+    # a summand that agrees with a wherever a holds an entry
+    free = rng.integers(0, space.dim, space.dim)
+    c = _random_monomial(rng, space, target=np.where(a.weight != 0, a.target, free))
+    assert np.array_equal((a + c).mat, a.mat + c.mat)
+    assert np.array_equal((a - c).mat, a.mat - c.mat)
+    assert np.array_equal((2.5j * a).mat, 2.5j * a.mat)
+
+    for n in range(5):
+        assert _close(a.power(n).mat, np.linalg.matrix_power(a.mat, n))
+
+    p = _random_monomial(rng, space, injective=True)
+    assert np.array_equal(p.adjoint().mat, p.mat.conj().T)
+
+    for op in (a, b, c, p, a @ b):
+        assert math.isclose(op.norm(), float(np.linalg.norm(op.mat, 2)), rel_tol=1e-12)
+
+
+@given(cases)
+@settings(max_examples=40)
+def test_restriction_matches_dense(case):
+    k, seed = case
+    rng = np.random.default_rng(seed)
+    space = FockSpace(k)
+    rows = np.array(angular_rows(k))
+    target = rng.integers(0, space.dim, space.dim)
+    # angular columns stay inside unless the draw lets one escape
+    if rng.random() < 0.7:
+        target[rows] = rng.choice(rows, size=k)
+    op = _random_monomial(rng, space, target=target)
+    dense = op.mat
+    outside = np.setdiff1d(np.arange(space.dim), rows)
+    leak = float(np.max(np.linalg.norm(dense[np.ix_(outside, rows)], axis=0)))
+    if leak > ToleranceRule.for_order(k).abs_tol:
+        with pytest.raises(SubspaceLeakageError):
+            restrict_to_angular(op, k)
+    else:
+        assert np.array_equal(restrict_to_angular(op, k).mat, dense[np.ix_(rows, rows)])
+
+
+def test_sum_leaving_monomial_form_raises():
+    space = FockSpace(2)
+    a = Operator(space, [1, 1, 2, 3], [1.0, 1.0, 1.0, 1.0])
+    b = Operator(space, [0, 1, 2, 3], [1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(InvalidArgumentError):
+        _ = a + b
+    with pytest.raises(InvalidArgumentError):
+        _ = a - b
+    # a zero weight puts no entry anywhere, so its row is free
+    quiet = Operator(space, [0, 1, 2, 3], [0.0, 0.0, 0.0, 0.0])
+    assert np.array_equal((a + quiet).mat, a.mat)
+
+
+def test_adjoint_of_non_injective_operator_raises():
+    space = FockSpace(2)
+    with pytest.raises(InvalidArgumentError):
+        Operator(space, [0, 0, 2, 3], [1.0, 2.0, 1.0, 1.0]).adjoint()
+    # a shared row is fine when only one of the columns holds an entry
+    single = Operator(space, [0, 0, 2, 3], [1.0, 0.0, 1.0, 1.0])
+    assert np.array_equal(single.adjoint().mat, single.mat.conj().T)
+
+
+def test_constructor_rejects_malformed_arrays():
+    space = FockSpace(2)
+    with pytest.raises(InvalidArgumentError):
+        Operator(space, [0, 1, 2], [1.0, 1.0, 1.0])
+    with pytest.raises(InvalidArgumentError):
+        Operator(space, [0, 1, 2, 4], [1.0, 1.0, 1.0, 1.0])
+    # rows are not truncated: 0.5 is no row
+    with pytest.raises(InvalidArgumentError):
+        Operator(space, [0.5, 1, 2, 3], [1.0, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_generators_match_kronecker_oracle(k):
+    ops = quon_operators(k)
+    for name, dense in dense_quon_generators(k).items():
+        assert _close(getattr(ops, name).mat, dense), name
+
+
+def _svd(x: np.ndarray) -> float:
+    return float(np.linalg.norm(x, 2))
+
+
+def _dense_quon_residuals(k: int) -> dict[str, float]:
+    g = dense_quon_generators(k)
+    q = cmath.exp(2j * math.pi / k)
+    one = np.eye(k * k)
+    out = {}
+    for label, up, down, num in (
+        ("mode1", g["raise1"], g["lower1"], g["number1"]),
+        ("mode2", g["raise2"], g["lower2"], g["number2"]),
+    ):
+        out[f"{label}_deformed_commutator"] = _svd(down @ up - q * (up @ down) - one)
+        out[f"{label}_number_raises"] = _svd(num @ up - up @ num - up)
+        out[f"{label}_number_lowers"] = _svd(num @ down - down @ num + down)
+        out[f"{label}_raise_nilpotent"] = _svd(np.linalg.matrix_power(up, k))
+        out[f"{label}_lower_nilpotent"] = _svd(np.linalg.matrix_power(down, k))
+    out["cross_mode_commutators"] = max(
+        _svd(x @ y - y @ x)
+        for x in (g["raise1"], g["lower1"], g["number1"])
+        for y in (g["raise2"], g["lower2"], g["number2"])
+    )
+    return out
+
+
+def _dense_su2_residuals(k: int, r: float, seed: int) -> dict[str, float]:
+    """Every verify_su2 residual, in the verifier's order."""
+    u = dense_shift(k, r)
+    h = dense_modulus(k)
+    g = dense_quon_generators(k)
+    half = cmath.exp(1j * math.pi * (k - 1) * r / 2)
+    full = cmath.exp(1j * math.pi * (k - 1) * r)
+
+    def action(cols_rows, value) -> float:
+        worst = 0.0
+        for col, row in cols_rows:
+            column = u[:, col].copy()
+            column[row] -= value
+            worst = max(worst, float(np.max(np.abs(column))))
+        return worst
+
+    at = lambda n1, n2: n1 * k + n2  # noqa: E731
+    out = {
+        "interior_shift_action": action(
+            [(at(n1, n2), at(n1 + 1, n2 - 1)) for n1 in range(k - 1) for n2 in range(1, k)], 1.0
+        ),
+        "mode1_wrap_action": action([(at(k - 1, n2), at(0, n2 - 1)) for n2 in range(1, k)], half),
+        "mode2_wrap_action": action([(at(n1, 0), at(n1 + 1, k - 1)) for n1 in range(k - 1)], half),
+        "double_wrap_action": action([(at(k - 1, 0), at(0, k - 1))], full),
+        "shift_unitary": _svd(u.conj().T @ u - np.eye(k * k)),
+    }
+    moduli = np.sort(np.abs(u), axis=0)
+    out["shift_monomial_columns"] = max(
+        float(np.max(np.abs(moduli[-1] - 1.0))), float(np.max(moduli[-2]))
+    )
+    out["modulus_hermitean"] = _svd(h - h.conj().T)
+
+    rows = angular_rows(k)
+    block = np.ix_(rows, rows)
+    plus = (h @ u)[block]
+    minus = (u.conj().T @ h)[block]
+    z = (0.5 * (g["number1"] - g["number2"]))[block]
+    out["commutator_z_plus"] = _svd(z @ plus - plus @ z - plus)
+    out["commutator_z_minus"] = _svd(z @ minus - minus @ z + minus)
+    out["commutator_plus_minus"] = _svd(plus @ minus - minus @ plus - 2 * z)
+
+    j = (k - 1) / 2
+    ms = [-j + i for i in range(k)]
+    up = np.zeros((k, k), dtype=complex)
+    for i, m in enumerate(ms[:-1]):
+        up[i + 1, i] = math.sqrt((j - m) * (j + m + 1))
+    out["raising_matrix_elements"] = float(np.max(np.abs(plus - up)))
+    out["lowering_matrix_elements"] = float(np.max(np.abs(minus - up.T)))
+    out["z_diagonal"] = float(np.max(np.abs(z - np.diag(ms))))
+
+    casimir = 0.5 * (plus @ minus + minus @ plus) + z @ z
+    h_ang = h[block]
+    u_ang = u[block]
+    out["casimir_polar_identity"] = _svd(casimir - (h_ang @ h_ang + z @ z - z))
+    out["casimir_shift_commute"] = _svd(casimir @ u_ang - u_ang @ casimir)
+    out["shift_cyclicity"] = _svd(np.linalg.matrix_power(u_ang, k) - full * np.eye(k))
+
+    # the same three sampled family members as the verifier draws
+    rng = np.random.default_rng(seed)
+    smallest = math.inf
+    found = attempts = 0
+    while found < 3 and attempts < 300:
+        attempts += 1
+        s = r + rng.uniform(0.1, 1.9)
+        if abs(cmath.exp(1j * math.pi * (k - 1) * s) - full) < 0.5:
+            continue
+        found += 1
+        other = dense_shift(k, s)
+        smallest = min(smallest, _svd(u @ other - other @ u))
+    floor = ToleranceRule.for_order(k).abs_tol
+    out["distinct_shift_noncommuting"] = max(0.0, floor - (smallest if found else 0.0))
+    return out
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_quon_residuals_match_dense_svd(k):
+    report = verify_quon_relations(quon_operators(k))
+    dense = _dense_quon_residuals(k)
+    assert [c.name for c in report.checks] == list(dense)
+    for check in report.checks:
+        assert abs(check.residual - dense[check.name]) <= RESIDUAL_MATCH, check
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+@pytest.mark.parametrize("r", (0.0, 0.37, 1.0, 2.37))
+def test_su2_residuals_match_dense_svd(k, r):
+    report = verify_su2(ShiftParams(k, r), seed=k)
+    dense = _dense_su2_residuals(k, r, seed=k)
+    assert [c.name for c in report.checks] == list(dense)
+    for check in report.checks:
+        assert abs(check.residual - dense[check.name]) <= RESIDUAL_MATCH, check
+
+
+# past the dense wall: one k^2 x k^2 complex matrix at k = 101 takes 1.7 GB
+
+
+def test_quon_relations_pass_at_order_101():
+    report = verify_quon_relations(quon_operators(101))
+    assert report.passed, [(c.name, c.residual) for c in report.checks if not c.passed]
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_su2_passes_at_order_101(seed):
+    r = random.Random(seed).uniform(0.05, 1.95)
+    report = verify_su2(ShiftParams(101, r), seed=seed)
+    assert report.passed, [(c.name, c.residual) for c in report.checks if not c.passed]

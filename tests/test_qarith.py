@@ -157,7 +157,7 @@ class TestAlphaPhases:
 class TestToleranceRule:
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
-            ToleranceRule(abs_tol=-1e-10, rel_tol=1e-10)
+            ToleranceRule(abs_tol=-1e-10)
 
     def test_for_order_scales_only_above_sixteen(self):
         base = ToleranceRule.for_order(9)

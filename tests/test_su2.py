@@ -201,6 +201,13 @@ class TestSineAlgebra:
         with pytest.raises(InvalidArgumentError):
             verify_sine_algebra(ShiftParams(3, 0.5), [])
 
+    def test_non_integral_indices_rejected(self):
+        """Indices are not truncated: 0.5 and 1.9 are not the monomials 0 and 1."""
+        with pytest.raises(InvalidArgumentError):
+            verify_sine_algebra(ShiftParams(3, 0.5), [0.5, 1.9])
+        with pytest.raises(InvalidArgumentError):
+            clock_shift_monomial(ShiftParams(3, 0.5), 0.5, 1)
+
     def test_monomials_unitary(self):
         params = ShiftParams(5, 1.0)
         for m1, m2 in [(0, 0), (1, 0), (0, 1), (2, -1), (-2, 2)]:
