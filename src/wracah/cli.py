@@ -5,7 +5,7 @@ usage errors.  Output is deterministic: canonical JSON (insertion-ordered
 keys, 17 significant digits) or CSV with complex values rendered re+imi.
 
 Environment:
-  WRACAH_TOL      overrides the default absolute/relative tolerance.
+  WRACAH_TOL      overrides the default absolute tolerance.
   WRACAH_CORRUPT  test hook; when set, the report command falsifies one
                   check so the failure path can be exercised end to end.
 """

@@ -183,15 +183,7 @@ class UnitPhase:
         return UnitPhase.from_turn(-self.turn)
 
     def to_complex(self) -> complex:
-        n, d = self.numerator, self.denominator
-        # quarter turns convert without rounding noise
-        if d == 1:
-            return 1 + 0j
-        if d == 2:
-            return -1 + 0j
-        if d == 4:
-            return 1j if n == 1 else -1j
-        return cmath.exp(2j * math.pi * n / d)
+        return _turn_phase(self.numerator, self.denominator)
 
     def __complex__(self) -> complex:
         return self.to_complex()
@@ -216,13 +208,33 @@ class ToleranceRule:
         return ToleranceRule(base)
 
 
+def _turn_phase(num: int, den: int) -> complex:
+    """exp(2*pi*i * num/den) for integers num and den > 0.
+
+    The package's one conversion of exact turns: the turn is reduced into
+    [0, 1) by one gcd, quarter turns are exact, turns with a reduced
+    denominator d up to EXACT_DENOMINATOR_LIMIT evaluate 2*pi*i*n/d from
+    the integers, finer ones 2*pi*i*(n/d) from the correctly rounded
+    quotient.
+    """
+    g = math.gcd(num, den)
+    d = den // g
+    n = (num // g) % d
+    if d > EXACT_DENOMINATOR_LIMIT:
+        return cmath.exp(2j * math.pi * (n / d))
+    if d == 1:
+        return 1 + 0j
+    if d == 2:
+        return -1 + 0j
+    if d == 4:
+        return 1j if n == 1 else -1j
+    return cmath.exp(2j * math.pi * n / d)
+
+
 def phase_from_turn(turn) -> complex:
     """exp(2*pi*i*turn) with the exact path for coarse rational turns."""
     if isinstance(turn, Fraction):
-        reduced = turn % 1
-        if reduced.denominator <= EXACT_DENOMINATOR_LIMIT:
-            return UnitPhase.from_turn(reduced).to_complex()
-        return cmath.exp(2j * math.pi * float(reduced))
+        return _turn_phase(turn.numerator, turn.denominator)
     return cmath.exp(2j * math.pi * (float(turn) % 1.0))
 
 
@@ -235,8 +247,8 @@ def root_of_unity(k) -> UnitPhase:
 def q_power(x, k) -> complex:
     """Principal fractional power exp(2*pi*i*x/k) of the order-k root."""
     k = _require_order(k)
-    turn = (_as_fraction(x) / k) % 1
-    return phase_from_turn(turn)
+    x = _as_fraction(x)
+    return _turn_phase(x.numerator, x.denominator * k)
 
 
 def q_bracket(x, k) -> complex:

@@ -29,13 +29,13 @@ from .qarith import (
     ToleranceRule,
     _as_fraction,
     _require_order,
+    _turn_phase,
     alpha_phase,
     alpha_value,
     halfint_range,
     phase_from_turn,
     q_factorial,
     q_factorial_is_degenerate,
-    q_power,
 )
 from .report import Check, VerificationReport
 from .serialize import complex_record, matrix_to_json_entries
@@ -348,29 +348,45 @@ def verify_su2(
 def phase_matrix(j, r, sign: int) -> np.ndarray:
     """Read-only P[s, m_index] = exp(sign * 2*pi*i * alpha_s * m / (2j+1)).
 
-    alpha_s = -j*r + s.  Entries are alpha_phase values, cached per
-    (j, exact r, sign).  The sign = -1 matrix is evaluated on its own:
-    conjugating the sign = +1 one can differ in the last bit.
+    alpha_s = -j*r + s.  Cached per (j, exact r, sign): the shift-basis
+    table builders read each matrix many times.  The sign = -1 matrix is
+    evaluated on its own: conjugating the sign = +1 one can differ in the
+    last bit.
     """
     j = HalfInt.of(j)
     r = _as_fraction(r)
+    key = ("phase", j.twice, r.numerator, r.denominator, sign)
+    return default_table().get(key, lambda: _phases(j.twice, r.numerator, r.denominator, sign))
 
-    def build() -> np.ndarray:
-        order = j.twice + 1
-        mat = np.empty((order, order), dtype=complex)
-        for s in range(order):
-            for col, m in enumerate(halfint_range(-j, j)):
-                mat[s, col] = alpha_phase(j, r, s, m, sign)
-        return mat
 
-    return default_table().get(("phase", j.twice, r.numerator, r.denominator, sign), build)
+def _phases(tj: int, p: int, q: int, sign: int) -> np.ndarray:
+    """The phase matrix for 2j = tj and r = p/q.
+
+    The turn of each entry is the integer ratio
+    sign*(2q*s - 2j*p)*2m / (4q*(2j+1)), so the entries equal the
+    alpha_phase values bit for bit.
+    """
+    den = 4 * q * (tj + 1)
+    return np.array(
+        [
+            [_turn_phase(sign * (2 * q * s - tj * p) * tm, den) for tm in range(-tj, tj + 1, 2)]
+            for s in range(tj + 1)
+        ],
+        dtype=complex,
+    )
 
 
 def basis_transform_matrix(j, r) -> np.ndarray:
-    """Columns are the shift eigenvectors: T[m_index, s] = q^(alpha_s m)/sqrt(2j+1)."""
+    """Columns are the shift eigenvectors: T[m_index, s] = q^(alpha_s m)/sqrt(2j+1).
+
+    Built on every call rather than cached: verifiers that draw a fresh r
+    per call would fill the cache with matrices never read again.
+    """
     j = HalfInt.of(j)
+    r = _as_fraction(r)
+    phases = _phases(j.twice, r.numerator, r.denominator, +1)
     # a C-ordered copy: the einsums downstream would round differently on a transposed view
-    return np.ascontiguousarray(phase_matrix(j, r, +1).T) * (1.0 / math.sqrt(j.twice + 1))
+    return np.ascontiguousarray(phases.T) * (1.0 / math.sqrt(j.twice + 1))
 
 
 def shift_eigenvalue(j, r, s: int) -> complex:
@@ -473,9 +489,9 @@ def _monomial(u: Operator, m1: int, m2: int) -> Operator:
     k = u.space.k
     shift_part = u.power(m1) if m1 >= 0 else u.adjoint().power(-m1)
     tj = k - 1
-    clock_diag = [q_power(tm * m2, k) for tm in range(-tj, tj + 1, 2)]
+    clock_diag = [_turn_phase(tm * m2, k) for tm in range(-tj, tj + 1, 2)]
     clock_part = Operator.diagonal(u.space, clock_diag)
-    return q_power(m1 * m2, k) * (shift_part @ clock_part)
+    return _turn_phase(m1 * m2, k) * (shift_part @ clock_part)
 
 
 def verify_sine_algebra(

@@ -1,12 +1,14 @@
 """Standard angular momentum coupling symbols in the magnetic basis.
 
 Vector coupling coefficients follow the Condon-Shortley convention (all
-real, highest-weight component positive) and are evaluated from the
-single-sum closed form with exact rational internals: the alternating sum
-and the squared prefactor are accumulated as Fractions and rounded exactly
-once at the end.  An independent construction by explicit highest-weight
-vectors and lowering is provided as a cross-check oracle; the two routes
-are compared by the verification suite, never merged.
+real, highest-weight component positive) and are evaluated from Racah's
+single-sum closed form in exact integer arithmetic: every term of the
+alternating sum is an integer over one common denominator, the squared
+prefactor is a ratio of integers, and their product is rounded exactly
+once, by one integer true division, before the square root.  An
+independent construction by explicit highest-weight vectors and lowering
+is provided as a cross-check oracle; the two routes are compared by the
+verification suite, never merged.
 
 Coefficients are computed a whole (j1, j2, j) block at a time and kept in
 the package's one bounded cache; cg() and threejm() read single entries
@@ -19,7 +21,6 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -67,10 +68,12 @@ def _check_jm(tj: int, tm: int) -> None:
 
 def triangle(j1, j2, j3) -> bool:
     """Triangle rule with integer perimeter."""
-    t1, t2, t3 = _twice(j1), _twice(j2), _twice(j3)
-    if min(t1, t2, t3) < 0:
-        return False
-    if (t1 + t2 + t3) % 2 != 0:
+    return _triangle_twice(_twice(j1), _twice(j2), _twice(j3))
+
+
+def _triangle_twice(t1: int, t2: int, t3: int) -> bool:
+    """The triangle rule on twice-integer labels."""
+    if min(t1, t2, t3) < 0 or (t1 + t2 + t3) % 2 != 0:
         return False
     return abs(t1 - t2) <= t3 <= t1 + t2
 
@@ -178,48 +181,53 @@ def _cached(table: CouplingTable | None, key: tuple, build):
 
 
 def _cg_exact(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> float:
-    if tm1 + tm2 != tm:
-        return 0.0
-    if not triangle(HalfInt(tj1), HalfInt(tj2), HalfInt(tj)):
+    if tm1 + tm2 != tm or not _triangle_twice(tj1, tj2, tj):
         return 0.0
 
     # all of these are guaranteed integers by the parity checks above
     a = (tj1 + tj2 - tj) // 2
-    b = (tj1 - tj2 + tj) // 2
-    c = (-tj1 + tj2 + tj) // 2
-    perim1 = (tj1 + tj2 + tj) // 2 + 1
+    x = (tj1 - tm1) // 2
+    y = (tj2 + tm2) // 2
+    u = (tj - tj2 + tm1) // 2
+    v = (tj - tj1 - tm2) // 2
 
-    prefactor = Fraction(
+    # squared prefactor num / den
+    num = (
         (tj + 1)
         * _fact(a)
-        * _fact(b)
-        * _fact(c)
+        * _fact((tj1 - tj2 + tj) // 2)
+        * _fact((-tj1 + tj2 + tj) // 2)
         * _fact((tj1 + tm1) // 2)
-        * _fact((tj1 - tm1) // 2)
-        * _fact((tj2 + tm2) // 2)
+        * _fact(x)
+        * _fact(y)
         * _fact((tj2 - tm2) // 2)
         * _fact((tj + tm) // 2)
-        * _fact((tj - tm) // 2),
-        _fact(perim1),
+        * _fact((tj - tm) // 2)
     )
+    den = _fact((tj1 + tj2 + tj) // 2 + 1)
 
-    t_min = max(0, (tj2 - tj - tm1) // 2, (tj1 - tj + tm2) // 2)
-    t_max = min(a, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    total = Fraction(0)
+    # sum over t of (-1)^t / (t! (a-t)! (x-t)! (y-t)! (u+t)! (v+t)!), as
+    # total / common with every term the exact integer common // denominator_t
+    t_min = max(0, -u, -v)
+    t_max = min(a, x, y)
+    common = (
+        _fact(t_max)
+        * _fact(a - t_min)
+        * _fact(x - t_min)
+        * _fact(y - t_min)
+        * _fact(u + t_max)
+        * _fact(v + t_max)
+    )
+    total = 0
     for t in range(t_min, t_max + 1):
-        denom = (
-            _fact(t)
-            * _fact(a - t)
-            * _fact((tj1 - tm1) // 2 - t)
-            * _fact((tj2 + tm2) // 2 - t)
-            * _fact((tj - tj2 + tm1) // 2 + t)
-            * _fact((tj - tj1 - tm2) // 2 + t)
+        term = common // (
+            _fact(t) * _fact(a - t) * _fact(x - t) * _fact(y - t) * _fact(u + t) * _fact(v + t)
         )
-        term = Fraction((-1) ** t, denom)
-        total += term
+        total += -term if t % 2 else term
     if total == 0:
         return 0.0
-    magnitude = math.sqrt(float(total * total * prefactor))
+    # an int / int true division rounds correctly, so this is rounded once
+    magnitude = math.sqrt(total * total * num / (common * common * den))
     return magnitude if total > 0 else -magnitude
 
 
@@ -232,7 +240,7 @@ def _cg_block(tj1: int, tj2: int, tj: int, table: CouplingTable | None) -> np.nd
 
     def build() -> np.ndarray:
         block = np.zeros((tj1 + 1, tj2 + 1, tj + 1))
-        if triangle(HalfInt(tj1), HalfInt(tj2), HalfInt(tj)):
+        if _triangle_twice(tj1, tj2, tj):
             for i1, tm1 in enumerate(range(-tj1, tj1 + 1, 2)):
                 for i2, tm2 in enumerate(range(-tj2, tj2 + 1, 2)):
                     tm = tm1 + tm2
@@ -319,7 +327,7 @@ def ninej(j1, j2, j3, j4, j5, j6, j7, j8, j9, table: CouplingTable | None = _DEF
     ]
 
     def build() -> float:
-        if not all(triangle(HalfInt(a), HalfInt(b), HalfInt(c)) for a, b, c in triads):
+        if not all(_triangle_twice(*triad) for triad in triads):
             return 0.0
         blocks = [_threejm_block(*triad, table) for triad in triads]
         return float(np.einsum("abc,def,ghi,adg,beh,cfi->", *blocks, optimize=True))

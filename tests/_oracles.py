@@ -1,12 +1,13 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately written against a different stack than the
-package: coupling coefficients come from sympy's symbolic evaluator, phases
-are raw cmath exponentials, the deformed coupling symbols are direct
+package: coupling coefficients come from sympy's symbolic evaluator or from
+the closed form summed in Fractions, phases are raw cmath exponentials or
+reduced Fraction turns, the deformed coupling symbols are direct
 brute-force sums over magnetic quantum numbers, and the Fock generators are
-dense Kronecker products.  None of the package's phase bookkeeping, caching,
-einsum wiring or monomial operator algebra is reused, so agreement is
-meaningful.
+dense Kronecker products.  None of the package's integer kernels, phase
+bookkeeping, caching, einsum wiring or monomial operator algebra is reused,
+so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -57,6 +58,87 @@ def sympy_3jm(j1, m1, j2, m2, j3, m3) -> float:
 def sympy_9j(j1, j2, j3, j4, j5, j6, j7, j8, j9) -> float:
     args = [_sym(fr(j)) for j in (j1, j2, j3, j4, j5, j6, j7, j8, j9)]
     return float(wigner_9j(*args))
+
+
+def cg_fraction(j1, m1, j2, m2, j, m) -> float:
+    """<j1 m1 j2 m2 | j m> from the Racah single sum accumulated in Fractions.
+
+    The sum and the squared prefactor are exact rationals; float() of their
+    product rounds once, and the square root rounds once more.
+    """
+    tj1, tm1, tj2, tm2, tj, tm = (int(2 * fr(x)) for x in (j1, m1, j2, m2, j, m))
+    if tm1 + tm2 != tm or not abs(tj1 - tj2) <= tj <= tj1 + tj2 or (tj1 + tj2 + tj) % 2:
+        return 0.0
+    f = math.factorial
+    a = (tj1 + tj2 - tj) // 2
+    prefactor = Fraction(
+        (tj + 1)
+        * f(a)
+        * f((tj1 - tj2 + tj) // 2)
+        * f((-tj1 + tj2 + tj) // 2)
+        * f((tj1 + tm1) // 2)
+        * f((tj1 - tm1) // 2)
+        * f((tj2 + tm2) // 2)
+        * f((tj2 - tm2) // 2)
+        * f((tj + tm) // 2)
+        * f((tj - tm) // 2),
+        f((tj1 + tj2 + tj) // 2 + 1),
+    )
+    t_min = max(0, (tj2 - tj - tm1) // 2, (tj1 - tj + tm2) // 2)
+    t_max = min(a, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
+    total = Fraction(0)
+    for t in range(t_min, t_max + 1):
+        total += Fraction(
+            (-1) ** t,
+            f(t)
+            * f(a - t)
+            * f((tj1 - tm1) // 2 - t)
+            * f((tj2 + tm2) // 2 - t)
+            * f((tj - tj2 + tm1) // 2 + t)
+            * f((tj - tj1 - tm2) // 2 + t),
+        )
+    if total == 0:
+        return 0.0
+    magnitude = math.sqrt(float(total * total * prefactor))
+    return magnitude if total > 0 else -magnitude
+
+
+def fraction_turn_phase(turn: Fraction) -> complex:
+    """exp(2 pi i turn) by reducing the Fraction turn mod 1: quarter turns
+    exactly, denominators up to 10**6 as 2 pi i n / d, finer ones as
+    2 pi i float(n/d)."""
+    reduced = Fraction(turn) % 1
+    n, d = reduced.numerator, reduced.denominator
+    if d > 10**6:
+        return cmath.exp(2j * math.pi * float(reduced))
+    if d == 1:
+        return 1 + 0j
+    if d == 2:
+        return -1 + 0j
+    if d == 4:
+        return 1j if n == 1 else -1j
+    return cmath.exp(2j * math.pi * n / d)
+
+
+def fraction_q_power(x, k: int) -> complex:
+    """q^x = exp(2 pi i x / k) through the Fraction turn x / k."""
+    return fraction_turn_phase(Fraction(x) / k)
+
+
+def fraction_alpha_phase(j, r, s: int, m, sign: int = 1) -> complex:
+    """exp(sign 2 pi i alpha m / (2j + 1)), alpha = s - j r, through the Fraction turn."""
+    j, m = fr(j), fr(m)
+    return fraction_turn_phase(sign * (s - j * Fraction(r)) * m / (2 * j + 1))
+
+
+def fraction_unit_phase(n: int, d: int) -> complex:
+    """exp(2 pi i n / d) with the reduced turn always scaled as 2 pi i n / d,
+    whatever its denominator, except at exact quarter turns."""
+    reduced = Fraction(n, d) % 1
+    n, d = reduced.numerator, reduced.denominator
+    if d in (1, 2, 4):
+        return fraction_turn_phase(reduced)
+    return cmath.exp(2j * math.pi * n / d)
 
 
 def _m_range(j: Fraction):

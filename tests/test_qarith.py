@@ -24,10 +24,21 @@ from wracah import (
     q_power,
     root_of_unity,
 )
+from wracah.qarith import EXACT_DENOMINATOR_LIMIT, _turn_phase
+from wracah.su2 import phase_matrix
+
+from _oracles import fraction_alpha_phase, fraction_q_power, fraction_turn_phase, fraction_unit_phase
 
 halfints = st.integers(min_value=-12, max_value=12).map(HalfInt)
 orders = st.integers(min_value=2, max_value=9)
 turns = st.fractions(min_value=-3, max_value=3, max_denominator=64)
+family_parameters = st.fractions(min_value=-3, max_value=3, max_denominator=10**7) | st.floats(
+    min_value=-3, max_value=3
+)
+
+
+def bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
 
 
 class TestHalfInt:
@@ -90,6 +101,88 @@ class TestUnitPhase:
         p = UnitPhase.from_turn(t)
         assert (p**n).turn == (n * t) % 1
         assert (p * p.conjugate()).turn == 0
+
+
+class TestTurnPhase:
+    """The one switch from exact turns to complex numbers, against the
+    Fraction path it replaced, bit for bit."""
+
+    def test_quarter_turns_are_exact(self):
+        for d, phases in ((1, [1 + 0j]), (2, [1 + 0j, -1 + 0j]), (4, [1 + 0j, 1j, -1 + 0j, -1j])):
+            for n in range(-3 * d, 3 * d + 1):
+                assert bits(_turn_phase(n, d)) == bits(phases[n % d])
+        # unreduced spellings of the same turns
+        assert bits(_turn_phase(6, 8)) == bits(-1j)
+        assert bits(_turn_phase(-10, 40)) == bits(-1j)
+        assert bits(_turn_phase(21, 14)) == bits(-1 + 0j)
+
+    @pytest.mark.parametrize(
+        "num, den", [(-1, 3), (-7, 12), (-13, 1), (-(10**6) - 4, 10**6 + 3), (-5, 10**9), (-(3**40), 7**20)]
+    )
+    def test_negative_numerators_reduce_like_fraction_mod_one(self, num, den):
+        assert bits(_turn_phase(num, den)) == bits(fraction_turn_phase(Fraction(num, den)))
+
+    @given(st.integers(min_value=-(10**8), max_value=10**8), st.integers(min_value=1, max_value=10**8))
+    def test_matches_fraction_path(self, num, den):
+        assert bits(_turn_phase(num, den)) == bits(fraction_turn_phase(Fraction(num, den)))
+
+    def test_switch_sits_at_the_reduced_denominator(self):
+        limit = EXACT_DENOMINATOR_LIMIT
+        # 17 / (10**6 + 3) rounds differently through n/d and through 2*pi*n then /d
+        assert cmath.exp(2j * math.pi * 17 / (limit + 3)) != cmath.exp(2j * math.pi * (17 / (limit + 3)))
+        assert bits(_turn_phase(17, limit + 3)) == bits(cmath.exp(2j * math.pi * (17 / (limit + 3))))
+        assert bits(_turn_phase(34, 2 * (limit + 3))) == bits(_turn_phase(17, limit + 3))
+        # an unreduced denominator above the limit that reduces below it stays exact
+        assert bits(_turn_phase(2 * 17, 2 * limit)) == bits(cmath.exp(2j * math.pi * 17 / limit))
+
+    @pytest.mark.parametrize("r", [Fraction(1, 10**6 + 3), 0.37])
+    def test_fine_family_parameters_take_the_float_path(self, r):
+        j = HalfInt(6)
+        float_only = 0
+        for sign in (+1, -1):
+            mat = phase_matrix(j, r, sign)
+            for s in range(j.twice + 1):
+                for col, tm in enumerate(range(-j.twice, j.twice + 1, 2)):
+                    alpha = s - Fraction(j.twice, 2) * Fraction(r)
+                    turn = sign * alpha * Fraction(tm, 2) / (j.twice + 1) % 1
+                    if turn.denominator <= EXACT_DENOMINATOR_LIMIT:
+                        assert turn == 0
+                        continue
+                    rounded = cmath.exp(2j * math.pi * float(turn))
+                    assert bits(mat[s, col]) == bits(rounded)
+                    assert bits(alpha_phase(j, r, s, HalfInt(tm), sign)) == bits(rounded)
+                    exact = cmath.exp(2j * math.pi * turn.numerator / turn.denominator)
+                    float_only += exact != rounded
+        assert float_only > 0
+
+    @given(
+        st.fractions(min_value=-50, max_value=50, max_denominator=10**4)
+        | st.floats(min_value=-50, max_value=50),
+        st.integers(min_value=2, max_value=60),
+    )
+    def test_q_power_matches_fraction_path(self, x, k):
+        assert bits(q_power(x, k)) == bits(fraction_q_power(x, k))
+
+    @given(st.integers(min_value=0, max_value=24), family_parameters, st.sampled_from([1, -1]))
+    def test_alpha_phase_matches_fraction_path(self, tj, r, sign):
+        j = Fraction(tj, 2)
+        for s in range(tj + 1):
+            for tm in range(-tj, tj + 1, 2):
+                got = alpha_phase(HalfInt(tj), r, s, HalfInt(tm), sign)
+                assert bits(got) == bits(fraction_alpha_phase(j, r, s, Fraction(tm, 2), sign))
+
+    @given(
+        st.integers(min_value=-(10**7), max_value=10**7),
+        st.integers(min_value=1, max_value=EXACT_DENOMINATOR_LIMIT),
+    )
+    def test_unit_phase_matches_fraction_path(self, n, d):
+        assert bits(UnitPhase(n, d).to_complex()) == bits(fraction_unit_phase(n, d))
+
+    def test_unit_phase_above_the_limit_rounds_like_phase_from_turn(self):
+        d = EXACT_DENOMINATOR_LIMIT + 3
+        phase = UnitPhase(17, d).to_complex()
+        assert bits(phase) == bits(phase_from_turn(Fraction(17, d)))
+        assert abs(phase - fraction_unit_phase(17, d)) < 1e-15
 
 
 class TestDeformedArithmetic:

@@ -33,6 +33,7 @@ from wracah import (
 )
 from wracah.qarith import halfint_range
 from wracah.su2 import phase_matrix, restrict_to_angular, shift_eigenvalue
+from wracah.wigner import clear_cache, default_table
 
 R_GRID = (0.0, 0.5, 1.0, 2.37)
 
@@ -242,6 +243,15 @@ def test_distinct_shift_sampling_at_huge_r():
     assert check.passed, check
 
 
+def test_fresh_family_parameters_leave_the_cache_empty():
+    """The eigenbasis builds its transform without caching it, so a verifier
+    that draws a fresh r per call does not grow the shared cache."""
+    clear_cache()
+    for r in (0.11, 0.52, Fraction(7, 5)):
+        assert verify_shift_eigenbasis(HalfInt(6), r).passed
+    assert len(default_table()) == 0
+
+
 @pytest.mark.parametrize("r", [0.0, 1.0, 0.37, -2.37, Fraction(1, 3), 1 / 3])
 def test_phase_matrix_equals_alpha_phase_bitwise(r):
     """The one phase-matrix builder reproduces alpha_phase entry for entry,
@@ -253,7 +263,7 @@ def test_phase_matrix_equals_alpha_phase_bitwise(r):
             expected = np.array(
                 [[alpha_phase(j, r, s, m, sign) for m in ms] for s in range(tj + 1)]
             )
-            assert np.array_equal(phase_matrix(j, r, sign), expected)
+            assert phase_matrix(j, r, sign).tobytes() == expected.tobytes()
         scale = 1.0 / math.sqrt(tj + 1)
         expected = np.array([[alpha_phase(j, r, s, m) * scale for s in range(tj + 1)] for m in ms])
         assert basis_transform_matrix(j, r).tobytes() == expected.tobytes()

@@ -1,8 +1,9 @@
 """Magnetic-basis coupling symbols against independent references.
 
 The package computes these from the single-sum closed form with exact
-rational internals; the tests compare against sympy's symbolic evaluator,
-against the lowering-operator construction, and against frozen literals.
+integer internals; the tests compare against sympy's symbolic evaluator,
+against the same closed form summed in Fractions, against the
+lowering-operator construction, and against frozen literals.
 """
 
 import itertools
@@ -38,7 +39,7 @@ from wracah.wigner import (
     verify_cg_orthogonality,
 )
 
-from _oracles import brute_ninej, sympy_3jm, sympy_9j, sympy_cg
+from _oracles import brute_ninej, cg_fraction, sympy_3jm, sympy_9j, sympy_cg
 
 HALF = Fraction(1, 2)
 
@@ -108,6 +109,41 @@ class TestSelectionRules:
     def test_m_out_of_range_raises(self):
         with pytest.raises(InvalidArgumentError):
             threejm(1, 2, 1, -2, 1, 0)
+
+
+class TestAgainstFractionKernel:
+    """The integer kernel must round exactly like the Fraction closed form."""
+
+    @staticmethod
+    def assert_same_bits(j1, m1, j2, m2, j, m):
+        got = cg(j1, m1, j2, m2, j, m, table=None)
+        assert got.hex() == cg_fraction(j1, m1, j2, m2, j, m).hex(), (j1, m1, j2, m2, j, m)
+
+    def test_every_entry_up_to_spin_four(self):
+        """Every entry with m = m1 + m2 of every block with j1, j2 <= 4."""
+        checked = 0
+        for j1, j2 in itertools.product(spins_upto(4), repeat=2):
+            for j in spins_upto(j1 + j2):
+                if not triangle(j1, j2, j):
+                    continue
+                for m1, m2 in itertools.product(m_values(j1), m_values(j2)):
+                    if abs(m1 + m2) <= j:
+                        self.assert_same_bits(j1, m1, j2, m2, j, m1 + m2)
+                        checked += 1
+        assert checked == 7_809
+
+    def test_seeded_entries_up_to_spin_twenty(self):
+        rng = random.Random(5)
+        checked = 0
+        while checked < 200:
+            tj1, tj2 = rng.randint(0, 40), rng.randint(0, 40)
+            tj = rng.randrange(abs(tj1 - tj2), min(tj1 + tj2, 40) + 1, 2)
+            tm1, tm2 = rng.randrange(-tj1, tj1 + 1, 2), rng.randrange(-tj2, tj2 + 1, 2)
+            if abs(tm1 + tm2) > tj:
+                continue
+            half = [Fraction(t, 2) for t in (tj1, tm1, tj2, tm2, tj, tm1 + tm2)]
+            self.assert_same_bits(*half)
+            checked += 1
 
 
 class TestAgainstSympy:
