@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Dump coupling tables to files for use outside Python.
 
-Writes, for every admissible triple up to a spin cap:
+Writes, for every admissible triple of spins 0, 1/2, 1, ... up to a spin cap:
   cg_ur_<j1>_<j2>_<j>_r<r>.csv      coupling coefficients in the shift basis
   fbar_<j1>_<j2>_<j3>_r<r>.csv      symmetric symbols
 and a single magnetic_cg.txt holding every coefficient of the magnetic
@@ -14,7 +14,7 @@ import pathlib
 import sys
 
 from wracah import HalfInt, cg_ur_table, fbar_table, triangle
-from wracah.qarith import halfint_range
+from wracah.qarith import all_spins
 from wracah.serialize import fmt_float, rows_to_csv
 from wracah.wigner import default_table, export_table
 
@@ -73,7 +73,7 @@ def main(argv=None):
     args = p.parse_args(argv)
 
     args.out.mkdir(parents=True, exist_ok=True)
-    spins = halfint_range(HalfInt(0), args.max_j)
+    spins = all_spins(args.max_j)
     written = 0
     for j1, j2 in itertools.product(spins, repeat=2):
         for j in spins:

@@ -12,6 +12,7 @@ Environment:
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
 
@@ -19,7 +20,7 @@ import click
 
 from .errors import InvalidArgumentError, WracahError
 from .fock import quon_operators, verify_quon_relations
-from .qarith import HalfInt, ToleranceRule, halfint_range
+from .qarith import HalfInt, ToleranceRule, all_spins, half_integer_spins, integer_spins
 from .report import Check, VerificationReport
 from .serialize import dumps, fmt_complex, fmt_float, matrix_to_csv, rows_to_csv
 from .sphere import QuadratureGrid, SphericalPoint, verify_sphere, y_r_eigenfunction, y_r_grid_values
@@ -465,139 +466,93 @@ def yr(ell, s, r, theta, phi, grid_theta, grid_phi, fmt, output) -> None:
     sys.exit(0)
 
 
-def _merged(suite: str, r: float | None, tagged: list[tuple[str, VerificationReport]]) -> VerificationReport:
-    out = VerificationReport(suite=suite, k=None, r=r)
-    for tag, rep in tagged:
-        for check in rep.checks:
-            out.add(Check(f"{tag}_{check.name}", check.residual, check.tol, check.passed))
-    return out
+# Twice-spins of the 9-j arrays that the substitution check evaluates.
+_NINEJ_CASES = [
+    (0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (1, 1, 2, 1, 1, 2, 2, 2, 0),
+    (2, 2, 2, 0, 2, 2, 2, 0, 2),
+    (2, 2, 0, 2, 2, 2, 0, 2, 2),
+]
 
 
-def _ninej_cases(max_j: HalfInt) -> list[tuple]:
-    cap = min(HalfInt(2), max_j)
-    cases = [tuple(HalfInt(0) for _ in range(9))]
-    if cap.twice >= 1:
-        h = HalfInt(1)
-        one = HalfInt(2)
-        zero = HalfInt(0)
-        cases.append((h, h, one, h, h, one, one, one, zero))
-    if cap.twice >= 2:
-        one = HalfInt(2)
-        zero = HalfInt(0)
-        cases.append((one, one, one, zero, one, one, one, zero, one))
-        cases.append((one, one, zero, one, one, one, zero, one, one))
-    return cases
+def _tag(spins: tuple[HalfInt, ...]) -> str:
+    """tj1_<2j1>_tj2_<2j2> for a pair of spins, tj_<2j>_<2j'>_... otherwise."""
+    twice = [j.twice for j in spins]
+    if len(twice) == 2:
+        return f"tj1_{twice[0]}_tj2_{twice[1]}"
+    return "_".join(["tj", *map(str, twice)])
+
+
+def _ninej_check(*js: HalfInt, r: float, bound: float) -> VerificationReport:
+    report = VerificationReport(suite="ninej-substitution", k=None, r=r)
+    # a 9-j residual is named by its spins alone
+    report.add(Check.residual_check("", ninej_from_fbar(*js, r).residual, bound))
+    return report
 
 
 def _build_report(max_j: HalfInt, r: float, seed: int, rule: ToleranceRule | None) -> list[VerificationReport]:
-    reports: list[VerificationReport] = []
-    kmax = max_j.twice + 1
+    """Every suite of `report`: rows of (suite, spin grid, call), run by one loop.
 
-    for k in range(2, kmax + 1):
-        reports.append(verify_quon_relations(quon_operators(k), rule))
-    for k in range(2, kmax + 1):
-        params = ShiftParams(k, r)
-        reports.append(verify_su2(params, rule, seed=seed))
-    for j in halfint_range(HalfInt(1), max_j):
-        reports.append(verify_shift_eigenbasis(j, r, rule))
-
-    sine_rs = [0.0] if r == 0.0 else [0.0, float(r)]
-    for k in (3, 5):
-        if k <= kmax:
-            for rv in sine_rs:
-                reports.append(verify_sine_algebra(ShiftParams(k, rv), range(-2, 3), rule))
-
-    reports.append(verify_cg_against_lowering(max_j, rule))
-    reports.append(verify_cg_orthogonality(max_j, rule))
-
-    pairs = [(a, b) for a in halfint_range(0, max_j) for b in halfint_range(0, max_j)]
-    reports.append(
-        _merged(
-            "cg-ur-unitarity",
-            r,
-            [(f"tj1_{a.twice}_tj2_{b.twice}", verify_cg_ur_unitarity(a, b, r, rule)) for a, b in pairs],
-        )
-    )
-    reports.append(
-        _merged(
-            "cg-ur-interchange",
-            r,
-            [(f"tj1_{a.twice}_tj2_{b.twice}", verify_cg_ur_interchange(a, b, r, rule)) for a, b in pairs],
-        )
-    )
-    reports.append(
-        _merged(
-            "fbar-orthogonality",
-            r,
-            [(f"tj1_{a.twice}_tj2_{b.twice}", verify_fbar_orthogonality(a, b, r, rule)) for a, b in pairs],
-        )
-    )
-
-    triple_cap = min(max_j, HalfInt(2))
-    triples = [
-        (a, b, c)
-        for a in halfint_range(0, triple_cap)
-        for b in halfint_range(0, triple_cap)
-        for c in halfint_range(0, triple_cap)
-    ]
-    reports.append(
-        _merged(
-            "fbar-permutation",
-            r,
-            [
-                (f"tj_{a.twice}_{b.twice}_{c.twice}", verify_fbar_permutation(a, b, c, r, rule))
-                for a, b, c in triples
-            ],
-        )
-    )
-    reports.append(
-        _merged(
-            "f-interchange",
-            r,
-            [
-                (f"tj_{a.twice}_{b.twice}_{c.twice}", verify_f_interchange(a, b, c, r, rule))
-                for a, b, c in triples
-            ],
-        )
-    )
-
-    we_js = halfint_range(HalfInt(1), max_j)
-    reports.append(
-        _merged(
-            "tensor-transform",
-            r,
-            [(f"tj_{j.twice}", verify_tensor_transform(j, 1, r, rule)) for j in we_js],
-        )
-    )
-    reports.append(
-        _merged(
-            "wigner-eckart",
-            r,
-            [
-                (
-                    f"tj_{j.twice}",
-                    verify_wigner_eckart(
-                        j, [0, 1] + ([2] if j.twice >= 2 else []), r, rule
-                    ),
-                )
-                for j in we_js
-            ],
-        )
-    )
-
-    ninej_report = VerificationReport(suite="ninej-substitution", k=None, r=float(r))
+    A grid is a list of spin tuples, each passed to the call.  A row without
+    a suite keeps each call's report as it is; the others merge their points
+    into one suite, each check name led by the point's tag.  The README's
+    `report` section says why some suites leave spins out.
+    """
+    at_max_j = [(max_j,)]
+    positive_spins = [(j,) for j in all_spins(max_j)[1:]]  # order k = 2j + 1 for the operator suites
+    integer_pairs = list(itertools.product(integer_spins(max_j), repeat=2))
+    triples_up_to_2 = list(itertools.product(all_spins(min(max_j, HalfInt(4))), repeat=3))
+    sine_rs = [0.0, r] if r else [0.0]
+    sine_cases = [(j, rv) for j in integer_spins(min(max_j, HalfInt(4)))[1:] for rv in sine_rs]  # k = 3, 5
     bound = rule.abs_tol if rule is not None else 1e-10
-    for case in _ninej_cases(max_j):
-        outcome = ninej_from_fbar(*case, r)
-        tag = "_".join(str(j.twice) for j in case)
-        ninej_report.add(Check.residual_check(f"tj_{tag}", outcome.residual, bound))
-    reports.append(ninej_report)
+    rows = [
+        (None, positive_spins, lambda j: verify_quon_relations(quon_operators(j.twice + 1), rule)),
+        (None, positive_spins, lambda j: verify_su2(ShiftParams(j.twice + 1, r), rule, seed=seed)),
+        (None, positive_spins, lambda j: verify_shift_eigenbasis(j, r, rule)),
+        (
+            None,
+            sine_cases,
+            lambda j, rv: verify_sine_algebra(ShiftParams(j.twice + 1, rv), range(-2, 3), rule),
+        ),
+        (None, at_max_j, lambda j: verify_cg_against_lowering(j, rule)),
+        (None, at_max_j, lambda j: verify_cg_orthogonality(j, rule)),
+        ("cg-ur-unitarity", integer_pairs, lambda a, b: verify_cg_ur_unitarity(a, b, r, rule)),
+        ("cg-ur-interchange", integer_pairs, lambda a, b: verify_cg_ur_interchange(a, b, r, rule)),
+        ("fbar-orthogonality", integer_pairs, lambda a, b: verify_fbar_orthogonality(a, b, r, rule)),
+        ("fbar-permutation", triples_up_to_2, lambda *js: verify_fbar_permutation(*js, r, rule)),
+        ("f-interchange", triples_up_to_2, lambda *js: verify_f_interchange(*js, r, rule)),
+        ("tensor-transform", positive_spins, lambda j: verify_tensor_transform(j, 1, r, rule)),
+        (
+            "wigner-eckart",
+            [(j,) for j in half_integer_spins(max_j)],
+            lambda j: verify_wigner_eckart(j, [0, 1] + ([2] if j.twice >= 2 else []), r, rule),
+        ),
+        (
+            "ninej-substitution",
+            [tuple(map(HalfInt, case)) for case in _NINEJ_CASES],
+            lambda *js: _ninej_check(*js, r=r, bound=bound),
+        ),
+        (
+            None,
+            at_max_j,
+            lambda j: verify_sphere(
+                l_max=8, family_l_max=min(2 * (j.twice // 2) or 1, 4), rs=[0.0, r or 1.0], tol=rule
+            ),
+        ),
+    ]
 
-    family_max = min(2 * (max_j.twice // 2) or 1, 4)
-    sphere_rs = [0.0, float(r)] if float(r) != 0.0 else [0.0, 1.0]
-    reports.append(
-        verify_sphere(l_max=8, family_l_max=max(1, family_max), rs=sphere_rs, tol=rule)
-    )
+    reports: list[VerificationReport] = []
+    for suite, grid, call in rows:
+        if suite is None:
+            reports.extend(call(*point) for point in grid)
+            continue
+        merged = VerificationReport(suite=suite, k=None, r=r)
+        for point in grid:
+            tag = _tag(point)
+            for check in call(*point).checks:
+                name = f"{tag}_{check.name}" if check.name else tag
+                merged.add(Check(name, check.residual, check.tol, check.passed))
+        reports.append(merged)
     return reports
 
 

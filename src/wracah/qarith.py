@@ -24,6 +24,9 @@ __all__ = [
     "ToleranceRule",
     "EXACT_DENOMINATOR_LIMIT",
     "halfint_range",
+    "all_spins",
+    "integer_spins",
+    "half_integer_spins",
     "root_of_unity",
     "q_power",
     "q_bracket",
@@ -143,9 +146,28 @@ class HalfInt:
 
 
 def halfint_range(lo, hi) -> list[HalfInt]:
-    """Half-integers from lo to hi inclusive, in steps of 1."""
+    """Half-integers from lo to hi inclusive, in steps of 1.
+
+    The step is a whole unit, so from 0 this yields integer spins only; the
+    spin grids below name what they hold.
+    """
     lo, hi = HalfInt.of(lo), HalfInt.of(hi)
     return [HalfInt(t) for t in range(lo.twice, hi.twice + 1, 2)]
+
+
+def all_spins(max_j) -> list[HalfInt]:
+    """Every spin 0, 1/2, 1, ..., max_j."""
+    return [HalfInt(t) for t in range(HalfInt.of(max_j).twice + 1)]
+
+
+def integer_spins(max_j) -> list[HalfInt]:
+    """The integer spins 0, 1, 2, ... up to max_j."""
+    return all_spins(max_j)[::2]
+
+
+def half_integer_spins(max_j) -> list[HalfInt]:
+    """The half-integer spins 1/2, 3/2, ... up to max_j."""
+    return all_spins(max_j)[1::2]
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .errors import InvalidArgumentError, UndeterminedReducedElementError
 from .qarith import HalfInt, ToleranceRule, _as_fraction, alpha_value, halfint_range
 from .report import Check, VerificationReport
 from .su2 import AngularSpace, _expected_ladder, basis_transform_matrix, phase_matrix
-from .wigner import cg, cg_block, clear_cache, default_table, ninej, threejm_block, triangle
+from .wigner import cg, cg_block, clear_cache, default_table, ninej, threejm_block
 
 __all__ = [
     "cg_ur_table",
@@ -176,24 +176,32 @@ def fbar_symbol(j1, j2, j3, s1, s2, s3, r) -> complex:
     return complex(fbar_table(j1, j2, j3, r)[s1, s2, s3])
 
 
+def _stacked_residuals(j1, j2, first, second=None) -> tuple[float, float]:
+    """Unitarity residuals of one pair's tables stacked over the coupled spin.
+
+    first(j) returns a [s1, s2, s] table for each j in |j1-j2|..j1+j2; the
+    tables are stacked as the columns of one (d1*d2, sum(2j+1)) matrix M, and
+    likewise M' from second (default: first).  Returns max |M^H M' - I| and
+    max |M M'^H - I|: orthonormal columns and the resolution of the identity.
+    """
+    def stack(table) -> np.ndarray:
+        blocks = [table(j).reshape(-1, j.twice + 1) for j in halfint_range(abs(j1 - j2), j1 + j2)]
+        return np.concatenate(blocks, axis=1)
+
+    left = stack(first)
+    right = left if second is None else stack(second)
+    return identity_residual(left.conj().T, right), identity_residual(left, right.conj().T)
+
+
 def verify_cg_ur_unitarity(j1, j2, r, tol: ToleranceRule | None = None) -> VerificationReport:
     """The block matrix [(s1 s2), (j s)] of coupling values must be unitary."""
     if tol is None:
         tol = ToleranceRule()
     j1, j2 = HalfInt.of(j1), HalfInt.of(j2)
-    d1, d2 = j1.twice + 1, j2.twice + 1
-    columns = []
-    for j in halfint_range(abs(j1 - j2), j1 + j2):
-        block = cg_ur_table(j1, j2, j, r).reshape(d1 * d2, j.twice + 1)
-        columns.append(block)
-    mat = np.concatenate(columns, axis=1)
+    columns, rows = _stacked_residuals(j1, j2, lambda j: cg_ur_table(j1, j2, j, r))
     report = VerificationReport(suite="cg-ur-unitarity", k=None, r=float(r))
-    report.add(
-        Check.residual_check("columns_orthonormal", identity_residual(mat.conj().T, mat), tol.abs_tol)
-    )
-    report.add(
-        Check.residual_check("identity_resolution", identity_residual(mat, mat.conj().T), tol.abs_tol)
-    )
+    report.add(Check.residual_check("columns_orthonormal", columns, tol.abs_tol))
+    report.add(Check.residual_check("identity_resolution", rows, tol.abs_tol))
     return report
 
 
@@ -240,45 +248,26 @@ def verify_fbar_orthogonality(
     Summing conj(fbar) * fbar over the third column, weighted by 2j3+1,
     must resolve the identity on the (s1, s2) pairs; summing over the
     first two columns must give delta(j3, j3') delta(s3, s3')/(2j3+1).
-    The family parameter has to be one and the same in every factor;
-    mismatched_r substitutes a different value into the second factor as
-    a negative control, which makes the checks fail.
+    Together they say that the tables scaled by sqrt(2j3+1) and stacked
+    over j3 form a unitary matrix, which is how both are checked.  The
+    symbols at the first label beyond the triangle range must vanish; that
+    is part of the pair sums.  The family parameter has to be one and the
+    same in every factor; mismatched_r substitutes a different value into
+    the second factor as a negative control, which makes the checks fail.
     """
     if tol is None:
         tol = ToleranceRule()
     j1, j2 = HalfInt.of(j1), HalfInt.of(j2)
     r2 = r if mismatched_r is None else mismatched_r
-    d1, d2 = j1.twice + 1, j2.twice + 1
-    js = halfint_range(abs(j1 - j2), j1 + j2)
 
+    def scaled(rv):
+        return lambda j3: math.sqrt(j3.twice + 1) * fbar_table(j1, j2, j3, rv)
+
+    pairs, third = _stacked_residuals(j1, j2, scaled(r), None if mismatched_r is None else scaled(r2))
+    beyond = max(float(np.max(np.abs(fbar_table(j1, j2, j1 + j2 + 1, rv)))) for rv in (r, r2))
     report = VerificationReport(suite="fbar-orthogonality", k=None, r=float(r))
-
-    resolved = np.zeros((d1, d2, d1, d2), dtype=complex)
-    for j3 in js:
-        first = fbar_table(j1, j2, j3, r)
-        second = first if mismatched_r is None else fbar_table(j1, j2, j3, r2)
-        resolved += (j3.twice + 1) * np.einsum("abc,xyc->abxy", np.conj(first), second)
-    eye = np.einsum("ax,by->abxy", np.eye(d1), np.eye(d2))
-    report.add(
-        Check.residual_check(
-            "third_column_sum_resolves_identity",
-            float(np.max(np.abs(resolved - eye))),
-            tol.abs_tol,
-        )
-    )
-
-    worst = 0.0
-    probe = list(js) + [js[-1] + 1]  # one label beyond the triangle range
-    for ja in probe:
-        first = fbar_table(j1, j2, ja, r)
-        for jb in probe:
-            second = fbar_table(j1, j2, jb, r2)
-            overlap = np.einsum("abc,abd->cd", np.conj(first), second)
-            expected = np.zeros_like(overlap)
-            if ja.twice == jb.twice and triangle(j1, j2, ja):
-                expected = np.eye(ja.twice + 1) / (ja.twice + 1)
-            worst = max(worst, float(np.max(np.abs(overlap - expected))))
-    report.add(Check.residual_check("pair_sum_orthogonality", worst, tol.abs_tol))
+    report.add(Check.residual_check("third_column_sum_resolves_identity", third, tol.abs_tol))
+    report.add(Check.residual_check("pair_sum_orthogonality", max(pairs, beyond), tol.abs_tol))
     return report
 
 
@@ -296,8 +285,9 @@ def verify_fbar_permutation(j1, j2, j3, r, tol: ToleranceRule | None = None) -> 
     """Column permutations and complex conjugation of the symmetric symbol.
 
     Even permutations leave every value fixed; odd permutations and
-    conjugation both scale by (-1)^(j1+j2+j3).  Checked entry by entry
-    for all label triples.
+    conjugation both scale by (-1)^(j1+j2+j3).  The table of the permuted
+    spins is compared, over all label triples at once, with the base table
+    whose axes are permuted alike.
     """
     if tol is None:
         tol = ToleranceRule()
@@ -305,17 +295,10 @@ def verify_fbar_permutation(j1, j2, j3, r, tol: ToleranceRule | None = None) -> 
     base = fbar_table(*js, r)
     odd_sign = -1.0 if ((js[0].twice + js[1].twice + js[2].twice) // 2) % 2 else 1.0
     report = VerificationReport(suite="fbar-permutation", k=None, r=float(r))
-    dims = tuple(j.twice + 1 for j in js)
     for perm, is_odd in _COLUMN_PERMUTATIONS:
         permuted = fbar_table(js[perm[0]], js[perm[1]], js[perm[2]], r)
         sign = odd_sign if is_odd else 1.0
-        worst = 0.0
-        for s1 in range(dims[0]):
-            for s2 in range(dims[1]):
-                for s3 in range(dims[2]):
-                    s = (s1, s2, s3)
-                    lhs = permuted[s[perm[0]], s[perm[1]], s[perm[2]]]
-                    worst = max(worst, abs(lhs - sign * base[s1, s2, s3]))
+        worst = float(np.max(np.abs(permuted - sign * np.transpose(base, perm))))
         tag = "".join(str(p + 1) for p in perm)
         kind = "odd" if is_odd else "even"
         report.add(Check.residual_check(f"{kind}_permutation_{tag}", worst, tol.abs_tol))

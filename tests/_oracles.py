@@ -13,6 +13,7 @@ so agreement is meaningful.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -233,6 +234,49 @@ def brute_ninej(j1, j2, j3, j4, j5, j6, j7, j8, j9) -> float:
                     )
                     total += term
     return total
+
+
+def looped_fbar_orthogonality(table, tj1: int, tj2: int) -> tuple[float, float]:
+    """Both orthogonality residuals of the symmetric symbol, one j3 at a time.
+
+    table(tj3) gives the [s1, s2, s3] symbol of (j1, j2, j3), all in
+    twice-spins; only the summation is independent of the package here.
+    Returns max |sum_j3 (2j3+1) sum_s3 conj(f) f - delta delta| and the worst
+    |sum_s1,s2 conj(f_j3) f_j3' - delta/(2j3+1)| over j3, j3' in the triangle
+    range and one label beyond it, where every symbol must vanish.
+    """
+    d1, d2 = tj1 + 1, tj2 + 1
+    coupled = range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+    resolved = np.zeros((d1, d2, d1, d2), dtype=complex)
+    for t3 in coupled:
+        resolved += (t3 + 1) * np.einsum("abc,xyc->abxy", np.conj(table(t3)), table(t3))
+    eye = np.einsum("ax,by->abxy", np.eye(d1), np.eye(d2))
+    third = float(np.max(np.abs(resolved - eye)))
+
+    pairs = 0.0
+    probe = [*coupled, tj1 + tj2 + 2]
+    for ta in probe:
+        for tb in probe:
+            overlap = np.einsum("abc,abd->cd", np.conj(table(ta)), table(tb))
+            expected = np.zeros_like(overlap)
+            if ta == tb and ta in coupled:
+                expected = np.eye(ta + 1) / (ta + 1)
+            pairs = max(pairs, float(np.max(np.abs(overlap - expected))))
+    return third, pairs
+
+
+def entrywise_fbar_permutation(table, tjs: tuple[int, int, int], perm: tuple[int, int, int], sign: float) -> float:
+    """max |f(j_p0, j_p1, j_p2)[s_p0, s_p1, s_p2] - sign * f(j1, j2, j3)[s1, s2, s3]|, entry by entry.
+
+    table(tj1, tj2, tj3) gives the [s1, s2, s3] symbol in twice-spins.
+    """
+    base = table(*tjs)
+    permuted = table(*(tjs[p] for p in perm))
+    worst = 0.0
+    for s in itertools.product(*(range(t + 1) for t in tjs)):
+        lhs = permuted[s[perm[0]], s[perm[1]], s[perm[2]]]
+        worst = max(worst, abs(lhs - sign * base[s]))
+    return worst
 
 
 def cmath_bracket(n: int, k: int) -> complex:

@@ -305,6 +305,35 @@ class TestReport:
         assert first.exit_code == second.exit_code == 0
         assert first.output == second.output
 
+    def test_spin_coverage(self, runner):
+        """Which spins each suite covers, read off the suite k and the check names."""
+        result = runner.invoke(main, ["report", "--max-j", "1", "--r", "1"])
+        assert result.exit_code == 0, result.output
+        suites = json.loads(result.output)["suites"]
+        names = {}
+        for suite in suites:
+            names.setdefault(suite["suite"], set()).update(c["name"] for c in suite["checks"])
+
+        def tags(suite):
+            return {name.split("_")[1] for name in names[suite]}
+
+        for suite in ("fbar-permutation", "f-interchange"):
+            assert any(name.startswith("tj_1_1_2_") for name in names[suite]), suite
+        assert {s["k"] for s in suites if s["suite"] == "shift-eigenbasis"} == {2, 3}
+        assert tags("tensor-transform") == {"1", "2"}
+        for suite in ("cg-ur-unitarity", "cg-ur-interchange", "fbar-orthogonality"):
+            assert any(name.startswith("tj1_2_tj2_2_") for name in names[suite]), suite
+            assert not any(name.startswith("tj1_1_") for name in names[suite]), suite
+        assert tags("wigner-eckart") == {"1"}  # odd twice-spins only
+
+    def test_deterministic_at_generic_r(self, runner):
+        """At r = 1 the phase matrices are symmetric, so a lost transpose would pass there."""
+        args = ["report", "--max-j", "2", "--r", "0.37"]
+        first = runner.invoke(main, args)
+        second = runner.invoke(main, args)
+        assert first.exit_code == second.exit_code == 0, first.output
+        assert first.output == second.output
+
     def test_corruption_hook_flips_exit_code(self, runner):
         args = ["report", "--max-j", "1/2", "--r", "1"]
         clean = runner.invoke(main, args)

@@ -25,6 +25,9 @@ def run_script(name, *args):
 def test_export_tables_writes_loadable_magnetic_table(tmp_path):
     result = run_script("export_tables.py", "--max-j", "1", "--out", str(tmp_path))
     assert result.returncode == 0, result.stderr
+    # half-integer spins are exported too, not only the integer ones
+    assert (tmp_path / "cg_ur_1over2_1over2_1_r1.0.csv").exists()
+    assert (tmp_path / "fbar_1_1over2_1over2_r1.0.csv").exists()
     path = tmp_path / "magnetic_cg.txt"
     lines = path.read_text().splitlines()
     assert lines
