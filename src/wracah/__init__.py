@@ -81,7 +81,7 @@ from .urcoupling import (
     verify_wigner_eckart,
     wigner_eckart_check,
 )
-from .wigner import CouplingTable, SymbolKey, cg, cg_lowering_table, ninej, threejm, triangle
+from .wigner import CouplingTable, SymbolKey, cg, ninej, threejm, triangle
 
 __version__ = "0.1.0"
 
@@ -120,7 +120,6 @@ __all__ = [
     "angular_momentum_tensor",
     "basis_transform_matrix",
     "cg",
-    "cg_lowering_table",
     "cg_ur",
     "cg_ur_table",
     "clock_shift_monomial",

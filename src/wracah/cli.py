@@ -3,6 +3,8 @@
 Exit codes: 0 when every check passes, 1 when a verification fails, 2 for
 usage errors.  Output is deterministic: canonical JSON (insertion-ordered
 keys, 17 significant digits) or CSV with complex values rendered re+imi.
+`report --timings` prints each suite's wall time to stderr and leaves the
+output itself unchanged.
 
 Environment:
   WRACAH_TOL      overrides the default absolute tolerance.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import itertools
 import os
 import sys
+import time
 
 import click
 
@@ -490,13 +493,17 @@ def _ninej_check(*js: HalfInt, r: float, bound: float) -> VerificationReport:
     return report
 
 
-def _build_report(max_j: HalfInt, r: float, seed: int, rule: ToleranceRule | None) -> list[VerificationReport]:
+def _build_report(
+    max_j: HalfInt, r: float, seed: int, rule: ToleranceRule | None
+) -> tuple[list[VerificationReport], list[tuple[str, float]]]:
     """Every suite of `report`: rows of (suite, spin grid, call), run by one loop.
 
     A grid is a list of spin tuples, each passed to the call.  A row without
     a suite keeps each call's report as it is; the others merge their points
     into one suite, each check name led by the point's tag.  The README's
-    `report` section says why some suites leave spins out.
+    `report` section says why some suites leave spins out.  Returns the
+    reports and the wall time in seconds of each row that ran a point,
+    labelled by its suite.
     """
     at_max_j = [(max_j,)]
     positive_spins = [(j,) for j in all_spins(max_j)[1:]]  # order k = 2j + 1 for the operator suites
@@ -542,32 +549,40 @@ def _build_report(max_j: HalfInt, r: float, seed: int, rule: ToleranceRule | Non
     ]
 
     reports: list[VerificationReport] = []
+    timings: list[tuple[str, float]] = []
     for suite, grid, call in rows:
+        start = time.perf_counter()
         if suite is None:
             reports.extend(call(*point) for point in grid)
-            continue
-        merged = VerificationReport(suite=suite, k=None, r=r)
-        for point in grid:
-            tag = _tag(point)
-            for check in call(*point).checks:
-                name = f"{tag}_{check.name}" if check.name else tag
-                merged.add(Check(name, check.residual, check.tol, check.passed))
-        reports.append(merged)
-    return reports
+        else:
+            merged = VerificationReport(suite=suite, k=None, r=r)
+            for point in grid:
+                tag = _tag(point)
+                for check in call(*point).checks:
+                    name = f"{tag}_{check.name}" if check.name else tag
+                    merged.add(Check(name, check.residual, check.tol, check.passed))
+            reports.append(merged)
+        if grid:
+            timings.append((reports[-1].suite, time.perf_counter() - start))
+    return reports, timings
 
 
 @main.command("report")
 @click.option("--max-j", "max_j", type=HALFINT, required=True)
 @click.option("--r", type=float, default=1.0, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--timings", is_flag=True, help="print each suite's wall time to stderr, slowest first")
 @FORMAT
 @OUTPUT
 @TOL
-def report_cmd(max_j, r, seed, fmt, output, tol) -> None:
+def report_cmd(max_j, r, seed, timings, fmt, output, tol) -> None:
     """Full verification sweep across every suite, sized by --max-j."""
     if max_j.twice < 1:
         raise click.UsageError("--max-j must be at least 1/2")
-    reports = _build_report(max_j, float(r), seed, _resolve_tol(tol))
+    reports, seconds = _build_report(max_j, float(r), seed, _resolve_tol(tol))
+    if timings:
+        for suite, wall in sorted(seconds, key=lambda row: -row[1]):
+            click.echo(f"{wall:9.3f} s  {suite}", err=True)
 
     if os.environ.get("WRACAH_CORRUPT"):
         first = reports[0].checks[0]

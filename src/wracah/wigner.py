@@ -2,17 +2,21 @@
 
 Vector coupling coefficients follow the Condon-Shortley convention (all
 real, highest-weight component positive) and are evaluated from Racah's
-single-sum closed form in exact integer arithmetic: every term of the
-alternating sum is an integer over one common denominator, the squared
-prefactor is a ratio of integers, and their product is rounded exactly
-once, by one integer true division, before the square root.  An
-independent construction by explicit highest-weight vectors and lowering
-is provided as a cross-check oracle; the two routes are compared by the
-verification suite, never merged.
+single-sum closed form in exact integer arithmetic.  One kernel serves a
+whole (j1, j2, j) block: it takes the factorials that do not depend on m
+once, sums each entry's alternating series by Horner's rule on the ratio
+of consecutive terms as one integer over one common denominator, and
+rounds the squared value exactly once, by one integer true division,
+before the square root.  A single coefficient evaluated without the cache
+goes through the same kernel.
 
-Coefficients are computed a whole (j1, j2, j) block at a time and kept in
-the package's one bounded cache; cg() and threejm() read single entries
-of those blocks.
+An independent oracle, the eigenvectors of J^2 on each subspace of fixed
+m with signs fixed by the Condon-Shortley convention alone, is compared
+with the closed form by the verification suite; the two routes are never
+merged, and the oracle is never cached.
+
+Blocks are kept in the package's one bounded cache; cg() and threejm()
+read single entries of those blocks.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ __all__ = [
     "clear_cache",
     "export_table",
     "load_table",
-    "cg_lowering_table",
     "verify_cg_against_lowering",
     "verify_cg_orthogonality",
 ]
@@ -50,10 +53,16 @@ __all__ = [
 _FACT: list[int] = [1]
 
 
-def _fact(n: int) -> int:
-    while len(_FACT) <= n:
-        _FACT.append(_FACT[-1] * len(_FACT))
-    return _FACT[n]
+def _factorials(n: int) -> list[int]:
+    """The list of k! for k = 0 .. n at least, shared between calls."""
+    global _FACT
+    fact = _FACT
+    if len(fact) <= n:
+        fact = list(fact)
+        while len(fact) <= n:
+            fact.append(fact[-1] * len(fact))
+        _FACT = fact  # replaced whole, so a list that another thread reads never changes
+    return fact
 
 
 def _twice(value) -> int:
@@ -181,72 +190,86 @@ def _cached(table: CouplingTable | None, key: tuple, build):
     return build() if table is None else table.get(key, build)
 
 
+def _cg_values(tj1: int, tj2: int, tj: int, pairs) -> list[float]:
+    """<j1 m1 j2 m2 | j m> for each (2m1, 2m2) of pairs, with m = m1 + m2.
+
+    (j1, j2, j) must obey the triangle rule and every |m| must be at most j.
+    The factorials that do not depend on m are taken once per call.  Racah's
+    sum over t of (-1)^t / (t! (a-t)! (x-t)! (y-t)! (u+t)! (v+t)!) is taken by
+    Horner's rule on the ratio of consecutive terms,
+    -(a-t)(x-t)(y-t) / ((t+1)(u+t+1)(v+t+1)), as one integer total over one
+    integer common denominator.  The squared value is then the ratio of two
+    integers, and the one int / int true division rounds it correctly, so
+    each value is rounded once before the square root.
+    """
+    fact = _factorials((tj1 + tj2 + tj) // 2 + 1)
+    a = (tj1 + tj2 - tj) // 2
+    fixed = (tj + 1) * fact[a] * fact[(tj1 - tj2 + tj) // 2] * fact[(-tj1 + tj2 + tj) // 2]
+    den = fact[(tj1 + tj2 + tj) // 2 + 1]
+    values = []
+    for tm1, tm2 in pairs:
+        tm = tm1 + tm2
+        x = (tj1 - tm1) // 2
+        y = (tj2 + tm2) // 2
+        u = (tj - tj2 + tm1) // 2
+        v = (tj - tj1 - tm2) // 2
+        # squared prefactor num / den
+        num = fixed * fact[tj1 - x] * fact[x] * fact[y] * fact[tj2 - y]
+        num *= fact[(tj + tm) // 2] * fact[(tj - tm) // 2]
+        t_min = max(0, -u, -v)
+        t_max = min(a, x, y)
+        # Horner from the last term: total / common becomes the sum divided by its first term
+        total = common = 1
+        for t in range(t_max - 1, t_min - 1, -1):
+            step = (t + 1) * (u + t + 1) * (v + t + 1)
+            total = step * common - (a - t) * (x - t) * (y - t) * total
+            common *= step
+        # times the first term, 1 / (t_min! (a-t_min)! ...), whose sign (-1)^t_min is applied last
+        common *= (
+            fact[t_min] * fact[a - t_min] * fact[x - t_min] * fact[y - t_min] * fact[u + t_min] * fact[v + t_min]
+        )
+        if total == 0:
+            values.append(0.0)
+            continue
+        # an int / int true division rounds correctly, so this is rounded once
+        magnitude = math.sqrt(total * total * num / (common * common * den))
+        values.append(magnitude if (total > 0) == (t_min % 2 == 0) else -magnitude)
+    return values
+
+
 def _cg_exact(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> float:
+    """One coupling coefficient by the block kernel, 0 off the selection rules."""
     if tm1 + tm2 != tm or not _triangle_twice(tj1, tj2, tj):
         return 0.0
-
-    # all of these are guaranteed integers by the parity checks above
-    a = (tj1 + tj2 - tj) // 2
-    x = (tj1 - tm1) // 2
-    y = (tj2 + tm2) // 2
-    u = (tj - tj2 + tm1) // 2
-    v = (tj - tj1 - tm2) // 2
-
-    # squared prefactor num / den
-    num = (
-        (tj + 1)
-        * _fact(a)
-        * _fact((tj1 - tj2 + tj) // 2)
-        * _fact((-tj1 + tj2 + tj) // 2)
-        * _fact((tj1 + tm1) // 2)
-        * _fact(x)
-        * _fact(y)
-        * _fact((tj2 - tm2) // 2)
-        * _fact((tj + tm) // 2)
-        * _fact((tj - tm) // 2)
-    )
-    den = _fact((tj1 + tj2 + tj) // 2 + 1)
-
-    # sum over t of (-1)^t / (t! (a-t)! (x-t)! (y-t)! (u+t)! (v+t)!), as
-    # total / common with every term the exact integer common // denominator_t
-    t_min = max(0, -u, -v)
-    t_max = min(a, x, y)
-    common = (
-        _fact(t_max)
-        * _fact(a - t_min)
-        * _fact(x - t_min)
-        * _fact(y - t_min)
-        * _fact(u + t_max)
-        * _fact(v + t_max)
-    )
-    total = 0
-    for t in range(t_min, t_max + 1):
-        term = common // (
-            _fact(t) * _fact(a - t) * _fact(x - t) * _fact(y - t) * _fact(u + t) * _fact(v + t)
-        )
-        total += -term if t % 2 else term
-    if total == 0:
-        return 0.0
-    # an int / int true division rounds correctly, so this is rounded once
-    magnitude = math.sqrt(total * total * num / (common * common * den))
-    return magnitude if total > 0 else -magnitude
+    return _cg_values(tj1, tj2, tj, [(tm1, tm2)])[0]
 
 
 def _cg_block(tj1: int, tj2: int, tj: int, table: CouplingTable | None) -> np.ndarray:
     """Coupling coefficients as a dense (m1, m2, m) block, m ascending from -j.
 
-    Only the entries with m = m1 + m2 can be nonzero; they are filled from
-    the exact closed form, every other entry is an exact zero.
+    Only the entries with m = m1 + m2 can be nonzero.  One kernel pass fills
+    the half with (m1, m2) first in ascending order, the m -> -m reflection
+    the other half; every other entry is an exact zero.
     """
 
     def build() -> np.ndarray:
         block = np.zeros((tj1 + 1, tj2 + 1, tj + 1))
         if _triangle_twice(tj1, tj2, tj):
-            for i1, tm1 in enumerate(range(-tj1, tj1 + 1, 2)):
-                for i2, tm2 in enumerate(range(-tj2, tj2 + 1, 2)):
-                    tm = tm1 + tm2
-                    if abs(tm) <= tj:
-                        block[i1, i2, (tm + tj) // 2] = _cg_exact(tj1, tm1, tj2, tm2, tj, tm)
+            pairs = [
+                (tm1, tm2)
+                for tm1 in range(-tj1, tj1 + 1, 2)
+                for tm2 in range(-tj2, tj2 + 1, 2)
+                if abs(tm1 + tm2) <= tj
+            ]
+            # pair i and pair -1-i are (m1, m2) and (-m1, -m2), and the reflection
+            # multiplies a coefficient by (-1)^(j1+j2-j), exactly
+            half = np.array(_cg_values(tj1, tj2, tj, pairs[: (len(pairs) + 1) // 2]))
+            mirrored = half[: len(pairs) // 2][::-1]
+            if ((tj1 + tj2 - tj) // 2) % 2:
+                mirrored = 0.0 - mirrored  # a zero stays +0.0
+            tm1s, tm2s = np.array(pairs).T
+            entries = ((tm1s + tj1) // 2, (tm2s + tj2) // 2, (tm1s + tm2s + tj) // 2)
+            block[entries] = np.concatenate([half, mirrored])
         return block
 
     return _cached(table, ("cg", tj1, tj2, tj), build)
@@ -383,74 +406,98 @@ def load_table(path) -> CouplingTable:
     return table
 
 
-def cg_lowering_table(j1, j2) -> dict[tuple[int, int, int, int], float]:
-    """Independent coupling coefficients from highest weights and lowering.
+def _casimir_vectors(tj1: np.ndarray, tj2: np.ndarray, tm: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors of J^2 on the n product states of each (2j1, 2j2, 2m) in the columns tj1, tj2, tm.
 
-    For each total j the highest-weight vector is found by orthogonalizing
-    against the already-built towers inside the m = j subspace, its sign is
-    fixed by a positive component on the maximal m1, and the rest of the
-    tower follows by applying the total lowering operator.  Keys are
-    (2m1, 2m2, 2j, 2m).
+    Returns the flat position of each entry in its pair's coupling matrix
+    (laid out as in _casimir_coupling_matrices) and its value, both of shape
+    (len(tm), n, n): [., i, c] is the i-th m1 and the c-th j, each ascending.
     """
-    tj1, tj2 = _twice(j1), _twice(j2)
-    d1, d2 = tj1 + 1, tj2 + 1
+    k = np.arange(n)
+    tm1 = np.maximum(-tj1, tm - tj2) + 2 * k
+    tm2 = tm - tm1
+    lo = np.abs(tj1 - tj2)
+    tj = np.maximum(np.abs(tm), lo) + 2 * k  # the j of each eigenvector
+    # four times J^2, so that every entry is an integer or the root of one
+    casimir = np.zeros((len(tm), n, n))
+    casimir[:, k, k] = tj1 * (tj1 + 2) + tj2 * (tj2 + 2) + 2 * tm1 * tm2
+    ladder = np.sqrt((tj1 - tm1) * (tj1 + tm1 + 2) * (tj2 + tm2) * (tj2 - tm2 + 2))[:, :-1]
+    casimir[:, k[:-1], k[1:]] = ladder
+    casimir[:, k[1:], k[:-1]] = ladder
+    vectors = np.linalg.eigh(casimir)[1]
+    phase = np.where(((tj1 + tj2 - tj) // 2) % 2, -1.0, 1.0)
+    lead = np.where(tm >= tj1 - tj2, vectors[:, -1, :], phase * vectors[:, 0, :])
+    vectors *= np.sign(lead)[:, None, :]
+    rows = ((tm1 + tj1) // 2) * (tj2 + 1) + (tm2 + tj2) // 2
+    p = (tj - lo) // 2
+    columns = p * (lo + 1) + p * (p - 1) + (tm + tj) // 2
+    return (rows * (tj1 + 1) * (tj2 + 1))[:, :, None] + columns[:, None, :], vectors
 
-    def lower_single(td: int) -> np.ndarray:
-        mat = np.zeros((td + 1, td + 1))
-        for i in range(1, td + 1):
-            tm = -td + 2 * i
-            mat[i - 1, i] = math.sqrt(((td + tm) // 2) * ((td - tm) // 2 + 1))
-        return mat
 
-    lowering = np.kron(lower_single(tj1), np.eye(d2)) + np.kron(np.eye(d1), lower_single(tj2))
+def _casimir_coupling_matrices(pairs: list[tuple[int, int]]):
+    """The coupling matrix of each (2j1, 2j2) of pairs from eigenvectors of J^2, independent of the closed form.
 
-    def pair_index(tm1: int, tm2: int) -> int:
-        return ((tm1 + tj1) // 2) * d2 + (tm2 + tj2) // 2
+    Yields one matrix at a time, in the order of pairs.  Rows are the
+    product states (m1, m2), m1 major; columns are the coupled states
+    (j, m), j ascending and m ascending within each j: the cg blocks of each
+    j, reshaped to (d1 d2, 2j + 1) and set side by side.
 
-    vectors: dict[tuple[int, int], np.ndarray] = {}
-    for tj in range(tj1 + tj2, abs(tj1 - tj2) - 2, -2):
-        seed = np.zeros(d1 * d2)
-        seed[pair_index(tj1, tj - tj1)] = 1.0
-        # project out the towers with larger total j at the same m, twice for stability
-        for _ in range(2):
-            for tjp in range(tj + 2, tj1 + tj2 + 2, 2):
-                prev = vectors[(tjp, tj)]
-                seed -= prev * float(prev @ seed)
-        norm = float(np.linalg.norm(seed))
-        seed /= norm
-        if seed[pair_index(tj1, tj - tj1)] < 0:
-            seed = -seed
-        vectors[(tj, tj)] = seed
-        for tm in range(tj, -tj, -2):
-            j_f, m_f = tj / 2.0, tm / 2.0
-            vectors[(tj, tm - 2)] = (lowering @ vectors[(tj, tm)]) / math.sqrt(
-                (j_f + m_f) * (j_f - m_f + 1.0)
-            )
-
-    result: dict[tuple[int, int, int, int], float] = {}
-    for (tj, tm), vec in vectors.items():
-        for tm1 in range(-tj1, tj1 + 1, 2):
-            tm2 = tm - tm1
-            if abs(tm2) > tj2:
-                continue
-            result[(tm1, tm2, tj, tm)] = float(vec[pair_index(tm1, tm2)])
-    return result
+    On the states of one m = m1 + m2, J^2 = J1^2 + J2^2 + 2 J1z J2z + J1+ J2-
+    + J1- J2+ is a symmetric tridiagonal matrix in m1 (the three-term
+    recursion of Schulten & Gordon, J. Math. Phys. 16, 1961 (1975)).  Its
+    eigenvalues j(j+1) are at least 2 apart, so eigh returns the
+    eigenvectors in order of ascending j.  The subspaces of one size, over
+    all the pairs, are diagonalized in one stacked call.  The signs follow
+    from the Condon-Shortley convention alone, never from the closed form:
+      - <j1 j1, j2 m-j1 | j m> > 0 where m1 = j1 is allowed (the last m1);
+      - otherwise <j1 m-j2, j2 j2 | j m> has the sign (-1)^(j1+j2-j);
+      - otherwise, by m -> -m, <j1 -j1, j2 m+j1 | j m> has that sign.
+    In the last two cases the entry is the one of the least m1.
+    """
+    twice_1, twice_2 = (np.array(labels) for labels in zip(*pairs))
+    # one row per (pair, m)
+    pair = np.repeat(np.arange(len(pairs)), twice_1 + twice_2 + 1)
+    tj1, tj2 = twice_1[pair, None], twice_2[pair, None]
+    tm = np.concatenate([np.arange(-t, t + 1, 2) for t in twice_1 + twice_2])[:, None]
+    sizes = (tj1 + tj2 + 2 - np.maximum(np.abs(tm), np.abs(tj1 - tj2)))[:, 0] // 2  # as many m1 as j
+    owners, places, values = [], [], []
+    for n in np.unique(sizes):
+        chosen = sizes == n
+        place, vectors = _casimir_vectors(tj1[chosen], tj2[chosen], tm[chosen], n)
+        owners.append(np.repeat(pair[chosen], n * n))
+        places.append(place.ravel())
+        values.append(vectors.ravel())
+    owner, place, value = (np.concatenate(parts) for parts in (owners, places, values))
+    for index, (t1, t2) in enumerate(pairs):
+        dim = (t1 + 1) * (t2 + 1)
+        matrix = np.zeros(dim * dim)
+        mine = owner == index
+        matrix[place[mine]] = value[mine]
+        yield matrix.reshape(dim, dim)
 
 
 def verify_cg_against_lowering(max_j, tol: ToleranceRule | None = None) -> VerificationReport:
-    """Compare the closed-form coefficients with the lowering construction."""
+    """Compare the closed-form coefficients with the eigenvectors of J^2.
+
+    The suite and check names keep the name of the lowering construction
+    that this oracle replaced.  Oracle matrices are never cached.
+    """
     if tol is None:
         tol = ToleranceRule()
     max_t = _twice(max_j)
     report = VerificationReport(suite="wigner-core", k=None, r=None)
     for tj1 in range(0, max_t + 1):
-        for tj2 in range(0, max_t + 1):
-            oracle = cg_lowering_table(HalfInt(tj1), HalfInt(tj2))
-            worst = 0.0
-            for (tm1, tm2, tj, tm), expected in oracle.items():
-                block = _cg_block(tj1, tj2, tj, _DEFAULT_TABLE)
-                value = float(block[(tm1 + tj1) // 2, (tm2 + tj2) // 2, (tm + tj) // 2])
-                worst = max(worst, abs(value - expected))
+        # one row of pairs at a time bounds the oracle's memory
+        oracles = _casimir_coupling_matrices([(tj1, tj2) for tj2 in range(0, max_t + 1)])
+        for tj2, oracle in enumerate(oracles):
+            closed = np.concatenate(
+                [
+                    _cg_block(tj1, tj2, tj, _DEFAULT_TABLE).reshape((tj1 + 1) * (tj2 + 1), tj + 1)
+                    for tj in range(abs(tj1 - tj2), tj1 + tj2 + 2, 2)
+                ],
+                axis=1,
+            )
+            worst = float(np.max(np.abs(closed - oracle)))
             report.add(
                 Check.residual_check(f"lowering_agreement_2j1_{tj1}_2j2_{tj2}", worst, tol.abs_tol)
             )

@@ -212,7 +212,7 @@ def test_criterion_06_coupling_against_lowering():
     worst = report.max_residual
     _line(
         6,
-        "closed-form coupling coefficients against the lowering construction, j <= 3",
+        "closed-form coupling coefficients against the eigenvectors of J^2, j <= 3",
         report.passed and worst <= 1e-12,
         f"max residual {worst:.2e}",
     )

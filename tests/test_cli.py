@@ -2,6 +2,10 @@
 report schema."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 
 from wracah.cli import main
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 REPORT_SCHEMA = {
     "type": "object",
     "required": ["command", "max_j", "r", "pass", "suites"],
@@ -346,3 +351,37 @@ class TestReport:
             c for s in payload["suites"] for c in s["checks"] if not c["pass"]
         ]
         assert len(flipped) == 1
+
+    def test_benchmark_size_passes(self, runner):
+        """The size of the benchmark's report workload: exit 0, and every check passes."""
+        result = runner.invoke(main, ["report", "--max-j", "6", "--r", "1", "--seed", "3"])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        jsonschema.validate(payload, REPORT_SCHEMA)
+        assert payload["pass"] is True
+        assert all(c["pass"] for s in payload["suites"] for c in s["checks"])
+
+    def test_timings_leave_output_unchanged(self, tmp_path):
+        """--timings adds a breakdown on stderr; stdout and --output keep every byte."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        args = [sys.executable, "-m", "wracah", "report", "--max-j", "1", "--r", "0.37"]
+
+        def run(*extra):
+            return subprocess.run([*args, *extra], env=env, capture_output=True, timeout=120)
+
+        plain, timed = run(), run("--timings")
+        assert plain.returncode == timed.returncode == 0, timed.stderr
+        assert plain.stdout == timed.stdout
+        assert plain.stderr == b""
+        lines = timed.stderr.decode().splitlines()
+        seconds = [float(line.split()[0]) for line in lines]
+        assert seconds == sorted(seconds, reverse=True)
+        suites = [line.split()[-1] for line in lines]
+        assert len(suites) == len(set(suites)) and {"wigner-core", "fbar-orthogonality"} <= set(suites)
+
+        plain_file, timed_file = tmp_path / "plain.json", tmp_path / "timed.json"
+        assert run("--output", str(plain_file)).returncode == 0
+        to_file = run("--timings", "--output", str(timed_file))
+        assert to_file.returncode == 0 and to_file.stdout == b""
+        assert timed_file.read_bytes() == plain_file.read_bytes() == plain.stdout

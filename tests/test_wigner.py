@@ -2,8 +2,8 @@
 
 The package computes these from the single-sum closed form with exact
 integer internals; the tests compare against sympy's symbolic evaluator,
-against the same closed form summed in Fractions, against the
-lowering-operator construction, and against frozen literals.
+against the same closed form summed in Fractions, against the eigenvectors
+of J^2 and the lowering-operator construction, and against frozen literals.
 """
 
 import itertools
@@ -22,7 +22,6 @@ from wracah import (
     SymbolKey,
     TableConflictError,
     cg,
-    cg_lowering_table,
     ninej,
     threejm,
     triangle,
@@ -39,7 +38,7 @@ from wracah.wigner import (
     verify_cg_orthogonality,
 )
 
-from _oracles import brute_ninej, cg_fraction, sympy_3jm, sympy_9j, sympy_cg
+from _oracles import brute_ninej, cg_fraction, cg_lowering_table, sympy_3jm, sympy_9j, sympy_cg
 
 HALF = Fraction(1, 2)
 
@@ -130,6 +129,23 @@ class TestAgainstFractionKernel:
                     if abs(m1 + m2) <= j:
                         self.assert_same_bits(j1, m1, j2, m2, j, m1 + m2)
                         checked += 1
+        assert checked == 7_809
+
+    def test_block_path_every_entry_up_to_spin_four(self):
+        """Every entry of every cg_block with j1, j2 <= 4, structural zeros included."""
+        clear_cache()
+        checked = 0
+        for tj1, tj2 in itertools.product(range(9), repeat=2):
+            for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+                block = cg_block(HalfInt(tj1), HalfInt(tj2), HalfInt(tj))
+                for (i1, i2, i), value in np.ndenumerate(block):
+                    labels = (tj1, 2 * i1 - tj1, tj2, 2 * i2 - tj2, tj, 2 * i - tj)
+                    if labels[1] + labels[3] != labels[5]:
+                        assert value.hex() == (0.0).hex(), labels  # as cg_fraction gives there
+                        continue
+                    expected = cg_fraction(*(Fraction(t, 2) for t in labels))
+                    assert value.hex() == expected.hex(), labels
+                    checked += 1
         assert checked == 7_809
 
     def test_seeded_entries_up_to_spin_twenty(self):
@@ -243,6 +259,17 @@ class TestStructure:
         assert report.max_residual < 1e-12
 
 
+def closed_form_matrix(tj1, tj2):
+    """The cg blocks of (j1, j2) side by side, as the J^2 oracle lays them out, built without the cache."""
+    return np.concatenate(
+        [
+            wigner._cg_block(tj1, tj2, tj, None).reshape((tj1 + 1) * (tj2 + 1), tj + 1)
+            for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+        ],
+        axis=1,
+    )
+
+
 class TestLoweringConstruction:
     def test_agrees_with_closed_form(self):
         report = verify_cg_against_lowering(3)
@@ -254,6 +281,65 @@ class TestLoweringConstruction:
         for (tm1, tm2, tj, tm), value in table.items():
             direct = cg(1, Fraction(tm1, 2), HALF, Fraction(tm2, 2), Fraction(tj, 2), Fraction(tm, 2))
             assert value == pytest.approx(direct, abs=1e-13)
+
+    def test_three_oracles_agree(self):
+        """J^2 eigenvectors, lowering and sympy on every block with 2j1, 2j2 <= 6."""
+        pairs = list(itertools.product(range(7), repeat=2))
+        for (tj1, tj2), casimir in zip(pairs, wigner._casimir_coupling_matrices(pairs)):
+            lowering = cg_lowering_table(Fraction(tj1, 2), Fraction(tj2, 2))
+            visited = np.zeros(casimir.shape, dtype=bool)
+            for (tm1, tm2, tj, tm), value in lowering.items():
+                row = (tm1 + tj1) // 2 * (tj2 + 1) + (tm2 + tj2) // 2
+                p = (tj - abs(tj1 - tj2)) // 2
+                column = p * (abs(tj1 - tj2) + 1) + p * (p - 1) + (tm + tj) // 2
+                visited[row, column] = True
+                labels = (Fraction(t, 2) for t in (tj1, tm1, tj2, tm2, tj, tm))
+                expected = sympy_cg(*labels)
+                assert casimir[row, column] == pytest.approx(expected, abs=1e-14), (tj1, tm1, tj2, tm2, tj)
+                assert value == pytest.approx(expected, abs=1e-13), (tj1, tm1, tj2, tm2, tj)
+            assert not casimir[~visited].any()  # m != m1 + m2
+
+
+class TestCasimirOracle:
+    """The J^2 oracle owes nothing to the closed form: it catches sign and row errors and stays accurate."""
+
+    @pytest.mark.parametrize("labels", [(3, 4, 5), (6, 2, 4), (4, 4, 0)])
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            pytest.param(lambda block: -block, id="negated-block"),
+            pytest.param(lambda block: np.where(block == block.flat[np.flatnonzero(block)[-2]], -block, block), id="negated-entry"),
+            pytest.param(lambda block: block[[1, 0, *range(2, len(block))]], id="swapped-m1-rows"),
+        ],
+    )
+    def test_mutated_closed_form_fails(self, monkeypatch, labels, mutation):
+        closed_form = wigner._cg_block
+
+        def mutated(tj1, tj2, tj, table):
+            block = closed_form(tj1, tj2, tj, None)
+            return mutation(block) if (tj1, tj2, tj) == labels else block
+
+        monkeypatch.setattr(wigner, "_cg_block", mutated)
+        report = verify_cg_against_lowering(3)
+        failed = [check.name for check in report.checks if not check.passed]
+        assert failed == [f"lowering_agreement_2j1_{labels[0]}_2j2_{labels[1]}"]
+
+    def test_within_a_few_roundings_up_to_spin_six(self):
+        assert verify_cg_against_lowering(6).max_residual <= 1e-14
+
+    def test_accurate_where_lowering_is_not(self):
+        pairs = [(15, 16), (20, 20)]
+        for (tj1, tj2), casimir in zip(pairs, wigner._casimir_coupling_matrices(pairs)):
+            assert np.max(np.abs(closed_form_matrix(tj1, tj2) - casimir)) <= 1e-13, (tj1, tj2)
+
+    def test_cold_run_caches_only_closed_form_blocks(self):
+        clear_cache()
+        verify_cg_against_lowering(2)
+        entries = list(default_table()._entries.items())
+        assert len(entries) == sum(min(tj1, tj2) + 1 for tj1 in range(5) for tj2 in range(5))
+        for key, block in entries:
+            assert key[0] == "cg"
+            assert block.tobytes() == wigner._cg_block(*key[1:], None).tobytes()
 
 
 class TestCaching:
