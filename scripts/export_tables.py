@@ -13,6 +13,8 @@ import itertools
 import pathlib
 import sys
 
+import numpy as np
+
 from wracah import HalfInt, cg_ur_table, fbar_table, triangle
 from wracah.qarith import all_spins
 from wracah.serialize import fmt_float, rows_to_csv
@@ -23,45 +25,15 @@ def tag(j: HalfInt) -> str:
     return str(j).replace("/", "over")
 
 
-def dump_cg_ur(j1, j2, j, r, out_dir: pathlib.Path) -> pathlib.Path:
-    table = cg_ur_table(j1, j2, j, r)
-    rows = []
-    for s1 in range(j1.twice + 1):
-        for s2 in range(j2.twice + 1):
-            for s in range(j.twice + 1):
-                value = table[s1, s2, s]
-                rows.append(
-                    {
-                        "s1": s1,
-                        "s2": s2,
-                        "s": s,
-                        "re": fmt_float(value.real),
-                        "im": fmt_float(value.imag),
-                    }
-                )
-    path = out_dir / f"cg_ur_{tag(j1)}_{tag(j2)}_{tag(j)}_r{r}.csv"
-    path.write_text(rows_to_csv(["s1", "s2", "s", "re", "im"], rows))
-    return path
-
-
-def dump_fbar(j1, j2, j3, r, out_dir: pathlib.Path) -> pathlib.Path:
-    table = fbar_table(j1, j2, j3, r)
-    rows = []
-    for s1 in range(j1.twice + 1):
-        for s2 in range(j2.twice + 1):
-            for s3 in range(j3.twice + 1):
-                value = table[s1, s2, s3]
-                rows.append(
-                    {
-                        "s1": s1,
-                        "s2": s2,
-                        "s3": s3,
-                        "re": fmt_float(value.real),
-                        "im": fmt_float(value.imag),
-                    }
-                )
-    path = out_dir / f"fbar_{tag(j1)}_{tag(j2)}_{tag(j3)}_r{r}.csv"
-    path.write_text(rows_to_csv(["s1", "s2", "s3", "re", "im"], rows))
+def dump_table(name, build, spins, columns, r, out_dir: pathlib.Path) -> pathlib.Path:
+    """Write build(*spins, r) as name_<j1>_<j2>_<j3>_r<r>.csv, one row per entry, labelled by columns."""
+    table = build(*spins, r)
+    rows = [
+        {**dict(zip(columns, labels)), "re": fmt_float(value.real), "im": fmt_float(value.imag)}
+        for labels, value in np.ndenumerate(table)
+    ]
+    path = out_dir / f"{name}_{'_'.join(tag(j) for j in spins)}_r{r}.csv"
+    path.write_text(rows_to_csv([*columns, "re", "im"], rows))
     return path
 
 
@@ -79,8 +51,8 @@ def main(argv=None):
         for j in spins:
             if not triangle(j1.as_fraction, j2.as_fraction, j.as_fraction):
                 continue
-            dump_cg_ur(j1, j2, j, args.r, args.out)
-            dump_fbar(j1, j2, j, args.r, args.out)
+            dump_table("cg_ur", cg_ur_table, (j1, j2, j), ("s1", "s2", "s"), args.r, args.out)
+            dump_table("fbar", fbar_table, (j1, j2, j), ("s1", "s2", "s3"), args.r, args.out)
             written += 2
 
     memo_path = args.out / "magnetic_cg.txt"

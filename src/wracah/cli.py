@@ -20,6 +20,7 @@ import sys
 import time
 
 import click
+import numpy as np
 
 from .errors import InvalidArgumentError, WracahError
 from .fock import quon_operators, verify_quon_relations
@@ -30,6 +31,7 @@ from .sphere import QuadratureGrid, SphericalPoint, verify_sphere, y_r_eigenfunc
 from .su2 import ShiftParams, shift_eigenbasis, verify_shift_eigenbasis, verify_sine_algebra, verify_su2
 from .urcoupling import (
     alpha_labels,
+    cg_ur,
     cg_ur_table,
     fbar_table,
     ninej_from_fbar,
@@ -164,6 +166,21 @@ def _records_out(payload: dict, records: list[dict], columns: list[str], fmt: st
     sys.exit(0)
 
 
+def _symbol_out(command: str, names: tuple[str, ...], spins: tuple[HalfInt, ...], r: float, entries, fmt, output):
+    """One record per ((s1, s2, s3), value) of entries, with the spins and alpha labels of names."""
+    alphas = [alpha_labels(j, r) for j in spins]
+    alpha_names = ["alpha" + name[1:] for name in names]  # j1 -> alpha1, j -> alpha
+    records = []
+    for labels, value in entries:
+        record = {name: float(j) for name, j in zip(names, spins)}
+        record.update((name, alpha[x]) for name, alpha, x in zip(alpha_names, alphas, labels))
+        record.update(r=float(r), re=value.real, im=value.imag)
+        records.append(record)
+    spin_fields = {name: str(j) for name, j in zip(names, spins)}
+    payload = {"command": command, **spin_fields, "r": float(r), "records": records}
+    _records_out(payload, records, [*names, *alpha_names, "r"], fmt, output)
+
+
 def _plain(value) -> str:
     if isinstance(value, float):
         return fmt_float(value)
@@ -257,45 +274,13 @@ def cg_ur_cmd(j1, j2, j, r, s1, s2, s, fmt, output) -> None:
     chosen = (s1, s2, s)
     if any(x is not None for x in chosen) and not all(x is not None for x in chosen):
         raise click.UsageError("give all of --s1 --s2 --s or none of them")
-    records = []
-    if triangle(j1, j2, j):
-        table = cg_ur_table(j1, j2, j, r)
-        a1, a2, a = alpha_labels(j1, r), alpha_labels(j2, r), alpha_labels(j, r)
-        if s1 is not None:
-            if not (0 <= s1 <= j1.twice and 0 <= s2 <= j2.twice and 0 <= s <= j.twice):
-                raise click.UsageError("s labels out of range")
-            triples = [(s1, s2, s)]
-        else:
-            triples = [
-                (x1, x2, x)
-                for x1 in range(j1.twice + 1)
-                for x2 in range(j2.twice + 1)
-                for x in range(j.twice + 1)
-            ]
-        for x1, x2, x in triples:
-            value = table[x1, x2, x]
-            records.append(
-                {
-                    "j1": float(j1),
-                    "j2": float(j2),
-                    "j": float(j),
-                    "alpha1": a1[x1],
-                    "alpha2": a2[x2],
-                    "alpha": a[x],
-                    "r": float(r),
-                    "re": value.real,
-                    "im": value.imag,
-                }
-            )
-    payload = {
-        "command": "cg-ur",
-        "j1": str(j1),
-        "j2": str(j2),
-        "j": str(j),
-        "r": float(r),
-        "records": records,
-    }
-    _records_out(payload, records, ["j1", "j2", "j", "alpha1", "alpha2", "alpha", "r"], fmt, output)
+    if not triangle(j1, j2, j):
+        entries = []
+    elif s1 is not None:
+        entries = [(chosen, cg_ur(j1, j2, s1, s2, j, s, r))]
+    else:
+        entries = np.ndenumerate(cg_ur_table(j1, j2, j, r))
+    _symbol_out("cg-ur", ("j1", "j2", "j"), (j1, j2, j), r, entries, fmt, output)
 
 
 @main.command("fbar")
@@ -307,37 +292,8 @@ def cg_ur_cmd(j1, j2, j, r, s1, s2, s, fmt, output) -> None:
 @OUTPUT
 def fbar_cmd(j1, j2, j3, r, fmt, output) -> None:
     """The symmetric recoupling symbol over all label triples."""
-    table = fbar_table(j1, j2, j3, r)
-    a1, a2, a3 = alpha_labels(j1, r), alpha_labels(j2, r), alpha_labels(j3, r)
-    records = []
-    for x1 in range(j1.twice + 1):
-        for x2 in range(j2.twice + 1):
-            for x3 in range(j3.twice + 1):
-                value = table[x1, x2, x3]
-                records.append(
-                    {
-                        "j1": float(j1),
-                        "j2": float(j2),
-                        "j3": float(j3),
-                        "alpha1": a1[x1],
-                        "alpha2": a2[x2],
-                        "alpha3": a3[x3],
-                        "r": float(r),
-                        "re": value.real,
-                        "im": value.imag,
-                    }
-                )
-    payload = {
-        "command": "fbar",
-        "j1": str(j1),
-        "j2": str(j2),
-        "j3": str(j3),
-        "r": float(r),
-        "records": records,
-    }
-    _records_out(
-        payload, records, ["j1", "j2", "j3", "alpha1", "alpha2", "alpha3", "r"], fmt, output
-    )
+    entries = np.ndenumerate(fbar_table(j1, j2, j3, r))
+    _symbol_out("fbar", ("j1", "j2", "j3"), (j1, j2, j3), r, entries, fmt, output)
 
 
 @main.command("ortho")
@@ -391,14 +347,12 @@ def we_check(j, rank, r, fmt, output, tol) -> None:
 @main.command("winf")
 @click.option("--k", type=int, required=True)
 @click.option("--r", type=float, default=1.0, show_default=True)
-@click.option("--max-index", type=int, default=2, show_default=True)
+@click.option("--max-index", type=click.IntRange(min=0), default=2, show_default=True)
 @FORMAT
 @OUTPUT
 @TOL
 def winf(k, r, max_index, fmt, output, tol) -> None:
     """Sine-algebra commutators of the clock-shift monomials."""
-    if max_index < 0:
-        raise click.UsageError("--max-index must be nonnegative")
     report = verify_sine_algebra(
         ShiftParams(k, r), range(-max_index, max_index + 1), _resolve_tol(tol)
     )

@@ -78,26 +78,17 @@ class ShiftParams:
     def j(self) -> HalfInt:
         return HalfInt(self.k - 1)
 
-    @property
-    def phase_angle(self) -> float:
-        """The wrap angle pi*(k-1)*r."""
-        return math.pi * (self.k - 1) * float(self.r)
-
     def _wrap_turn(self):
         return _as_fraction(self.r) * (self.k - 1) / 2
 
     @property
     def wrap_phase(self) -> complex:
-        """exp(i * phase_angle), evaluated through the exact turn when r is rational."""
+        """exp(i pi (k-1) r), evaluated through the exact turn when r is rational."""
         return phase_from_turn(self._wrap_turn() % 1)
 
     @property
     def half_wrap_phase(self) -> complex:
         return phase_from_turn((self._wrap_turn() / 2) % 1)
-
-    @property
-    def angular_space(self) -> "AngularSpace":
-        return AngularSpace(self.j)
 
 
 @dataclass(frozen=True)
@@ -122,12 +113,6 @@ class AngularSpace:
 
     def m_values(self) -> list[HalfInt]:
         return halfint_range(-self.j, self.j)
-
-    def index_of_m(self, m) -> int:
-        m = HalfInt.of(m)
-        if abs(m.twice) > self.j.twice or (m.twice - self.j.twice) % 2 != 0:
-            raise InvalidArgumentError(f"m = {m} is not a magnetic label for j = {self.j}")
-        return (m.twice + self.j.twice) // 2
 
 
 def angular_indices(k: int) -> list[int]:

@@ -526,12 +526,12 @@ def wigner_eckart_check(t: TensorComponents, r, *, floor: float = 1e-8) -> Wigne
     corresponding first-symbol value.  The reduced element is taken as
     the median of the elementwise ratios over entries whose symbol
     modulus exceeds the floor; when no entry qualifies the element is
-    undetermined and an error is raised.
+    undetermined and an error is raised.  The spherical components are
+    transformed at r on every call, whatever components t already carries.
     """
-    moved = t if (t.transformed is not None and t.r == float(r)) else tensor_transform(t, r)
     v1 = basis_transform_matrix(t.bra.j, r)
     v2 = basis_transform_matrix(t.ket.j, r)
-    stack = np.stack(moved.transformed)
+    stack = np.stack(tensor_transform(t, r).transformed)
     elements = np.einsum("ma,xmn,nb->axb", np.conj(v1), stack, v2)
 
     symbols = f_table(t.bra.j, t.ket.j, t.rank, r)  # [s1, s2, s_k]

@@ -7,16 +7,16 @@ whole (j1, j2, j) block: it takes the factorials that do not depend on m
 once, sums each entry's alternating series by Horner's rule on the ratio
 of consecutive terms as one integer over one common denominator, and
 rounds the squared value exactly once, by one integer true division,
-before the square root.  A single coefficient evaluated without the cache
-goes through the same kernel.
+before the square root.
 
 An independent oracle, the eigenvectors of J^2 on each subspace of fixed
 m with signs fixed by the Condon-Shortley convention alone, is compared
 with the closed form by the verification suite; the two routes are never
 merged, and the oracle is never cached.
 
-Blocks are kept in the package's one bounded cache; cg() and threejm()
-read single entries of those blocks.
+Blocks are kept in the package's one bounded cache, and each value has one
+route: cg(), threejm() and ninej() read or contract those blocks, and the
+verifiers read them through one coupling-matrix helper.
 """
 
 from __future__ import annotations
@@ -155,11 +155,14 @@ class CouplingTable:
         return len(self._entries)
 
     def items(self):
-        """(SymbolKey, value) records of every entry with m = m1 + m2 of the cached cg blocks."""
+        """(SymbolKey, value) records of every entry with m = m1 + m2 of the cached cg blocks.
+
+        Blocks that break the triangle rule hold only zeros and give no records.
+        """
         with self._lock:
             blocks = [(key[1:], value) for key, value in self._entries.items() if key[0] == "cg"]
         for (tj1, tj2, tj), block in blocks:
-            if (tj1 + tj2 + tj) % 2:
+            if not _triangle_twice(tj1, tj2, tj):
                 continue
             for i1, tm1 in enumerate(range(-tj1, tj1 + 1, 2)):
                 for i2, tm2 in enumerate(range(-tj2, tj2 + 1, 2)):
@@ -184,10 +187,6 @@ def default_table() -> CouplingTable:
 
 def clear_cache() -> None:
     _DEFAULT_TABLE.clear()
-
-
-def _cached(table: CouplingTable | None, key: tuple, build):
-    return build() if table is None else table.get(key, build)
 
 
 def _cg_values(tj1: int, tj2: int, tj: int, pairs) -> list[float]:
@@ -237,14 +236,7 @@ def _cg_values(tj1: int, tj2: int, tj: int, pairs) -> list[float]:
     return values
 
 
-def _cg_exact(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> float:
-    """One coupling coefficient by the block kernel, 0 off the selection rules."""
-    if tm1 + tm2 != tm or not _triangle_twice(tj1, tj2, tj):
-        return 0.0
-    return _cg_values(tj1, tj2, tj, [(tm1, tm2)])[0]
-
-
-def _cg_block(tj1: int, tj2: int, tj: int, table: CouplingTable | None) -> np.ndarray:
+def _cg_block(tj1: int, tj2: int, tj: int) -> np.ndarray:
     """Coupling coefficients as a dense (m1, m2, m) block, m ascending from -j.
 
     Only the entries with m = m1 + m2 can be nonzero.  One kernel pass fills
@@ -272,21 +264,21 @@ def _cg_block(tj1: int, tj2: int, tj: int, table: CouplingTable | None) -> np.nd
             block[entries] = np.concatenate([half, mirrored])
         return block
 
-    return _cached(table, ("cg", tj1, tj2, tj), build)
+    return _DEFAULT_TABLE.get(("cg", tj1, tj2, tj), build)
 
 
-def _threejm_block(tj1: int, tj2: int, tj3: int, table: CouplingTable | None) -> np.ndarray:
+def _threejm_block(tj1: int, tj2: int, tj3: int) -> np.ndarray:
     """3-jm symbols as a dense (m1, m2, m3) block, from the cg block at m = -m3."""
 
     def build() -> np.ndarray:
-        base = _cg_block(tj1, tj2, tj3, table)[:, :, ::-1]
+        base = _cg_block(tj1, tj2, tj3)[:, :, ::-1]
         tm3 = np.arange(-tj3, tj3 + 1, 2)
         sign = np.where(((tj1 - tj2 - tm3) // 2) % 2, -1.0, 1.0)
         block = (sign * base) / math.sqrt(tj3 + 1)
-        block[base == 0.0] = 0.0  # as in the scalar path, every zero is +0.0
+        block[base == 0.0] = 0.0  # every zero is +0.0
         return block
 
-    return _cached(table, ("threejm", tj1, tj2, tj3), build)
+    return _DEFAULT_TABLE.get(("threejm", tj1, tj2, tj3), build)
 
 
 def _spins(*values) -> tuple[int, ...]:
@@ -298,47 +290,39 @@ def _spins(*values) -> tuple[int, ...]:
 
 def cg_block(j1, j2, j) -> np.ndarray:
     """Read-only (2j1+1, 2j2+1, 2j+1) block of <j1 m1 j2 m2 | j m>, each m ascending."""
-    return _cg_block(*_spins(j1, j2, j), _DEFAULT_TABLE)
+    return _cg_block(*_spins(j1, j2, j))
 
 
 def threejm_block(j1, j2, j3) -> np.ndarray:
     """Read-only (2j1+1, 2j2+1, 2j3+1) block of 3-jm symbols, each m ascending."""
-    return _threejm_block(*_spins(j1, j2, j3), _DEFAULT_TABLE)
+    return _threejm_block(*_spins(j1, j2, j3))
 
 
-def cg(j1, m1, j2, m2, j, m, table: CouplingTable | None = _DEFAULT_TABLE) -> float:
+def cg(j1, m1, j2, m2, j, m) -> float:
     """Vector coupling coefficient <j1 m1 j2 m2 | j m>, Condon-Shortley phases.
 
     Returns 0 unless m = m1 + m2 and (j1, j2, j) satisfies the triangle rule.
-    Pass table=None to bypass the memo table and evaluate this one entry.
+    The value is read from the cached (j1, j2, j) block.
     """
     tj1, tm1 = _twice(j1), _twice(m1)
     tj2, tm2 = _twice(j2), _twice(m2)
     tj, tm = _twice(j), _twice(m)
     _check_labels((tj1, tj2, tj), (tm1, tm2, tm))
-    if table is None:
-        return _cg_exact(tj1, tm1, tj2, tm2, tj, tm)
-    block = _cg_block(tj1, tj2, tj, table)
+    block = _cg_block(tj1, tj2, tj)
     return float(block[(tm1 + tj1) // 2, (tm2 + tj2) // 2, (tm + tj) // 2])
 
 
-def threejm(j1, m1, j2, m2, j3, m3, table: CouplingTable | None = _DEFAULT_TABLE) -> float:
+def threejm(j1, m1, j2, m2, j3, m3) -> float:
     """3-jm symbol via the standard phase conversion from the coupling coefficient."""
     tj1, tm1 = _twice(j1), _twice(m1)
     tj2, tm2 = _twice(j2), _twice(m2)
     tj3, tm3 = _twice(j3), _twice(m3)
     _check_labels((tj1, tj2, tj3), (tm1, tm2, tm3))
-    if table is not None:
-        block = _threejm_block(tj1, tj2, tj3, table)
-        return float(block[(tm1 + tj1) // 2, (tm2 + tj2) // 2, (tm3 + tj3) // 2])
-    base = _cg_exact(tj1, tm1, tj2, tm2, tj3, -tm3)
-    if base == 0.0:
-        return 0.0
-    sign = -1.0 if ((tj1 - tj2 - tm3) // 2) % 2 else 1.0
-    return sign * base / math.sqrt(tj3 + 1)
+    block = _threejm_block(tj1, tj2, tj3)
+    return float(block[(tm1 + tj1) // 2, (tm2 + tj2) // 2, (tm3 + tj3) // 2])
 
 
-def ninej(j1, j2, j3, j4, j5, j6, j7, j8, j9, table: CouplingTable | None = _DEFAULT_TABLE) -> float:
+def ninej(j1, j2, j3, j4, j5, j6, j7, j8, j9) -> float:
     """9-j symbol by full contraction of the six 3-jm symbols of its rows and columns."""
     tj = tuple(_twice(x) for x in (j1, j2, j3, j4, j5, j6, j7, j8, j9))
     triads = [
@@ -353,10 +337,10 @@ def ninej(j1, j2, j3, j4, j5, j6, j7, j8, j9, table: CouplingTable | None = _DEF
     def build() -> float:
         if not all(_triangle_twice(*triad) for triad in triads):
             return 0.0
-        blocks = [_threejm_block(*triad, table) for triad in triads]
+        blocks = [_threejm_block(*triad) for triad in triads]
         return float(np.einsum("abc,def,ghi,adg,beh,cfi->", *blocks, optimize=True))
 
-    return _cached(table, ("ninej", *tj), build)
+    return _DEFAULT_TABLE.get(("ninej", *tj), build)
 
 
 def export_table(table: CouplingTable, path) -> int:
@@ -376,8 +360,9 @@ def export_table(table: CouplingTable, path) -> int:
 def load_table(path) -> CouplingTable:
     """Rebuild the cg blocks of an exported file.
 
-    The records must fill their blocks completely, and a coefficient given
-    twice must carry the same value both times.
+    Each record must obey the triangle rule and carry a finite value, the
+    records must fill their blocks completely, and a coefficient given twice
+    must carry the same value both times.
     """
     records: dict[SymbolKey, float] = {}
     with open(path, "r", encoding="ascii") as fh:
@@ -385,11 +370,19 @@ def load_table(path) -> CouplingTable:
             parts = line.split()
             if not parts:
                 continue
+            malformed = InvalidArgumentError(f"malformed coupling record: {line.strip()!r}")
             if len(parts) != 7:
-                raise InvalidArgumentError(f"malformed coupling record: {line.strip()!r}")
-            labels = [int(p) for p in parts[:6]]
+                raise malformed
+            try:
+                labels = [int(p) for p in parts[:6]]
+                value = float(parts[6])
+            except ValueError:
+                raise malformed from None
             key = SymbolKey("cg", tuple(labels[:3]), tuple(labels[3:]))
-            value = float(parts[6])
+            if not _triangle_twice(*key.twice_j):
+                raise InvalidArgumentError(f"record {line.strip()!r} breaks the triangle rule")
+            if not math.isfinite(value):
+                raise InvalidArgumentError(f"record {line.strip()!r} carries a value that is not finite")
             stored = records.setdefault(key, value)
             if stored != value:
                 raise TableConflictError(f"key {key} already stores {stored!r}, refused {value!r}")
@@ -476,6 +469,21 @@ def _casimir_coupling_matrices(pairs: list[tuple[int, int]]):
         yield matrix.reshape(dim, dim)
 
 
+def _coupling_matrix(tj1: int, tj2: int) -> np.ndarray:
+    """The cg blocks of (2j1, 2j2) side by side, laid out as in _casimir_coupling_matrices.
+
+    Rows are the product states (m1, m2), m1 major; columns are the coupled
+    states (j, m), j ascending and m ascending within each j.
+    """
+    return np.concatenate(
+        [
+            _cg_block(tj1, tj2, tj).reshape((tj1 + 1) * (tj2 + 1), tj + 1)
+            for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+        ],
+        axis=1,
+    )
+
+
 def verify_cg_against_lowering(max_j, tol: ToleranceRule | None = None) -> VerificationReport:
     """Compare the closed-form coefficients with the eigenvectors of J^2.
 
@@ -490,14 +498,7 @@ def verify_cg_against_lowering(max_j, tol: ToleranceRule | None = None) -> Verif
         # one row of pairs at a time bounds the oracle's memory
         oracles = _casimir_coupling_matrices([(tj1, tj2) for tj2 in range(0, max_t + 1)])
         for tj2, oracle in enumerate(oracles):
-            closed = np.concatenate(
-                [
-                    _cg_block(tj1, tj2, tj, _DEFAULT_TABLE).reshape((tj1 + 1) * (tj2 + 1), tj + 1)
-                    for tj in range(abs(tj1 - tj2), tj1 + tj2 + 2, 2)
-                ],
-                axis=1,
-            )
-            worst = float(np.max(np.abs(closed - oracle)))
+            worst = float(np.max(np.abs(_coupling_matrix(tj1, tj2) - oracle)))
             report.add(
                 Check.residual_check(f"lowering_agreement_2j1_{tj1}_2j2_{tj2}", worst, tol.abs_tol)
             )
@@ -512,16 +513,11 @@ def verify_cg_orthogonality(max_j, tol: ToleranceRule | None = None) -> Verifica
     report = VerificationReport(suite="wigner-core-orthogonality", k=None, r=None)
     for tj1 in range(0, max_t + 1):
         for tj2 in range(0, max_t + 1):
-            # rows (j, m) ascending, columns (m1, m2) with m1 major
-            mat = np.concatenate(
-                [
-                    _cg_block(tj1, tj2, tj, _DEFAULT_TABLE).reshape((tj1 + 1) * (tj2 + 1), tj + 1).T
-                    for tj in range(abs(tj1 - tj2), tj1 + tj2 + 2, 2)
-                ]
-            )
+            # mat.T @ mat over the coupled states (j, m), both operands views of one contiguous array
+            mat = _coupling_matrix(tj1, tj2)
             report.add(
                 Check.residual_check(
-                    f"orthonormal_2j1_{tj1}_2j2_{tj2}", identity_residual(mat, mat.T), tol.abs_tol
+                    f"orthonormal_2j1_{tj1}_2j2_{tj2}", identity_residual(mat.T, mat), tol.abs_tol
                 )
             )
     return report

@@ -237,6 +237,17 @@ class TestUsageErrors:
         result = runner.invoke(main, ["basis", "--j", "-1", "--r", "1"])
         assert result.exit_code == 2
 
+    def test_cg_ur_s_label_out_of_range(self, runner):
+        args = ["cg-ur", "--j1", "1", "--j2", "1/2", "--j", "1/2", "--s1", "3", "--s2", "0", "--s", "0"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "s1 must lie in 0..2j = 2, got 3" in result.output
+
+    def test_winf_negative_max_index(self, runner):
+        result = runner.invoke(main, ["winf", "--k", "3", "--max-index", "-1"])
+        assert result.exit_code == 2
+        assert "--max-index" in result.output
+
     def test_huge_r_is_no_false_failure(self, runner):
         result = runner.invoke(main, ["su2-check", "--k", "3", "--r", "1e300"])
         assert result.exit_code == 0, result.output

@@ -6,6 +6,7 @@ with sympy amplitudes and raw cmath phases, so each comparison crosses
 implementation boundaries.
 """
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -406,6 +407,12 @@ class TestWignerEckart:
     def test_rank_two_factorizes(self):
         result = wigner_eckart_check(angular_momentum_tensor(TWO, 2), 1.0)
         assert result.ratio_spread < 1e-10
+
+    def test_carried_components_are_not_reused(self):
+        """The check transforms at the r it is given, whatever components the tensor carries."""
+        tensor = angular_momentum_tensor(ONE, 1)
+        stale = dataclasses.replace(tensor_transform(tensor, 2.37), r=1.0)
+        assert wigner_eckart_check(stale, 1.0) == wigner_eckart_check(tensor, 1.0)
 
     def test_verifier_suite(self):
         for j in (ONE, THREEHALF):

@@ -41,7 +41,6 @@ R_GRID = (0.0, 0.5, 1.0, 2.37)
 def test_shift_params_derived_quantities():
     p = ShiftParams(4, 1.0)
     assert p.j == HalfInt(3)
-    assert p.phase_angle == pytest.approx(3 * math.pi)
     assert p.wrap_phase == pytest.approx(cmath.exp(1j * 3 * math.pi))
     assert abs(p.half_wrap_phase**2 - p.wrap_phase) < 1e-15
 

@@ -33,7 +33,6 @@ from wracah.wigner import (
     default_table,
     export_table,
     load_table,
-    threejm_block,
     verify_cg_against_lowering,
     verify_cg_orthogonality,
 )
@@ -115,11 +114,13 @@ class TestAgainstFractionKernel:
 
     @staticmethod
     def assert_same_bits(j1, m1, j2, m2, j, m):
-        got = cg(j1, m1, j2, m2, j, m, table=None)
+        """One entry straight from the kernel, without building its block."""
+        tj1, tm1, tj2, tm2, tj = (int(2 * x) for x in (j1, m1, j2, m2, j))
+        (got,) = wigner._cg_values(tj1, tj2, tj, [(tm1, tm2)])
         assert got.hex() == cg_fraction(j1, m1, j2, m2, j, m).hex(), (j1, m1, j2, m2, j, m)
 
     def test_every_entry_up_to_spin_four(self):
-        """Every entry with m = m1 + m2 of every block with j1, j2 <= 4."""
+        """Every entry with m = m1 + m2 of every block with j1, j2 <= 4, the reflected half included."""
         checked = 0
         for j1, j2 in itertools.product(spins_upto(4), repeat=2):
             for j in spins_upto(j1 + j2):
@@ -259,17 +260,6 @@ class TestStructure:
         assert report.max_residual < 1e-12
 
 
-def closed_form_matrix(tj1, tj2):
-    """The cg blocks of (j1, j2) side by side, as the J^2 oracle lays them out, built without the cache."""
-    return np.concatenate(
-        [
-            wigner._cg_block(tj1, tj2, tj, None).reshape((tj1 + 1) * (tj2 + 1), tj + 1)
-            for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
-        ],
-        axis=1,
-    )
-
-
 class TestLoweringConstruction:
     def test_agrees_with_closed_form(self):
         report = verify_cg_against_lowering(3)
@@ -315,8 +305,8 @@ class TestCasimirOracle:
     def test_mutated_closed_form_fails(self, monkeypatch, labels, mutation):
         closed_form = wigner._cg_block
 
-        def mutated(tj1, tj2, tj, table):
-            block = closed_form(tj1, tj2, tj, None)
+        def mutated(tj1, tj2, tj):
+            block = closed_form(tj1, tj2, tj)
             return mutation(block) if (tj1, tj2, tj) == labels else block
 
         monkeypatch.setattr(wigner, "_cg_block", mutated)
@@ -330,39 +320,47 @@ class TestCasimirOracle:
     def test_accurate_where_lowering_is_not(self):
         pairs = [(15, 16), (20, 20)]
         for (tj1, tj2), casimir in zip(pairs, wigner._casimir_coupling_matrices(pairs)):
-            assert np.max(np.abs(closed_form_matrix(tj1, tj2) - casimir)) <= 1e-13, (tj1, tj2)
+            assert np.max(np.abs(wigner._coupling_matrix(tj1, tj2) - casimir)) <= 1e-13, (tj1, tj2)
 
     def test_cold_run_caches_only_closed_form_blocks(self):
         clear_cache()
         verify_cg_against_lowering(2)
         entries = list(default_table()._entries.items())
         assert len(entries) == sum(min(tj1, tj2) + 1 for tj1 in range(5) for tj2 in range(5))
+        assert all(key[0] == "cg" for key, _ in entries)
+        clear_cache()
         for key, block in entries:
-            assert key[0] == "cg"
-            assert block.tobytes() == wigner._cg_block(*key[1:], None).tobytes()
+            assert block.tobytes() == wigner._cg_block(*key[1:]).tobytes()  # built again, cold
 
 
 class TestCaching:
     def test_cache_transparency_bit_identical(self):
-        """Values computed with and without the memo table agree bit for bit."""
+        """Each value read from a cold cache equals, bit for bit, the value read warm in another order."""
+        # the 9-j builds the 3-jm and cg blocks that the other two read
+        calls = [
+            (cg, (1, 0, HALF, HALF, HALF, HALF)),
+            (threejm, (HALF, HALF, 1, -1, HALF, HALF)),
+            (ninej, (1, HALF, HALF, HALF, 1, HALF, HALF, HALF, 1)),
+        ]
+        cold = []
+        for symbol, args in calls:
+            clear_cache()
+            cold.append(symbol(*args).hex())
         clear_cache()
-        args = (Fraction(5, 2), HALF, 2, -1, Fraction(3, 2), -HALF)
-        with_table = cg(*args)
-        without_table = cg(*args, table=None)
-        assert with_table == without_table
-        # and a second cached call returns the same float object value
-        assert cg(*args) == with_table
+        warm = [symbol(*args).hex() for symbol, args in reversed(calls)][::-1]
+        assert default_table().hits >= 2  # cg and threejm found their blocks
+        assert warm == cold
+        assert [symbol(*args).hex() for symbol, args in calls] == cold
+        assert all(value != (0.0).hex() for value in cold)
 
     def test_hit_and_miss_counters(self):
-        table = CouplingTable()
+        clear_cache()
+        table = default_table()
         args = (1, 0, 1, 0, 2, 0)
-        cg(*args, table=table)
-        misses = table.misses
-        assert misses >= 1
-        before_hits = table.hits
-        cg(*args, table=table)
-        assert table.hits == before_hits + 1
-        assert table.misses == misses
+        cg(*args)
+        assert (table.hits, table.misses) == (0, 1)
+        cg(*args)
+        assert (table.hits, table.misses) == (1, 1)
 
     def test_load_rejects_conflicting_records(self, tmp_path):
         path = tmp_path / "table.dat"
@@ -387,6 +385,7 @@ class TestCaching:
         clear_cache()
         cg(1, 0, 1, 0, 2, 0)
         cg(Fraction(3, 2), HALF, 1, -1, HALF, -HALF)
+        cg(1, 0, 1, 0, 3, 0)  # a block that breaks the triangle rule is cached but gives no records
         path = tmp_path / "table.dat"
         count = export_table(default_table(), path)
         records = dict(default_table().items())
@@ -401,28 +400,26 @@ class TestCaching:
         with pytest.raises(InvalidArgumentError):
             load_table(path)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            pytest.param("0 0 4 0 0 0 1", id="j-above-j1-plus-j2"),
+            pytest.param("2 0 0 0 0 0 1", id="j-below-j1-minus-j2"),
+            pytest.param("0 0 0 0 0 0 1e999", id="infinite"),
+            pytest.param("0 0 0 0 0 0 nan", id="nan"),
+            pytest.param("0 0 0 0 0 0 one", id="value-not-a-number"),
+            pytest.param("0 0 zero 0 0 0 1", id="label-not-a-number"),
+        ],
+    )
+    def test_load_rejects_bad_record(self, tmp_path, record):
+        path = tmp_path / "bad.dat"
+        path.write_text(record + "\n")
+        with pytest.raises(InvalidArgumentError):
+            load_table(path)
+
 
 class TestBlocks:
-    """The block kernel against the scalar evaluation, entry by entry."""
-
-    @staticmethod
-    def scalar_block(symbol, tj1, tj2, tj3):
-        """The block filled entry by entry through the scalar path, bypassing the cache."""
-        j1, j2, j3 = (Fraction(t, 2) for t in (tj1, tj2, tj3))
-        m1s, m2s, m3s = ([Fraction(tm, 2) for tm in range(-t, t + 1, 2)] for t in (tj1, tj2, tj3))
-        return np.array(
-            [
-                [[symbol(j1, m1, j2, m2, j3, m3, table=None) for m3 in m3s] for m2 in m2s]
-                for m1 in m1s
-            ]
-        )
-
-    def test_blocks_match_scalar_path_bitwise(self):
-        clear_cache()
-        for tj1, tj2, tj3 in itertools.product(range(7), repeat=3):
-            js = (Fraction(tj1, 2), Fraction(tj2, 2), Fraction(tj3, 2))
-            for block, symbol in ((cg_block(*js), cg), (threejm_block(*js), threejm)):
-                assert block.tobytes() == self.scalar_block(symbol, tj1, tj2, tj3).tobytes()
+    """Blocks are cached once, read-only, and take only valid spins."""
 
     def test_blocks_are_cached_and_read_only(self):
         clear_cache()
@@ -457,15 +454,15 @@ class TestSharedCache:
         """Concurrent lookups lose no counter update and see the cold values."""
         labels = [tuple(Fraction(t, 2) for t in tj) for tj in itertools.product(range(5), repeat=3)]
         cold = {js: cg_block(*js).copy() for js in labels}
-        table = CouplingTable()
+        clear_cache()
+        table = default_table()
         results = []
         calls_per_thread = 3 * len(labels)
 
         def work():
             for _ in range(3):
                 for js in labels:
-                    tj = [int(2 * x) for x in js]
-                    results.append((js, wigner._cg_block(*tj, table)))
+                    results.append((js, cg_block(*js)))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
