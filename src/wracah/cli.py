@@ -95,9 +95,13 @@ def _resolve_tol(explicit: float | None) -> ToleranceRule | None:
 
 
 def _write(text: str, output: str | None) -> None:
+    """Print text, or write it to the output file; a file that cannot be written is a usage error."""
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise click.UsageError(f"cannot write --output {output}: {exc.strerror or exc}") from exc
     else:
         click.echo(text)
 
@@ -401,8 +405,15 @@ def yr(ell, s, r, theta, phi, grid_theta, grid_phi, fmt, output) -> None:
             _write(
                 dumps({"command": "yr", "l": ell, "s": s, "r": float(r), "grid": rows}), output
             )
-        else:
+        elif fmt == "csv":
             _write(rows_to_csv(["theta", "phi", "re", "im"], rows), output)
+        else:
+            lines = [
+                f"theta={fmt_float(row['theta'])} phi={fmt_float(row['phi'])} "
+                f"value={fmt_complex(complex(row['re'], row['im']))}"
+                for row in rows
+            ]
+            _write("\n".join(lines), output)
         sys.exit(0)
     record = {
         "command": "yr",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedLimitError
-from .qarith import ToleranceRule, alpha_value
+from .qarith import ToleranceRule
 from .report import Check, VerificationReport
 from .su2 import basis_transform_matrix
 

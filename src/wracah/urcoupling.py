@@ -28,7 +28,7 @@ from .errors import InvalidArgumentError, UndeterminedReducedElementError
 from .qarith import HalfInt, ToleranceRule, _as_fraction, alpha_value, halfint_range
 from .report import Check, VerificationReport
 from .su2 import AngularSpace, _expected_ladder, basis_transform_matrix, phase_matrix
-from .wigner import cg, cg_block, clear_cache, default_table, ninej, threejm_block
+from .wigner import _ninej_network, _ninej_triads, cg, cg_block, clear_cache, default_table, ninej, threejm_block
 
 __all__ = [
     "cg_ur_table",
@@ -315,13 +315,6 @@ class NinejSubstitution:
     reference: float
     residual: float
 
-    def to_dict(self) -> dict:
-        return {
-            "value": {"re": self.value.real, "im": self.value.imag},
-            "reference": self.reference,
-            "residual": self.residual,
-        }
-
 
 def ninej_from_fbar(j1, j2, j3, j4, j5, j6, j7, j8, j9, r) -> NinejSubstitution:
     """9-j evaluation with symmetric symbols in place of the 3-jm blocks.
@@ -330,32 +323,16 @@ def ninej_from_fbar(j1, j2, j3, j4, j5, j6, j7, j8, j9, r) -> NinejSubstitution:
     enter conjugated, so that each shift-basis label is paired with its
     own conjugate and the family phases cancel identically.  The result
     is compared against the magnetic-basis 9-j contraction; the residual
-    is reported, never corrected.
+    is reported, never corrected.  An array with a triad that breaks the
+    triangle rule is zero on both sides, and no table is built for it.
     """
     js = [HalfInt.of(x) for x in (j1, j2, j3, j4, j5, j6, j7, j8, j9)]
     r = _as_fraction(r)
-    rows = [
-        fbar_table(js[0], js[1], js[2], r),
-        fbar_table(js[3], js[4], js[5], r),
-        fbar_table(js[6], js[7], js[8], r),
-    ]
-    cols = [
-        np.conj(fbar_table(js[0], js[3], js[6], r)),
-        np.conj(fbar_table(js[1], js[4], js[7], r)),
-        np.conj(fbar_table(js[2], js[5], js[8], r)),
-    ]
-    value = complex(
-        np.einsum(
-            "abc,def,ghi,adg,beh,cfi->",
-            rows[0],
-            rows[1],
-            rows[2],
-            cols[0],
-            cols[1],
-            cols[2],
-            optimize=True,
-        )
-    )
+    triads = _ninej_triads([j.twice for j in js])
+    if triads is None:
+        return NinejSubstitution(value=0j, reference=0.0, residual=0.0)
+    tables = [fbar_table(*(HalfInt(t) for t in triad), r) for triad in triads]
+    value = complex(_ninej_network(tables[:3] + [np.conj(table) for table in tables[3:]]))
     reference = ninej(*js)
     return NinejSubstitution(value=value, reference=reference, residual=abs(value - reference))
 
@@ -508,14 +485,6 @@ class WignerEckartResult:
     max_residual: float
     ratio_spread: float
     admissible: int
-
-    def to_dict(self) -> dict:
-        return {
-            "reduced": {"re": self.reduced.real, "im": self.reduced.imag},
-            "max_residual": self.max_residual,
-            "ratio_spread": self.ratio_spread,
-            "admissible": self.admissible,
-        }
 
 
 def wigner_eckart_check(t: TensorComponents, r, *, floor: float = 1e-8) -> WignerEckartResult:

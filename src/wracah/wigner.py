@@ -15,13 +15,16 @@ with the closed form by the verification suite; the two routes are never
 merged, and the oracle is never cached.
 
 Blocks are kept in the package's one bounded cache, and each value has one
-route: cg(), threejm() and ninej() read or contract those blocks, and the
-verifiers read them through one coupling-matrix helper.
+route: cg() and threejm() read those blocks, ninej() contracts them without
+caching its value, and the verifiers read them through one coupling-matrix
+helper.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -49,20 +52,6 @@ __all__ = [
     "verify_cg_against_lowering",
     "verify_cg_orthogonality",
 ]
-
-_FACT: list[int] = [1]
-
-
-def _factorials(n: int) -> list[int]:
-    """The list of k! for k = 0 .. n at least, shared between calls."""
-    global _FACT
-    fact = _FACT
-    if len(fact) <= n:
-        fact = list(fact)
-        while len(fact) <= n:
-            fact.append(fact[-1] * len(fact))
-        _FACT = fact  # replaced whole, so a list that another thread reads never changes
-    return fact
 
 
 def _twice(value) -> int:
@@ -111,7 +100,7 @@ class SymbolKey:
         _check_labels(self.twice_j, self.twice_m)
 
 
-# Entries, not bytes: report --max-j 6 holds about 1,800 blocks, tables and values.
+# Entries, not bytes: report --max-j 6 holds about 2,250 blocks and tables.
 _CACHE_BOUND = 4096
 
 
@@ -119,8 +108,8 @@ class CouplingTable:
     """Bounded LRU memo with hit/miss counters, safe to share between threads.
 
     It is the one cache of the package.  Keys are tuples whose first item
-    names the kind of entry ("cg", "threejm", "ninej", "phase", "cg_ur",
-    "f", "fbar"); the rest are twice-integer labels and, for shift-basis
+    names the kind of entry ("cg", "threejm", "phase", "cg_ur", "f",
+    "fbar"); the rest are twice-integer labels and, for shift-basis
     entries, the numerator and denominator of the exact family parameter.
     Cached arrays are read-only.
     """
@@ -193,15 +182,16 @@ def _cg_values(tj1: int, tj2: int, tj: int, pairs) -> list[float]:
     """<j1 m1 j2 m2 | j m> for each (2m1, 2m2) of pairs, with m = m1 + m2.
 
     (j1, j2, j) must obey the triangle rule and every |m| must be at most j.
-    The factorials that do not depend on m are taken once per call.  Racah's
-    sum over t of (-1)^t / (t! (a-t)! (x-t)! (y-t)! (u+t)! (v+t)!) is taken by
+    Each call builds its own list of factorials, with no state shared between
+    calls, and takes the ones that do not depend on m once.  Racah's sum
+    over t of (-1)^t / (t! (a-t)! (x-t)! (y-t)! (u+t)! (v+t)!) is taken by
     Horner's rule on the ratio of consecutive terms,
     -(a-t)(x-t)(y-t) / ((t+1)(u+t+1)(v+t+1)), as one integer total over one
     integer common denominator.  The squared value is then the ratio of two
     integers, and the one int / int true division rounds it correctly, so
     each value is rounded once before the square root.
     """
-    fact = _factorials((tj1 + tj2 + tj) // 2 + 1)
+    fact = list(itertools.accumulate(range(1, (tj1 + tj2 + tj) // 2 + 2), operator.mul, initial=1))
     a = (tj1 + tj2 - tj) // 2
     fixed = (tj + 1) * fact[a] * fact[(tj1 - tj2 + tj) // 2] * fact[(-tj1 + tj2 + tj) // 2]
     den = fact[(tj1 + tj2 + tj) // 2 + 1]
@@ -322,25 +312,31 @@ def threejm(j1, m1, j2, m2, j3, m3) -> float:
     return float(block[(tm1 + tj1) // 2, (tm2 + tj2) // 2, (tm3 + tj3) // 2])
 
 
+# Positions of the three row and three column triads among the nine labels of a 9-j array.
+_NINEJ_TRIADS = ((0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8))
+
+
+def _ninej_triads(twice) -> list[tuple[int, int, int]] | None:
+    """The six triads of the nine twice-labels, rows first, or None when one breaks the triangle rule."""
+    triads = [tuple(twice[i] for i in positions) for positions in _NINEJ_TRIADS]
+    return triads if all(_triangle_twice(*triad) for triad in triads) else None
+
+
+def _ninej_network(blocks):
+    """Full contraction of six blocks, the three rows and then the three columns of a 9-j array."""
+    return np.einsum("abc,def,ghi,adg,beh,cfi->", *blocks, optimize=True)
+
+
 def ninej(j1, j2, j3, j4, j5, j6, j7, j8, j9) -> float:
-    """9-j symbol by full contraction of the six 3-jm symbols of its rows and columns."""
-    tj = tuple(_twice(x) for x in (j1, j2, j3, j4, j5, j6, j7, j8, j9))
-    triads = [
-        (tj[0], tj[1], tj[2]),
-        (tj[3], tj[4], tj[5]),
-        (tj[6], tj[7], tj[8]),
-        (tj[0], tj[3], tj[6]),
-        (tj[1], tj[4], tj[7]),
-        (tj[2], tj[5], tj[8]),
-    ]
+    """9-j symbol by full contraction of the six 3-jm symbols of its rows and columns.
 
-    def build() -> float:
-        if not all(_triangle_twice(*triad) for triad in triads):
-            return 0.0
-        blocks = [_threejm_block(*triad) for triad in triads]
-        return float(np.einsum("abc,def,ghi,adg,beh,cfi->", *blocks, optimize=True))
-
-    return _DEFAULT_TABLE.get(("ninej", *tj), build)
+    Zero when a row or a column breaks the triangle rule.  The 3-jm blocks
+    are cached, the value is not.
+    """
+    triads = _ninej_triads([_twice(x) for x in (j1, j2, j3, j4, j5, j6, j7, j8, j9)])
+    if triads is None:
+        return 0.0
+    return float(_ninej_network([_threejm_block(*triad) for triad in triads]))
 
 
 def export_table(table: CouplingTable, path) -> int:

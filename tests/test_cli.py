@@ -197,6 +197,20 @@ class TestTableCommands:
         assert lines[0] == "theta,phi,re,im"
         assert len(lines) == 1 + 4 * 5
 
+    def test_yr_grid_text(self, runner):
+        head = ["yr", "--l", "2", "--s", "1", "--r", "0.37", "--theta", "0.5", "--phi", "0.5",
+                "--grid-theta", "3", "--grid-phi", "4"]
+        text = runner.invoke(main, head + ["--format", "text"])
+        grid = json.loads(runner.invoke(main, head).output)["grid"]
+        assert text.exit_code == 0
+        lines = text.output.strip().splitlines()
+        assert len(lines) == len(grid) == 3 * 4
+        for line, node in zip(lines, grid):
+            theta, phi, value = (field.split("=", 1) for field in line.split())
+            assert (theta[0], phi[0], value[0]) == ("theta", "phi", "value")
+            assert (float(theta[1]), float(phi[1])) == (node["theta"], node["phi"])
+            assert complex(value[1].replace("i", "j")) == complex(node["re"], node["im"])
+
     def test_output_file(self, runner, tmp_path):
         target = tmp_path / "out.json"
         result = runner.invoke(
@@ -248,6 +262,15 @@ class TestUsageErrors:
         assert result.exit_code == 2
         assert "--max-index" in result.output
 
+    @pytest.mark.parametrize("where", ["missing-dir/x.json", "a-file/x.json"])
+    def test_unwritable_output(self, runner, tmp_path, where):
+        (tmp_path / "a-file").write_text("")
+        target = tmp_path / where
+        result = runner.invoke(main, ["quon-check", "--k", "3", "--output", str(target)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"cannot write --output {target}" in result.output
+
     def test_huge_r_is_no_false_failure(self, runner):
         result = runner.invoke(main, ["su2-check", "--k", "3", "--r", "1e300"])
         assert result.exit_code == 0, result.output
@@ -268,6 +291,10 @@ class TestUsageErrors:
         st.integers(min_value=-40, max_value=-1).map(lambda t: f"{t}/2"),
         st.sampled_from(["0.3", "1/3", "1/0", "inf", "nan", "1e400"]),
     )
+    # under a directory that does not exist
+    _unwritable_paths = st.text(alphabet="abx._-", min_size=1, max_size=5).map(
+        lambda name: f"/nonexistent-wracah-output-dir/{name}"
+    )
 
     @given(
         st.one_of(
@@ -280,6 +307,7 @@ class TestUsageErrors:
             st.tuples(st.just(["winf", "--k"]), _bad_orders, st.just(None)),
             st.tuples(st.just(["basis", "--j"]), _bad_spins, st.just(None)),
             st.tuples(st.just(["we-check", "--rank", "1", "--j"]), _bad_spins, st.just(None)),
+            st.tuples(st.just(["quon-check", "--k", "3", "--output"]), _unwritable_paths, st.just(None)),
         )
     )
     @settings(max_examples=60)

@@ -41,6 +41,7 @@ from wracah import (
 from wracah.urcoupling import (
     alpha_labels,
     clear_cache,
+    default_table,
     verify_cg_ur_interchange,
     verify_cg_ur_unitarity,
     verify_f_interchange,
@@ -334,6 +335,32 @@ class TestNinejSubstitution:
                     )
                     worst = max(worst, sub.residual)
         assert worst <= 1e-10
+
+    @pytest.mark.parametrize(
+        "twice",
+        [
+            pytest.param((2, 2, 6, 2, 2, 2, 2, 2, 2), id="row"),
+            pytest.param((2, 2, 4, 2, 2, 0, 2, 2, 0), id="column"),
+            pytest.param((1, 1, 1, 1, 1, 1, 1, 1, 1), id="odd-perimeter"),
+        ],
+    )
+    @pytest.mark.parametrize("r", [1.0, 0.37])
+    def test_triangle_breaking_array_builds_nothing(self, twice, r):
+        clear_cache()
+        sub = ninej_from_fbar(*map(HalfInt, twice), r)
+        assert sub == urcoupling.NinejSubstitution(0j, 0.0, 0.0)
+        assert default_table().misses == 0
+
+    @pytest.mark.parametrize("r", [1.0, 0.37])
+    def test_triangle_breaking_tables_are_zero(self, r):
+        """Every table with spins <= 1 whose triad breaks the triangle rule holds only exact zeros."""
+        broken = [js for js in itertools.product(range(3), repeat=3) if not triangle(*map(HalfInt, js))]
+        assert len(broken) == 16
+        for js in broken:
+            spins = [HalfInt(t) for t in js]
+            for table in (fbar_table(*spins, r), cg_ur_table(*spins, r)):
+                assert table.shape == tuple(t + 1 for t in js)
+                assert not np.any(table), js
 
     def test_substitution_holds_at_other_r(self):
         """Observed: the identity is r independent.  Documented here rather

@@ -353,6 +353,14 @@ class TestCaching:
         assert [symbol(*args).hex() for symbol, args in calls] == cold
         assert all(value != (0.0).hex() for value in cold)
 
+    def test_ninej_caches_blocks_only(self):
+        """A 9-j caches the 3-jm blocks it contracts, never its value; a failing triangle caches nothing."""
+        clear_cache()
+        assert ninej(1, 1, 3, 1, 1, 1, 1, 1, 1) == 0.0
+        assert len(default_table()) == 0
+        ninej(1, HALF, HALF, HALF, 1, HALF, HALF, HALF, 1)
+        assert {key[0] for key in default_table()._entries} == {"cg", "threejm"}
+
     def test_hit_and_miss_counters(self):
         clear_cache()
         table = default_table()
