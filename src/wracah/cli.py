@@ -67,13 +67,19 @@ HALFINT = HalfIntParam()
 
 
 class WracahCommand(click.Command):
-    """Every library error raised by a command is a usage error: exit 2 with its message."""
+    """Every library error raised by a command is a usage error: exit 2 with its message.
+
+    So is a size too large to allocate: exit 1 stays reserved for a failed check.
+    """
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except WracahError as exc:
             raise click.UsageError(str(exc), ctx) from exc
+        except MemoryError as exc:
+            # numpy's message names the size it could not allocate
+            raise click.UsageError(f"out of memory: {str(exc) or 'the request is too large'}", ctx) from exc
 
 
 class WracahGroup(click.Group):

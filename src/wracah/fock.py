@@ -11,12 +11,17 @@ product, adjoint and power of them that the verifiers form.  `Operator` is
 therefore monomial: one target row and one weight per column, with O(dim)
 algebra and an exact spectral norm.  A sum or an adjoint that would leave
 that form raises InvalidArgumentError.
+
+The product, the sum and the norm are module functions on (target, weight)
+arrays.  They also take a leading stack axis, so a verifier can evaluate
+many operators of one space in one call; `Operator` calls them on single
+operators, and a stacked row gets the same bits as the single operator.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,21 +121,11 @@ class Operator:
 
     def __matmul__(self, other: "Operator") -> "Operator":
         self._check_space(other)
-        a, b = self.weight[other.target], other.weight
-        # separate real ufuncs, never a fused multiply-add, so that the
-        # product of two weights is the same bits in either order
-        weight = np.empty(self.space.dim, dtype=complex)
-        weight.real = a.real * b.real - a.imag * b.imag
-        weight.imag = a.real * b.imag + a.imag * b.real
-        return Operator._built(self.space, self.target[other.target], weight)
+        return Operator._built(self.space, *_product(self.target, self.weight, other.target, other.weight))
 
     def __add__(self, other: "Operator") -> "Operator":
         self._check_space(other)
-        mine = self.weight != 0
-        if np.any(mine & (other.weight != 0) & (self.target != other.target)):
-            raise InvalidArgumentError("sum leaves monomial form: a column holds entries in two rows")
-        target = np.where(mine, self.target, other.target)
-        return Operator._built(self.space, target, self.weight + other.weight)
+        return Operator._built(self.space, *_monomial_sum(self.target, self.weight, other.target, other.weight))
 
     def __sub__(self, other: "Operator") -> "Operator":
         # x - y and x + (-y) are the same IEEE operation
@@ -166,20 +161,72 @@ class Operator:
         return result
 
     def norm(self) -> float:
-        """Spectral norm.
-
-        With one entry per column, A A^H is diagonal and holds the squared
-        row 2-norms, so the largest of those is exact, not a bound.
-        """
-        squares = self.weight.real**2 + self.weight.imag**2
-        rows = np.bincount(self.target, weights=squares, minlength=self.space.dim)
-        return math.sqrt(float(np.max(rows)))
+        """Spectral norm, exact: see `_spectral_norms`."""
+        return float(_spectral_norms(self.target, self.weight))
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.weight)))
 
     def __repr__(self) -> str:
         return f"Operator({self.space!r}, dim={self.space.dim})"
+
+
+def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """values[..., index[..., c]] per column c, for stacked or single operands.
+
+    Plain fancy indexing wherever one side is a single operator; only two
+    stacks take the slower take_along_axis.
+    """
+    if values.ndim == 1:
+        return values[index]
+    if index.ndim == 1:
+        return values[:, index]
+    return np.take_along_axis(values, index, axis=-1)
+
+
+def _product(target_a, weight_a, target_b, weight_b) -> tuple[np.ndarray, np.ndarray]:
+    """Target rows and weights of the monomial product A @ B.
+
+    Column c of B sends its weight to row b = target_b[c], and column b of A
+    moves it on to row target_a[b].  Either operand may be a stack along a
+    leading axis; the result is then stacked too.
+    """
+    a, b = _gather(weight_a, target_b), weight_b
+    # separate real ufuncs, never a fused multiply-add, so that the
+    # product of two weights is the same bits in either order and in
+    # every stack position
+    weight = np.empty(a.shape if a.ndim >= b.ndim else b.shape, dtype=complex)
+    weight.real = a.real * b.real - a.imag * b.imag
+    weight.imag = a.real * b.imag + a.imag * b.real
+    return _gather(target_a, target_b), weight
+
+
+def _monomial_sum(target_a, weight_a, target_b, weight_b) -> tuple[np.ndarray, np.ndarray]:
+    """Target rows and weights of A + B, which must stay monomial.
+
+    A column may hold an entry in A and in B only when both sit in the
+    same row; otherwise InvalidArgumentError.  Stacks broadcast.
+    """
+    mine = weight_a != 0
+    if np.any(mine & (weight_b != 0) & (target_a != target_b)):
+        raise InvalidArgumentError("sum leaves monomial form: a column holds entries in two rows")
+    return np.where(mine, target_a, target_b), weight_a + weight_b
+
+
+def _spectral_norms(target: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Spectral norm of each monomial along the last axis.
+
+    With one entry per column, A A^H is diagonal and holds the squared
+    row 2-norms, so the largest of those is exact, not a bound.  A stack
+    gives one norm per operator; each row is summed by its own bins, in
+    column order, as a single operator would be.
+    """
+    dim = target.shape[-1]
+    squares = weight.real**2 + weight.imag**2
+    if target.ndim > 1:
+        target = target + dim * np.arange(target.shape[0])[:, None]
+    rows = np.bincount(target.ravel(), weights=squares.ravel(), minlength=target.size)
+    return np.sqrt(rows.reshape(target.shape).max(axis=-1))
 
 
 def commutator(x: Operator, y: Operator) -> Operator:
@@ -245,7 +292,7 @@ def verify_quon_relations(ops: QuonOps, tol: ToleranceRule | None = None) -> Ver
             "lower_nilpotent": down.power(k),
         }
         for name, residual in residuals.items():
-            report.add(Check.residual_check(f"{label}_{name}", residual.norm(), tol.abs_tol))
+            report.add(Check.residual_check(sys.intern(f"{label}_{name}"), residual.norm(), tol.abs_tol))
 
     cross = max(commutator(x, y).norm() for x in mode1 for y in mode2)
     report.add(Check.residual_check("cross_mode_commutators", cross, tol.abs_tol))

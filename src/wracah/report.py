@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Check:
     """One named check.
 
@@ -41,7 +41,7 @@ class Check:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationReport:
     suite: str
     k: int | None = None

@@ -23,7 +23,16 @@ from .errors import (
     SubspaceLeakageError,
     UnsupportedLimitError,
 )
-from .fock import FockSpace, Operator, QuonOps, commutator, quon_operators
+from .fock import (
+    FockSpace,
+    Operator,
+    QuonOps,
+    _monomial_sum,
+    _product,
+    _spectral_norms,
+    commutator,
+    quon_operators,
+)
 from .qarith import (
     HalfInt,
     ToleranceRule,
@@ -463,20 +472,52 @@ def verify_shift_eigenbasis(j, r, tol: ToleranceRule | None = None) -> Verificat
 
 def clock_shift_monomial(params: ShiftParams, m1: int, m2: int) -> Operator:
     """q^(m1 m2) U^m1 V^m2 on the angular space, V the diagonal clock q^(N1-N2)."""
-    return _monomial(restrict_to_angular(shift_op(params), params.k), m1, m2)
+    u = restrict_to_angular(shift_op(params), params.k)
+    targets, weights = _monomial_grid(u, [m1], [m2])
+    return Operator._built(u.space, targets[0, 0], weights[0, 0])
 
 
-def _monomial(u: Operator, m1: int, m2: int) -> Operator:
-    """q^(m1 m2) U^m1 V^m2 from the shift U already restricted to the angular space."""
-    if not isinstance(m1, numbers.Integral) or not isinstance(m2, numbers.Integral):
+def _monomial_grid(u: Operator, shifts, clocks) -> tuple[np.ndarray, np.ndarray]:
+    """Targets and weights of q^(m1 m2) U^m1 V^m2 for every m1 in `shifts` and
+    m2 in `clocks`, stacked as [m1 position, m2 position, column], from the
+    shift U already restricted to the angular space.
+
+    All powers come from one chain P_n = U @ P_(n-1) from the identity, and
+    likewise for U^H, which is how `Operator.power` forms each power; each
+    clock V^m2 is one diagonal.  So every monomial has the bits of its
+    own `power` chain times its clock times its phase.
+    """
+    if not all(isinstance(m, numbers.Integral) for m in (*shifts, *clocks)):
         raise InvalidArgumentError("monomial indices must be integers")
-    m1, m2 = int(m1), int(m2)
+    shifts, clocks = [int(m) for m in shifts], [int(m) for m in clocks]
     k = u.space.k
-    shift_part = u.power(m1) if m1 >= 0 else u.adjoint().power(-m1)
+    one = Operator.identity(u.space)
+    powers = {0: (one.target, one.weight)}
+    for sign, factor in ((1, u), (-1, u.adjoint())):
+        power = powers[0]
+        for n in range(1, max(0, *(sign * m for m in shifts)) + 1):
+            power = _product(factor.target, factor.weight, *power)
+            powers[sign * n] = power
+    shift_target = np.stack([powers[m][0] for m in shifts])
+    shift_weight = np.stack([powers[m][1] for m in shifts])
+
     tj = k - 1
-    clock_diag = [_turn_phase(tm * m2, k) for tm in range(-tj, tj + 1, 2)]
-    clock_part = Operator.diagonal(u.space, clock_diag)
-    return _turn_phase(m1 * m2, k) * (shift_part @ clock_part)
+    targets = np.empty((len(shifts), len(clocks), k), dtype=np.intp)
+    weights = np.empty((len(shifts), len(clocks), k), dtype=complex)
+    for col, m2 in enumerate(clocks):
+        clock = np.array([_turn_phase(tm * m2, k) for tm in range(-tj, tj + 1, 2)])
+        target, weight = _product(shift_target, shift_weight, one.target, clock)
+        phases = np.array([_turn_phase(m1 * m2, k) for m1 in shifts])
+        targets[:, col] = target
+        weights[:, col] = weight * phases[:, None]
+    return targets, weights
+
+
+def _sine_factors(m, ns, k: int) -> np.ndarray:
+    """2i sin((2*pi/k) (m1 n2 - m2 n1)) for each n: minus the structure
+    constant, so that [T_m, T_n] + factor T_(m+n) vanishes."""
+    m1, m2 = m
+    return np.array([2j * math.sin(2 * math.pi * (m1 * n2 - m2 * n1) / k) for n1, n2 in ns])
 
 
 def verify_sine_algebra(
@@ -485,7 +526,15 @@ def verify_sine_algebra(
     """Commutators of clock-shift monomials against the sine structure constants:
     [T_m, T_n] = -2i sin((2*pi/k) (m1 n2 - m2 n1)) T_(m+n),
     for every m and n with both components in `index_range` (which must not
-    be empty).  Every monomial is derived from one restricted shift."""
+    be empty), and the unitarity of every T_m.
+
+    Every monomial is derived from one restricted shift, through one power
+    chain of U and of U^H (`_monomial_grid`).  For each m, the commutators
+    with all n are evaluated at once, on stacks of |pairs| operators, with
+    the fock module's stacked product, sum and norm; memory stays at
+    O(|pairs| k).  Each residual has the bits of the same chain of single
+    `Operator` calls.
+    """
     k = params.k
     if tol is None:
         tol = ToleranceRule.for_order(k)
@@ -493,24 +542,29 @@ def verify_sine_algebra(
     if not indices:
         raise InvalidArgumentError("the sine algebra check needs at least one monomial index")
     pairs = [(a, b) for a in indices for b in indices]
+    values = sorted(set(indices) | {a + b for a in indices for b in indices})
     u = restrict_to_angular(shift_op(params), k)
-    needed = set(pairs) | {(am + an, bm + bn) for am, bm in pairs for an, bn in pairs}
-    monomials = {key: _monomial(u, *key) for key in needed}
-    eye = Operator.identity(u.space)
+    targets, weights = _monomial_grid(u, values, values)
+    at = {m: i for i, m in enumerate(values)}
 
+    def stacked(keys):
+        rows, cols = [at[a] for a, _ in keys], [at[b] for _, b in keys]
+        return targets[rows, cols], weights[rows, cols]
+
+    n_target, n_weight = stacked(pairs)
+    eye = Operator.identity(u.space)
     worst_comm = 0.0
     worst_unitary = 0.0
     for am, bm in pairs:
-        t_m = monomials[am, bm]
+        t_m = Operator._built(u.space, targets[at[am], at[bm]], weights[at[am], at[bm]])
         worst_unitary = max(worst_unitary, (t_m.adjoint() @ t_m - eye).norm())
-        for an, bn in pairs:
-            t_n = monomials[an, bn]
-            cross = am * bn - bm * an
-            target = monomials[am + an, bm + bn]
-            residual = (
-                commutator(t_m, t_n) + (2j * math.sin(2 * math.pi * cross / k)) * target
-            ).norm()
-            worst_comm = max(worst_comm, residual)
+        mn = _product(t_m.target, t_m.weight, n_target, n_weight)
+        nm_target, nm_weight = _product(n_target, n_weight, t_m.target, t_m.weight)
+        commutators = _monomial_sum(*mn, nm_target, -nm_weight)
+        sum_target, sum_weight = stacked([(am + an, bm + bn) for an, bn in pairs])
+        terms = sum_weight * _sine_factors((am, bm), pairs, k)[:, None]
+        residuals = _monomial_sum(*commutators, sum_target, terms)
+        worst_comm = max(worst_comm, float(np.max(_spectral_norms(*residuals))))
 
     report = VerificationReport(suite="sine-algebra", k=k, r=float(params.r))
     report.add(Check.residual_check("monomial_unitary", worst_unitary, tol.abs_tol))

@@ -8,6 +8,11 @@ brute-force sums over magnetic quantum numbers, and the Fock generators are
 dense Kronecker products.  None of the package's integer kernels, phase
 bookkeeping, caching, einsum wiring or monomial operator algebra is reused,
 so agreement is meaningful.
+
+The one exception is `looped_sine_residuals`: it keeps the per-pair loop of
+single `Operator` calls that the stacked sine-algebra check replaced, as a
+bit-for-bit reference for that evaluation order.  `dense_sine_residuals`
+is the independent oracle for the same identity.
 """
 
 from __future__ import annotations
@@ -21,6 +26,9 @@ from functools import lru_cache
 import numpy as np
 from sympy import Rational
 from sympy.physics.wigner import clebsch_gordan, wigner_3j, wigner_9j
+
+from wracah import Operator, commutator, shift_op
+from wracah.su2 import restrict_to_angular
 
 
 def fr(x) -> Fraction:
@@ -380,3 +388,57 @@ def dense_modulus(k: int) -> np.ndarray:
 def angular_rows(k: int) -> list[int]:
     """Rows of the n1 + n2 = k - 1 states, m = (n1 - n2) / 2 ascending."""
     return [n1 * k + (k - 1 - n1) for n1 in range(k)]
+
+
+def _angular_shift(k: int, r) -> np.ndarray:
+    rows = angular_rows(k)
+    return dense_shift(k, float(r))[np.ix_(rows, rows)]
+
+
+def dense_sine_residuals(k: int, r, indices) -> tuple[float, float]:
+    """(monomial_unitary, sine_commutation) from dense k x k matrices with
+    SVD norms: T_m = exp(2 pi i m1 m2 / k) U^m1 V^m2, U the angular block of
+    the dense shift, negative powers from U^H, and V = diag(exp(2 pi i 2m / k))."""
+    u = _angular_shift(k, r)
+    clock = np.array([cmath.exp(2j * math.pi * tm / k) for tm in range(-(k - 1), k, 2)])
+
+    @lru_cache(maxsize=None)
+    def monomial(m1: int, m2: int) -> np.ndarray:
+        shift = np.linalg.matrix_power(u if m1 >= 0 else u.conj().T, abs(m1))
+        return cmath.exp(2j * math.pi * m1 * m2 / k) * shift @ np.diag(clock**m2)
+
+    svd = lambda x: float(np.linalg.norm(x, 2))  # noqa: E731
+    pairs = [(a, b) for a in indices for b in indices]
+    unitary = max(svd(monomial(*m).conj().T @ monomial(*m) - np.eye(k)) for m in pairs)
+    worst = 0.0
+    for (am, bm), (an, bn) in itertools.product(pairs, pairs):
+        x, y = monomial(am, bm), monomial(an, bn)
+        factor = 2j * math.sin(2 * math.pi * (am * bn - bm * an) / k)
+        worst = max(worst, svd(x @ y - y @ x + factor * monomial(am + an, bm + bn)))
+    return unitary, worst
+
+
+def looped_sine_residuals(params, indices) -> tuple[float, float]:
+    """(monomial_unitary, sine_commutation) one pair at a time: each monomial
+    from its own `Operator.power` chain, clock and phase from Fraction turns,
+    and each commutator residual as a chain of single `Operator` calls."""
+    k = params.k
+    u = restrict_to_angular(shift_op(params), k)
+
+    @lru_cache(maxsize=None)
+    def monomial(m1: int, m2: int):
+        shift_part = u.power(m1) if m1 >= 0 else u.adjoint().power(-m1)
+        clock = [fraction_q_power(tm * m2, k) for tm in range(-(k - 1), k, 2)]
+        return fraction_q_power(m1 * m2, k) * (shift_part @ Operator.diagonal(u.space, clock))
+
+    pairs = [(a, b) for a in indices for b in indices]
+    eye = Operator.identity(u.space)
+    unitary = worst = 0.0
+    for am, bm in pairs:
+        t_m = monomial(am, bm)
+        unitary = max(unitary, (t_m.adjoint() @ t_m - eye).norm())
+        for an, bn in pairs:
+            factor = 2j * math.sin(2 * math.pi * (am * bn - bm * an) / k)
+            residual = commutator(t_m, monomial(an, bn)) + factor * monomial(am + an, bm + bn)
+            worst = max(worst, residual.norm())
+    return unitary, worst

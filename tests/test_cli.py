@@ -275,6 +275,16 @@ class TestUsageErrors:
         result = runner.invoke(main, ["su2-check", "--k", "3", "--r", "1e300"])
         assert result.exit_code == 0, result.output
 
+    @pytest.mark.parametrize("command", ["winf", "quon-check", "su2-check"])
+    def test_order_too_large_to_allocate(self, runner, command):
+        """k = 10**6 asks for 7.28 TiB, which fails at once: exit 2 with the
+        size, not a traceback with the exit 1 of a failed check."""
+        result = runner.invoke(main, [command, "--k", "1000000"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "out of memory" in result.output
+        assert "TiB" in result.output
+
     # Malformed values only: a well-formed large --k or --j is a valid and
     # expensive request, not a usage error.
     _not_numbers = st.text(alphabet="abxe/._- ", max_size=5)

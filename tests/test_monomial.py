@@ -1,14 +1,17 @@
 """The monomial operator type against dense numpy references.
 
 Products, sums, adjoints, powers, restriction and the spectral norm are
-compared with the same operations on the dense matrices; the residuals of
-the quon and su(2) verifiers are recomputed from the dense Kronecker
-generators in tests/_oracles.py with SVD norms.
+compared with the same operations on the dense matrices, and their stacked
+forms with single operators bit for bit; the residuals of the quon, su(2)
+and sine-algebra verifiers are recomputed from the dense Kronecker
+generators in tests/_oracles.py with SVD norms, and the sine-algebra ones
+also from the per-pair loop of single operator calls, bit for bit.
 """
 
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,12 +26,21 @@ from wracah import (
     SubspaceLeakageError,
     quon_operators,
     verify_quon_relations,
+    verify_sine_algebra,
     verify_su2,
 )
+from wracah.fock import _monomial_sum, _product, _spectral_norms
 from wracah.qarith import ToleranceRule
 from wracah.su2 import restrict_to_angular
 
-from _oracles import angular_rows, dense_modulus, dense_quon_generators, dense_shift
+from _oracles import (
+    angular_rows,
+    dense_modulus,
+    dense_quon_generators,
+    dense_shift,
+    dense_sine_residuals,
+    looped_sine_residuals,
+)
 
 # both residuals sit at the rounding level of operators whose entries stay
 # below 50 (k <= 7); they agreed to 8e-16 when this bound was set
@@ -99,6 +111,40 @@ def test_restriction_matches_dense(case):
             restrict_to_angular(op, k)
     else:
         assert np.array_equal(restrict_to_angular(op, k).mat, dense[np.ix_(rows, rows)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_algebra_matches_single_operators_bitwise(seed):
+    """Product, sum and norm on a leading stack axis give every row the bits
+    of the same call on single operators, whichever operand is stacked."""
+    rng = np.random.default_rng(seed)
+    space = FockSpace(4)
+    xs = [_random_monomial(rng, space) for _ in range(5)]
+    ys = [_random_monomial(rng, space) for _ in range(5)]
+    x_t, x_w = np.stack([x.target for x in xs]), np.stack([x.weight for x in xs])
+    y_t, y_w = np.stack([y.target for y in ys]), np.stack([y.weight for y in ys])
+    single = xs[0]
+
+    def rows(target, weight):
+        return [(t.tobytes(), w.tobytes()) for t, w in zip(target, weight)]
+
+    def ops(products):
+        return [(p.target.tobytes(), p.weight.tobytes()) for p in products]
+
+    assert rows(*_product(x_t, x_w, y_t, y_w)) == ops(x @ y for x, y in zip(xs, ys))
+    assert rows(*_product(single.target, single.weight, y_t, y_w)) == ops(single @ y for y in ys)
+    assert rows(*_product(y_t, y_w, single.target, single.weight)) == ops(y @ single for y in ys)
+
+    # summands that agree with each x wherever it holds an entry
+    free = rng.integers(0, space.dim, x_t.shape)
+    zs = [_random_monomial(rng, space, target=np.where(x.weight != 0, x.target, f)) for x, f in zip(xs, free)]
+    z_t, z_w = np.stack([z.target for z in zs]), np.stack([z.weight for z in zs])
+    assert rows(*_monomial_sum(x_t, x_w, z_t, z_w)) == ops(x + z for x, z in zip(xs, zs))
+    with pytest.raises(InvalidArgumentError):
+        _monomial_sum(x_t, x_w, y_t, y_w)
+
+    norms = _spectral_norms(x_t, x_w)
+    assert [n.hex() for n in norms.tolist()] == [x.norm().hex() for x in xs]
 
 
 def test_sum_leaving_monomial_form_raises():
@@ -260,6 +306,39 @@ def test_su2_residuals_match_dense_svd(k, r):
         assert abs(check.residual - dense[check.name]) <= RESIDUAL_MATCH, check
 
 
+# index sets of the sine-algebra check, duplicates and gaps included; the
+# 49 pairs of range(-3, 4) run at the largest order of each grid only
+SINE_INDICES = (range(-2, 3), range(0, 2), [1, 1], [2, -1, 2])
+
+
+def _sine_r_values(k: int):
+    return (0.0, 1.0, 0.37, random.Random(k).uniform(-3.0, 3.0))
+
+
+def _sine_grid(ks):
+    return [(k, indices) for k in ks for indices in SINE_INDICES] + [(ks[-1], range(-3, 4))]
+
+
+@pytest.mark.parametrize(("k", "indices"), _sine_grid((2, 3, 4, 7, 13)), ids=str)
+def test_sine_residuals_match_looped_operator_calls_bitwise(k, indices):
+    """The stacked check reproduces the per-pair chain of Operator calls bit for bit."""
+    for r in _sine_r_values(k):
+        params = ShiftParams(k, r)
+        report = verify_sine_algebra(params, indices)
+        looped = looped_sine_residuals(params, list(indices))
+        assert [c.residual.hex() for c in report.checks] == [x.hex() for x in looped], r
+
+
+@pytest.mark.parametrize(("k", "indices"), _sine_grid(range(2, 8)), ids=str)
+def test_sine_residuals_match_dense_svd(k, indices):
+    for r in _sine_r_values(k):
+        report = verify_sine_algebra(ShiftParams(k, r), indices)
+        dense = dense_sine_residuals(k, r, list(indices))
+        assert [c.name for c in report.checks] == ["monomial_unitary", "sine_commutation"]
+        for check, want in zip(report.checks, dense):
+            assert abs(check.residual - want) <= RESIDUAL_MATCH, (r, check, want)
+
+
 # past the dense wall: one k^2 x k^2 complex matrix at k = 101 takes 1.7 GB
 
 
@@ -273,3 +352,16 @@ def test_su2_passes_at_order_101(seed):
     r = random.Random(seed).uniform(0.05, 1.95)
     report = verify_su2(ShiftParams(101, r), seed=seed)
     assert report.passed, [(c.name, c.residual) for c in report.checks if not c.passed]
+
+
+def test_sine_algebra_memory_at_order_101():
+    """Stacks per m keep the check at O(|pairs| k); one (|pairs|^2, k) stack
+    would peak near 35 MB here."""
+    tracemalloc.start()
+    try:
+        report = verify_sine_algebra(ShiftParams(101, 0.3), range(-3, 4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed, [(c.name, c.residual) for c in report.checks]
+    assert peak < 8_000_000, peak

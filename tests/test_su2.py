@@ -208,6 +208,31 @@ class TestSineAlgebra:
         with pytest.raises(InvalidArgumentError):
             clock_shift_monomial(ShiftParams(3, 0.5), 0.5, 1)
 
+    def test_negated_monomial_fails_commutation(self, monkeypatch):
+        """-T_(1,0) is still unitary but breaks every bracket it enters."""
+        build = wracah.su2._monomial_grid
+
+        def negated(u, shifts, clocks):
+            targets, weights = build(u, shifts, clocks)
+            weights[shifts.index(1), clocks.index(0)] *= -1
+            return targets, weights
+
+        monkeypatch.setattr(wracah.su2, "_monomial_grid", negated)
+        report = verify_sine_algebra(ShiftParams(5, 0.3), range(-2, 3))
+        checks = {c.name: c for c in report.checks}
+        assert checks["monomial_unitary"].passed
+        assert not checks["sine_commutation"].passed
+        assert checks["sine_commutation"].residual > 1.0
+
+    def test_flipped_structure_constant_fails_commutation(self, monkeypatch):
+        factors = wracah.su2._sine_factors
+        monkeypatch.setattr(wracah.su2, "_sine_factors", lambda *args: -factors(*args))
+        report = verify_sine_algebra(ShiftParams(5, 0.3), range(-2, 3))
+        checks = {c.name: c for c in report.checks}
+        assert checks["monomial_unitary"].passed
+        assert not checks["sine_commutation"].passed
+        assert checks["sine_commutation"].residual > 1.0
+
     def test_monomials_unitary(self):
         params = ShiftParams(5, 1.0)
         for m1, m2 in [(0, 0), (1, 0), (0, 1), (2, -1), (-2, 2)]:
