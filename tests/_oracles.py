@@ -390,16 +390,12 @@ def angular_rows(k: int) -> list[int]:
     return [n1 * k + (k - 1 - n1) for n1 in range(k)]
 
 
-def _angular_shift(k: int, r) -> np.ndarray:
-    rows = angular_rows(k)
-    return dense_shift(k, float(r))[np.ix_(rows, rows)]
-
-
 def dense_sine_residuals(k: int, r, indices) -> tuple[float, float]:
     """(monomial_unitary, sine_commutation) from dense k x k matrices with
     SVD norms: T_m = exp(2 pi i m1 m2 / k) U^m1 V^m2, U the angular block of
     the dense shift, negative powers from U^H, and V = diag(exp(2 pi i 2m / k))."""
-    u = _angular_shift(k, r)
+    rows = angular_rows(k)
+    u = dense_shift(k, float(r))[np.ix_(rows, rows)]
     clock = np.array([cmath.exp(2j * math.pi * tm / k) for tm in range(-(k - 1), k, 2)])
 
     @lru_cache(maxsize=None)
