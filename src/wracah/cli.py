@@ -3,8 +3,8 @@
 Exit codes: 0 when every check passes, 1 when a verification fails, 2 for
 usage errors.  Output is deterministic: canonical JSON (insertion-ordered
 keys, 17 significant digits) or CSV with complex values rendered re+imi.
-`report --timings` prints each suite's wall time to stderr and leaves the
-output itself unchanged.
+`report --timings` prints each suite's wall time and the state of the
+package's cache to stderr and leaves the output itself unchanged.
 
 Environment:
   WRACAH_TOL      overrides the default absolute tolerance.
@@ -43,7 +43,7 @@ from .urcoupling import (
     verify_tensor_transform,
     verify_wigner_eckart,
 )
-from .wigner import triangle, verify_cg_against_lowering, verify_cg_orthogonality
+from .wigner import default_table, lowering_checks, orthogonality_checks, triangle
 
 
 class HalfIntParam(click.ParamType):
@@ -464,26 +464,76 @@ def _ninej_check(*js: HalfInt, r: float, bound: float) -> VerificationReport:
     return report
 
 
+def _add_tagged(merged: VerificationReport, point: tuple[HalfInt, ...], checks: list[Check]) -> None:
+    """Add the checks of one grid point to a merged suite, each name led by the point's tag."""
+    tag = _tag(point)
+    for check in checks:
+        merged.add(Check(f"{tag}_{check.name}" if check.name else tag, check.residual, check.tol, check.passed))
+
+
+def _pair_reports(
+    max_j: HalfInt, r: float, rule: ToleranceRule | None, timings: dict[str, float]
+) -> list[VerificationReport]:
+    """wigner-core, wigner-core-orthogonality and the three suites on pairs of integer spins, pair by pair.
+
+    The pairs are walked once, 2j1 major, so that the J^2 oracle is still
+    diagonalized a row at a time.  A pair of integer spins runs its three
+    suites together with its swapped pair, when the first of the two is
+    reached, right after the wigner-core checks that built its cg blocks.
+    So the blocks and tables of both pairs are read while they are cached,
+    and the cache can drop them afterwards.  The checks go into each suite
+    in the order of its grid, and each suite's wall time is summed over the
+    pairs into timings.
+    """
+    cores = [
+        (VerificationReport(suite="wigner-core"), lowering_checks(max_j, rule)),
+        (VerificationReport(suite="wigner-core-orthogonality"), orthogonality_checks(max_j, rule)),
+    ]
+    verifiers = {
+        "cg-ur-unitarity": verify_cg_ur_unitarity,
+        "cg-ur-interchange": verify_cg_ur_interchange,
+        "fbar-orthogonality": verify_fbar_orthogonality,
+    }
+    done: dict[tuple, list[Check]] = {}
+    for j1, j2 in itertools.product(all_spins(max_j), repeat=2):
+        for report, checks in cores:
+            start = time.perf_counter()
+            report.add(next(checks))
+            timings[report.suite] = timings.get(report.suite, 0.0) + time.perf_counter() - start
+        if not (j1.is_integer and j2.is_integer) or j1.twice > j2.twice:
+            continue
+        for point in dict.fromkeys([(j1, j2), (j2, j1)]):
+            for suite, verify in verifiers.items():
+                start = time.perf_counter()
+                done[suite, point] = verify(*point, r, rule).checks
+                timings[suite] = timings.get(suite, 0.0) + time.perf_counter() - start
+    reports = [report for report, _ in cores]
+    for suite in verifiers:
+        merged = VerificationReport(suite=suite, k=None, r=r)
+        for point in itertools.product(integer_spins(max_j), repeat=2):
+            _add_tagged(merged, point, done[suite, point])
+        reports.append(merged)
+    return reports
+
+
 def _build_report(
     max_j: HalfInt, r: float, seed: int, rule: ToleranceRule | None
-) -> tuple[list[VerificationReport], list[tuple[str, float]]]:
+) -> tuple[list[VerificationReport], dict[str, float]]:
     """Every suite of `report`: rows of (suite, spin grid, call), run by one loop.
 
     A grid is a list of spin tuples, each passed to the call.  A row without
     a suite keeps each call's report as it is; the others merge their points
-    into one suite, each check name led by the point's tag.  The README's
+    into one suite, each check name led by the point's tag.  The pair suites
+    run between the rows, pair by pair (_pair_reports).  The README's
     `report` section says why some suites leave spins out.  Returns the
-    reports and the wall time in seconds of each row that ran a point,
-    labelled by its suite.
+    reports and the wall time in seconds of each suite that ran a point.
     """
-    at_max_j = [(max_j,)]
     positive_spins = [(j,) for j in all_spins(max_j)[1:]]  # order k = 2j + 1 for the operator suites
-    integer_pairs = list(itertools.product(integer_spins(max_j), repeat=2))
     triples_up_to_2 = list(itertools.product(all_spins(min(max_j, HalfInt(4))), repeat=3))
     sine_rs = [0.0, r] if r else [0.0]
     sine_cases = [(j, rv) for j in integer_spins(min(max_j, HalfInt(4)))[1:] for rv in sine_rs]  # k = 3, 5
     bound = rule.abs_tol if rule is not None else 1e-10
-    rows = [
+    before_pairs = [
         (None, positive_spins, lambda j: verify_quon_relations(quon_operators(j.twice + 1), rule)),
         (None, positive_spins, lambda j: verify_su2(ShiftParams(j.twice + 1, r), rule, seed=seed)),
         (None, positive_spins, lambda j: verify_shift_eigenbasis(j, r, rule)),
@@ -492,11 +542,8 @@ def _build_report(
             sine_cases,
             lambda j, rv: verify_sine_algebra(ShiftParams(j.twice + 1, rv), range(-2, 3), rule),
         ),
-        (None, at_max_j, lambda j: verify_cg_against_lowering(j, rule)),
-        (None, at_max_j, lambda j: verify_cg_orthogonality(j, rule)),
-        ("cg-ur-unitarity", integer_pairs, lambda a, b: verify_cg_ur_unitarity(a, b, r, rule)),
-        ("cg-ur-interchange", integer_pairs, lambda a, b: verify_cg_ur_interchange(a, b, r, rule)),
-        ("fbar-orthogonality", integer_pairs, lambda a, b: verify_fbar_orthogonality(a, b, r, rule)),
+    ]
+    after_pairs = [
         ("fbar-permutation", triples_up_to_2, lambda *js: verify_fbar_permutation(*js, r, rule)),
         ("f-interchange", triples_up_to_2, lambda *js: verify_f_interchange(*js, r, rule)),
         ("tensor-transform", positive_spins, lambda j: verify_tensor_transform(j, 1, r, rule)),
@@ -512,7 +559,7 @@ def _build_report(
         ),
         (
             None,
-            at_max_j,
+            [(max_j,)],
             lambda j: verify_sphere(
                 l_max=8, family_l_max=min(2 * (j.twice // 2) or 1, 4), rs=[0.0, r or 1.0], tol=rule
             ),
@@ -520,21 +567,24 @@ def _build_report(
     ]
 
     reports: list[VerificationReport] = []
-    timings: list[tuple[str, float]] = []
-    for suite, grid, call in rows:
-        start = time.perf_counter()
-        if suite is None:
-            reports.extend(call(*point) for point in grid)
-        else:
-            merged = VerificationReport(suite=suite, k=None, r=r)
-            for point in grid:
-                tag = _tag(point)
-                for check in call(*point).checks:
-                    name = f"{tag}_{check.name}" if check.name else tag
-                    merged.add(Check(name, check.residual, check.tol, check.passed))
-            reports.append(merged)
-        if grid:
-            timings.append((reports[-1].suite, time.perf_counter() - start))
+    timings: dict[str, float] = {}
+
+    def run(rows) -> None:
+        for suite, grid, call in rows:
+            start = time.perf_counter()
+            if suite is None:
+                reports.extend(call(*point) for point in grid)
+            else:
+                merged = VerificationReport(suite=suite, k=None, r=r)
+                for point in grid:
+                    _add_tagged(merged, point, call(*point).checks)
+                reports.append(merged)
+            if grid:
+                timings[reports[-1].suite] = time.perf_counter() - start
+
+    run(before_pairs)
+    reports.extend(_pair_reports(max_j, r, rule, timings))
+    run(after_pairs)
     return reports, timings
 
 
@@ -542,7 +592,7 @@ def _build_report(
 @click.option("--max-j", "max_j", type=HALFINT, required=True)
 @click.option("--r", type=float, default=1.0, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--timings", is_flag=True, help="print each suite's wall time to stderr, slowest first")
+@click.option("--timings", is_flag=True, help="print each suite's wall time, slowest first, and the cache's counters to stderr")
 @FORMAT
 @OUTPUT
 @TOL
@@ -552,8 +602,14 @@ def report_cmd(max_j, r, seed, timings, fmt, output, tol) -> None:
         raise click.UsageError("--max-j must be at least 1/2")
     reports, seconds = _build_report(max_j, float(r), seed, _resolve_tol(tol))
     if timings:
-        for suite, wall in sorted(seconds, key=lambda row: -row[1]):
+        for suite, wall in sorted(seconds.items(), key=lambda row: -row[1]):
             click.echo(f"{wall:9.3f} s  {suite}", err=True)
+        cache = default_table()
+        click.echo(
+            f"cache: {len(cache)} entries, {cache.bytes / 2**20:.1f} MiB, {cache.hits} hits, "
+            f"{cache.misses} misses, {cache.evictions} evictions",
+            err=True,
+        )
 
     if os.environ.get("WRACAH_CORRUPT"):
         first = reports[0].checks[0]

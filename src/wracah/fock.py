@@ -93,8 +93,9 @@ class Operator:
         op = object.__new__(cls)
         target.setflags(write=False)
         weight.setflags(write=False)
-        for name, value in zip(cls.__slots__, (space, target, weight)):
-            object.__setattr__(op, name, value)
+        _set_space(op, space)
+        _set_target(op, target)
+        _set_weight(op, weight)
         return op
 
     def __setattr__(self, name, value):
@@ -169,6 +170,10 @@ class Operator:
 
     def __repr__(self) -> str:
         return f"Operator({self.space!r}, dim={self.space.dim})"
+
+
+# the slot writers that Operator._built calls past the immutable __setattr__
+_set_space, _set_target, _set_weight = (getattr(Operator, name).__set__ for name in Operator.__slots__)
 
 
 def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import PRODUCT_LIMIT, identity_residual, row_product
+from ._blas import identity_residual, one_thread
 from .errors import InvalidArgumentError, UndeterminedReducedElementError
 from .qarith import HalfInt, ToleranceRule, _as_fraction, alpha_value, halfint_range
 from .report import Check, VerificationReport
@@ -71,21 +71,27 @@ def alpha_labels(j, r) -> list[float]:
     return [alpha_value(j, r, s) for s in range(j.twice + 1)]
 
 
-def _phase_transform(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """einsum("am,bn,cp,mnp->abc"): one phase matrix applied along each axis of a block.
+# Multiply-adds of the product over a block's third axis above which that
+# axis is contracted first.
+_THIRD_AXIS_FIRST = 1 << 16
 
-    With 2j1, 2j2 <= 12 only the product over the third axis can exceed
-    PRODUCT_LIMIT, in the largest blocks, where numpy's path also contracts
-    that axis first.  There it is formed by row_product and numpy contracts
-    the rest, so every product stays on the calling thread and the table
-    keeps numpy's bits.  Larger blocks may still pass later steps to BLAS
-    worker threads.
+
+def _phase_transform(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """einsum("am,bn,cp,mnp->abc"): one phase matrix applied along each axis of a block, on one BLAS thread.
+
+    The contraction order is the one the tables have always had.  Up to
+    _THIRD_AXIS_FIRST, numpy's path contracts the whole block.  Above it the
+    third axis is contracted first, as one product, and numpy's path the
+    rest; for some large blocks (2j1 = 8, 2j2 = 20, 2j = 18, say) numpy's
+    path over the whole block would take another order and move entries by
+    up to 7e-15.
     """
     d1, d2, d3 = core.shape
-    if core.size * d3 <= PRODUCT_LIMIT:
-        return np.einsum("am,bn,cp,mnp->abc", p1, p2, p3, core, optimize=True)
-    step = row_product(core.reshape(d1 * d2, d3), p3.T).reshape(d1, d2, d3)
-    return np.einsum("am,bn,mnc->abc", p1, p2, step, optimize=True)
+    with one_thread():
+        if core.size * d3 <= _THIRD_AXIS_FIRST:
+            return np.einsum("am,bn,cp,mnp->abc", p1, p2, p3, core, optimize=True)
+        step = np.matmul(core.reshape(d1 * d2, d3), p3.T).reshape(d1, d2, d3)
+        return np.einsum("am,bn,mnc->abc", p1, p2, step, optimize=True)
 
 
 def cg_ur_table(j1, j2, j, r) -> np.ndarray:

@@ -49,6 +49,8 @@ __all__ = [
     "clear_cache",
     "export_table",
     "load_table",
+    "lowering_checks",
+    "orthogonality_checks",
     "verify_cg_against_lowering",
     "verify_cg_orthogonality",
 ]
@@ -100,18 +102,23 @@ class SymbolKey:
         _check_labels(self.twice_j, self.twice_m)
 
 
-# Entries, not bytes: report --max-j 6 holds about 2,250 blocks and tables.
-_CACHE_BOUND = 4096
+# Bytes of cached arrays.  The largest pair of integer spins at max-j 10,
+# (10, 10), keeps about 4.7 MB of cg blocks and cg_ur tables resident while
+# report checks it; a pair's tables are read together and then left for good.
+_CACHE_BOUND = 8 << 20
 
 
 class CouplingTable:
-    """Bounded LRU memo with hit/miss counters, safe to share between threads.
+    """LRU memo bounded by the bytes of its arrays, with counters, safe to share between threads.
 
     It is the one cache of the package.  Keys are tuples whose first item
     names the kind of entry ("cg", "threejm", "phase", "cg_ur", "f",
     "fbar"); the rest are twice-integer labels and, for shift-basis
     entries, the numerator and denominator of the exact family parameter.
-    Cached arrays are read-only.
+    Cached arrays are read-only.  When the entries hold more than
+    _CACHE_BOUND bytes (ndarray.nbytes), the least recently used are
+    evicted; an entry larger than the bound is returned without being kept.
+    A value is the same whether it was cached or built again.
     """
 
     def __init__(self):
@@ -119,6 +126,8 @@ class CouplingTable:
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+        self.bytes = 0
+        self.evictions = 0
 
     def get(self, key: tuple, build):
         """The value stored under key, built by build() and stored on a miss."""
@@ -133,12 +142,19 @@ class CouplingTable:
         value = build()
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
+        size = np.asarray(value).nbytes
+        if size > _CACHE_BOUND:
+            return value
         with self._lock:
-            value = self._entries.setdefault(key, value)
+            stored = self._entries.setdefault(key, value)
             self._entries.move_to_end(key)
-            while len(self._entries) > _CACHE_BOUND:
-                self._entries.popitem(last=False)
-        return value
+            if stored is value:
+                self.bytes += size
+                while self.bytes > _CACHE_BOUND:
+                    _, evicted = self._entries.popitem(last=False)
+                    self.bytes -= np.asarray(evicted).nbytes
+                    self.evictions += 1
+        return stored
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -165,6 +181,8 @@ class CouplingTable:
             self._entries.clear()
             self.hits = 0
             self.misses = 0
+            self.bytes = 0
+            self.evictions = 0
 
 
 _DEFAULT_TABLE = CouplingTable()
@@ -480,40 +498,44 @@ def _coupling_matrix(tj1: int, tj2: int) -> np.ndarray:
     )
 
 
-def verify_cg_against_lowering(max_j, tol: ToleranceRule | None = None) -> VerificationReport:
-    """Compare the closed-form coefficients with the eigenvectors of J^2.
+def lowering_checks(max_j, tol: ToleranceRule | None = None):
+    """wigner-core's check of each pair (2j1, 2j2) up to 2 max_j, 2j1 major: the closed form against J^2.
 
-    The suite and check names keep the name of the lowering construction
-    that this oracle replaced.  Oracle matrices are never cached.
+    A generator: the oracle matrices of one row of pairs (one 2j1) are
+    diagonalized together when the row's first check is drawn, which bounds
+    the oracle's memory by one row.  Oracle matrices are never cached.
     """
     if tol is None:
         tol = ToleranceRule()
     max_t = _twice(max_j)
-    report = VerificationReport(suite="wigner-core", k=None, r=None)
     for tj1 in range(0, max_t + 1):
-        # one row of pairs at a time bounds the oracle's memory
         oracles = _casimir_coupling_matrices([(tj1, tj2) for tj2 in range(0, max_t + 1)])
         for tj2, oracle in enumerate(oracles):
             worst = float(np.max(np.abs(_coupling_matrix(tj1, tj2) - oracle)))
-            report.add(
-                Check.residual_check(f"lowering_agreement_2j1_{tj1}_2j2_{tj2}", worst, tol.abs_tol)
-            )
-    return report
+            yield Check.residual_check(f"lowering_agreement_2j1_{tj1}_2j2_{tj2}", worst, tol.abs_tol)
 
 
-def verify_cg_orthogonality(max_j, tol: ToleranceRule | None = None) -> VerificationReport:
-    """Row orthonormality of the coupling matrix for every (j1, j2) pair."""
+def orthogonality_checks(max_j, tol: ToleranceRule | None = None):
+    """wigner-core-orthogonality's check of each pair (2j1, 2j2) up to 2 max_j, 2j1 major."""
     if tol is None:
         tol = ToleranceRule()
     max_t = _twice(max_j)
-    report = VerificationReport(suite="wigner-core-orthogonality", k=None, r=None)
     for tj1 in range(0, max_t + 1):
         for tj2 in range(0, max_t + 1):
             # mat.T @ mat over the coupled states (j, m), both operands views of one contiguous array
             mat = _coupling_matrix(tj1, tj2)
-            report.add(
-                Check.residual_check(
-                    f"orthonormal_2j1_{tj1}_2j2_{tj2}", identity_residual(mat.T, mat), tol.abs_tol
-                )
-            )
-    return report
+            yield Check.residual_check(f"orthonormal_2j1_{tj1}_2j2_{tj2}", identity_residual(mat.T, mat), tol.abs_tol)
+
+
+def verify_cg_against_lowering(max_j, tol: ToleranceRule | None = None) -> VerificationReport:
+    """Compare the closed-form coefficients with the eigenvectors of J^2, for every pair of spins up to max_j.
+
+    The suite and check names keep the name of the lowering construction
+    that this oracle replaced.
+    """
+    return VerificationReport(suite="wigner-core", checks=list(lowering_checks(max_j, tol)))
+
+
+def verify_cg_orthogonality(max_j, tol: ToleranceRule | None = None) -> VerificationReport:
+    """Row orthonormality of the coupling matrix for every (j1, j2) pair."""
+    return VerificationReport(suite="wigner-core-orthogonality", checks=list(orthogonality_checks(max_j, tol)))

@@ -1,15 +1,23 @@
-"""Products kept on the calling thread: blocks, values and the tables built on them."""
+"""Products on one owned BLAS thread: the cap, its restore, values and the tables built on them."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
 from wracah import HalfInt
-from wracah._blas import PRODUCT_LIMIT, identity_residual, row_product
+from wracah import _blas
+from wracah._blas import identity_residual, one_thread, row_product
+from wracah.cli import main
 from wracah.su2 import phase_matrix
-from wracah.urcoupling import _phase_transform
+from wracah.urcoupling import _phase_transform, cg_ur_table, fbar_table
 from wracah.wigner import cg_block, threejm_block
+
+from _oracles import brute_cg_ur, brute_fbar
 
 
 def _random(rng, shape, complex_):
@@ -18,17 +26,31 @@ def _random(rng, shape, complex_):
 
 
 @pytest.fixture
-def matmul_shapes(monkeypatch):
-    """Record the operand shapes of every np.matmul call."""
-    shapes = []
+def two_threads():
+    """The BLAS thread getter, with the count set to 2 for the test and restored after it."""
+    functions = _blas._thread_count_functions()
+    if functions is None:
+        pytest.skip("numpy's BLAS exports no thread-count setter")
+    setter, getter = functions
+    before = getter()
+    setter(2)
+    yield getter
+    setter(before)
+
+
+@pytest.fixture
+def matmul_calls(monkeypatch):
+    """Record the operand shapes of every np.matmul call, and the BLAS thread count during it."""
+    calls = []
     plain = np.matmul
+    functions = _blas._thread_count_functions()
 
     def recording(a, b, **kwargs):
-        shapes.append((a.shape, b.shape))
+        calls.append((a.shape, b.shape, functions[1]() if functions else None))
         return plain(a, b, **kwargs)
 
     monkeypatch.setattr(np, "matmul", recording)
-    return shapes
+    return calls
 
 
 @given(
@@ -51,23 +73,13 @@ def test_row_product_matches_matmul(rows, inner, cols, complex_left, complex_rig
     "rows, inner, cols",
     [(169, 169, 169), (169, 25, 25), (13, 169, 13), (289, 289, 289), (5, 2000, 7), (300, 40, 1)],
 )
-def test_blocks_stay_within_the_limit_and_off_the_vector_routine(matmul_shapes, rows, inner, cols):
+def test_one_call_on_one_thread(two_threads, matmul_calls, rows, inner, cols):
     rng = np.random.default_rng(0)
     left, right = _random(rng, (rows, inner), True), _random(rng, (inner, cols), True)
     product = row_product(left, right)
     np.testing.assert_allclose(product, left @ right, rtol=0, atol=1e-10)
-    assert matmul_shapes
-    for (height, k), (_, width) in matmul_shapes:
-        assert k == inner
-        assert height * k * width <= PRODUCT_LIMIT
-        assert height >= min(2, rows) and width >= min(2, cols)
-
-
-def test_whole_rows_while_two_rows_fit(matmul_shapes):
-    rng = np.random.default_rng(1)
-    row_product(_random(rng, (169, 169), True), _random(rng, (169, 169), True))
-    assert {width for _, (_, width) in matmul_shapes} == {169}
-    assert {height for (height, _), _ in matmul_shapes} == {2}
+    assert matmul_calls == [((rows, inner), (inner, cols), 1)]
+    assert two_threads() == 2
 
 
 def test_identity_residual_reads_the_largest_deviation():
@@ -82,13 +94,125 @@ def test_identity_residual_reads_the_largest_deviation():
     assert identity_residual(bent.conj().T, bent) == pytest.approx(expected, rel=1e-12)
 
 
+class TestOneThread:
+    def test_caps_and_restores(self, two_threads):
+        with one_thread():
+            assert two_threads() == 1
+        assert two_threads() == 2
+
+    def test_restores_on_an_exception(self, two_threads):
+        with pytest.raises(RuntimeError):
+            with one_thread():
+                assert two_threads() == 1
+                raise RuntimeError("inside the cap")
+        assert two_threads() == 2
+
+    def test_nested(self, two_threads):
+        with one_thread():
+            with one_thread():
+                assert two_threads() == 1
+            assert two_threads() == 1
+        assert two_threads() == 2
+
+    def test_concurrent_users_share_one_cap(self, two_threads):
+        """The count comes back only when the last of two overlapping threads leaves."""
+        entered = [threading.Event(), threading.Event()]
+        leave = [threading.Event(), threading.Event()]
+        left = [threading.Event(), threading.Event()]
+        seen = []
+
+        def user(i):
+            with one_thread():
+                entered[i].set()
+                leave[i].wait(timeout=30)
+                seen.append(two_threads())
+            left[i].set()
+
+        threads = [threading.Thread(target=user, args=(i,)) for i in range(2)]
+        threads[0].start()
+        assert entered[0].wait(timeout=30)
+        threads[1].start()
+        assert entered[1].wait(timeout=30)
+        leave[0].set()
+        assert left[0].wait(timeout=30)
+        assert two_threads() == 1  # the second user is still inside
+        leave[1].set()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [1, 1]
+        assert two_threads() == 2
+
+    def test_many_threads_enter_and_leave(self, two_threads):
+        """More users than cores, switching often: every user reads 1 inside, and 2 comes back at the end."""
+        seen = []
+
+        def user():
+            for _ in range(200):
+                with one_thread():
+                    seen.append(two_threads())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=user) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [1] * 1200
+        assert two_threads() == 2
+
+    def test_report_without_a_setter(self, monkeypatch):
+        """Where the BLAS exports no setter, products run on its own threads and report keeps its bits."""
+        args = ["report", "--max-j", "2", "--r", "1"]
+        capped = CliRunner().invoke(main, args)
+        monkeypatch.setattr(_blas, "_thread_count_functions", lambda: None)
+        plain = CliRunner().invoke(main, args)
+        assert capped.exit_code == plain.exit_code == 0, plain.output
+        assert plain.output == capped.output
+
+
 @pytest.mark.parametrize("tjs", [(12, 12, 24), (12, 12, 22), (12, 12, 20), (12, 10, 22), (10, 12, 22)])
 @pytest.mark.parametrize("build", [cg_block, threejm_block])
 @pytest.mark.parametrize("r", [1, 0.37])  # at r = 1 the phase matrices are symmetric
 def test_large_phase_transforms_keep_numpys_bits(tjs, build, r):
+    """Blocks whose third-axis product is contracted first; here numpy's own path takes that order too."""
     j1, j2, j3 = (HalfInt(t) for t in tjs)
     core = build(j1, j2, j3)
-    assert core.size * core.shape[2] > PRODUCT_LIMIT
+    assert core.size * core.shape[2] > 1 << 16
     p1, p2, p3 = phase_matrix(j1, r, -1), phase_matrix(j2, r, -1), phase_matrix(j3, r, +1)
     expected = np.einsum("am,bn,cp,mnp->abc", p1, p2, p3, core, optimize=True)
     assert _phase_transform(p1, p2, p3, core).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("tjs", [(8, 20, 18), (10, 18, 18), (16, 16, 16)])
+@pytest.mark.parametrize("build", [cg_block, threejm_block])
+@pytest.mark.parametrize("r", [1, 0.37])
+def test_large_phase_transforms_contract_the_third_axis_first(tjs, build, r):
+    """Above the bound the order is fixed, wherever numpy's path over the whole block would go."""
+    j1, j2, j3 = (HalfInt(t) for t in tjs)
+    core = build(j1, j2, j3)
+    p1, p2, p3 = phase_matrix(j1, r, -1), phase_matrix(j2, r, -1), phase_matrix(j3, r, +1)
+    step = (core.reshape(-1, core.shape[2]) @ p3.T).reshape(core.shape)
+    expected = np.einsum("am,bn,mnc->abc", p1, p2, step, optimize=True)
+    assert _phase_transform(p1, p2, p3, core).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("tjs", [(12, 12, 24), (12, 12, 22), (12, 12, 20), (12, 10, 22), (10, 12, 22), (8, 20, 18)])
+@pytest.mark.parametrize("r", [1, 0.37])
+def test_large_tables_match_brute_sums(tjs, r):
+    """Sampled entries of the largest shift-basis tables against the direct sums of _oracles."""
+    f1, f2, f3 = (HalfInt(t).as_fraction for t in tjs)
+    oracles = {
+        cg_ur_table: lambda s1, s2, s3: brute_cg_ur(f1, f2, s1, s2, f3, s3, r),
+        fbar_table: lambda s1, s2, s3: brute_fbar(f1, f2, f3, s1, s2, s3, r),
+    }
+    rng = np.random.default_rng(sum(tjs))
+    for table, brute in oracles.items():
+        values = table(f1, f2, f3, r)
+        for labels in zip(*(rng.integers(0, t + 1, size=6) for t in tjs)):
+            assert values[labels] == pytest.approx(brute(*labels), abs=1e-12), (table.__name__, tjs, labels)

@@ -3,6 +3,7 @@ report schema."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -411,7 +412,7 @@ class TestReport:
         assert all(c["pass"] for s in payload["suites"] for c in s["checks"])
 
     def test_timings_leave_output_unchanged(self, tmp_path):
-        """--timings adds a breakdown on stderr; stdout and --output keep every byte."""
+        """--timings adds a breakdown and the cache's counters on stderr; stdout and --output keep every byte."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         args = [sys.executable, "-m", "wracah", "report", "--max-j", "1", "--r", "0.37"]
@@ -423,7 +424,8 @@ class TestReport:
         assert plain.returncode == timed.returncode == 0, timed.stderr
         assert plain.stdout == timed.stdout
         assert plain.stderr == b""
-        lines = timed.stderr.decode().splitlines()
+        *lines, cache = timed.stderr.decode().splitlines()
+        assert re.fullmatch(r"cache: \d+ entries, \d+\.\d MiB, \d+ hits, \d+ misses, \d+ evictions", cache)
         seconds = [float(line.split()[0]) for line in lines]
         assert seconds == sorted(seconds, reverse=True)
         suites = [line.split()[-1] for line in lines]

@@ -443,20 +443,59 @@ class TestBlocks:
 
 
 class TestSharedCache:
-    def test_bounded_lru(self):
+    def test_bounded_lru(self, monkeypatch):
+        """The bound counts the bytes of the arrays: the least recently used go first."""
+        monkeypatch.setattr(wigner, "_CACHE_BOUND", 4096)
         table = CouplingTable()
-        bound = wigner._CACHE_BOUND
-        for i in range(bound + 10):
-            table.get(("value", i), lambda i=i: float(i))
-            table.get(("value", 0), lambda: 0.0)  # kept recent, so never evicted
-        assert len(table) == bound
-        assert table.misses == bound + 10
-        misses = table.misses
-        assert table.get(("value", 0), lambda: -1.0) == 0.0
-        assert table.get(("value", bound + 9), lambda: -1.0) == float(bound + 9)
-        assert table.misses == misses
-        assert table.get(("value", 1), lambda: -1.0) == -1.0  # the oldest was evicted
-        assert table.misses == misses + 1
+
+        def block(i, size=1024):
+            return lambda: np.full(size // 8, float(i))
+
+        for i in range(4):
+            table.get(("value", i), block(i))
+        assert (len(table), table.bytes, table.evictions, table.misses) == (4, 4096, 0, 4)
+        assert table.get(("value", 0), block(-1))[0] == 0.0  # read recently, so kept
+        table.get(("value", 4), block(4))
+        assert (len(table), table.bytes, table.evictions) == (4, 4096, 1)
+        assert table.get(("value", 0), block(-1))[0] == 0.0
+        assert table.misses == 5
+        assert table.get(("value", 1), block(-1))[0] == -1.0  # the oldest was evicted
+        assert table.misses == 6
+        assert table.get(("value", 3), block(-1))[0] == 3.0  # so only ("value", 2) made room
+        assert table.evictions == 2
+        wide = table.get(("value", 5), block(5, size=8192))  # larger than the bound
+        assert wide.nbytes == 8192 and wide[0] == 5.0 and not wide.flags.writeable
+        assert ("value", 5) not in table._entries
+        assert (len(table), table.bytes, table.evictions, table.misses) == (4, 4096, 2, 7)
+        table.clear()
+        assert (len(table), table.bytes, table.evictions, table.hits, table.misses) == (0, 0, 0, 0, 0)
+
+    def test_results_do_not_depend_on_the_cache(self, monkeypatch, tmp_path):
+        """A report on a 64 KiB cache equals the default run byte for byte; rebuilt tables equal their first build."""
+        from click.testing import CliRunner
+
+        from wracah.cli import main
+        from wracah.urcoupling import cg_ur_table, fbar_table
+
+        args = ["report", "--max-j", "3", "--r", "0.37", "--seed", "2"]
+        clear_cache()
+        default = CliRunner().invoke(main, args)
+        monkeypatch.setattr(wigner, "_CACHE_BOUND", 64 << 10)
+        clear_cache()
+        small = CliRunner().invoke(main, args)
+        assert small.exit_code == default.exit_code == 0, small.output
+        assert small.output == default.output
+        assert default_table().evictions > 0 and default_table().bytes <= 64 << 10
+
+        clear_cache()
+        first = [build(3, 2, 4, 0.37).tobytes() for build in (cg_ur_table, fbar_table)]
+        for r in (1, 2, 3):  # enough tables to evict the first ones
+            for j in range(7):
+                cg_ur_table(3, 3, j, r)
+        misses = default_table().misses
+        again = [build(3, 2, 4, 0.37).tobytes() for build in (cg_ur_table, fbar_table)]
+        assert default_table().misses > misses  # built again, not read back
+        assert again == first
 
     def test_threads_share_one_table(self):
         """Concurrent lookups lose no counter update and see the cold values."""
