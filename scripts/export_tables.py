@@ -4,8 +4,10 @@
 Writes, for every admissible triple of spins 0, 1/2, 1, ... up to a spin cap:
   cg_ur_<j1>_<j2>_<j>_r<r>.csv      coupling coefficients in the shift basis
   fbar_<j1>_<j2>_<j3>_r<r>.csv      symmetric symbols
-and a single magnetic_cg.txt holding every coefficient of the magnetic
-blocks the run touched, in the loadable '2j1 2j2 2j 2m1 2m2 2m value' format.
+and a single magnetic_cg.txt holding every coefficient of the magnetic cg
+blocks of those triples, in the loadable '2j1 2j2 2j 2m1 2m2 2m value'
+format.  The blocks are read afresh for the file, so it does not depend on
+what the package's cache held at the end of the run.
 """
 
 import argparse
@@ -18,7 +20,7 @@ import numpy as np
 from wracah import HalfInt, cg_ur_table, fbar_table, triangle
 from wracah.qarith import all_spins
 from wracah.serialize import fmt_float, rows_to_csv
-from wracah.wigner import default_table, export_table
+from wracah.wigner import export_table
 
 
 def tag(j: HalfInt) -> str:
@@ -46,18 +48,17 @@ def main(argv=None):
 
     args.out.mkdir(parents=True, exist_ok=True)
     spins = all_spins(args.max_j)
-    written = 0
+    triples = []
     for j1, j2 in itertools.product(spins, repeat=2):
         for j in spins:
             if not triangle(j1.as_fraction, j2.as_fraction, j.as_fraction):
                 continue
             dump_table("cg_ur", cg_ur_table, (j1, j2, j), ("s1", "s2", "s"), args.r, args.out)
             dump_table("fbar", fbar_table, (j1, j2, j), ("s1", "s2", "s3"), args.r, args.out)
-            written += 2
+            triples.append((j1.twice, j2.twice, j.twice))
 
-    memo_path = args.out / "magnetic_cg.txt"
-    count = export_table(default_table(), memo_path)
-    print(f"wrote {written} table files and {count} magnetic coefficients to {args.out}/")
+    count = export_table(triples, args.out / "magnetic_cg.txt")
+    print(f"wrote {2 * len(triples)} table files and {count} magnetic coefficients to {args.out}/")
     return 0
 
 

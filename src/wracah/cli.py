@@ -146,9 +146,16 @@ def _report_text(reports: list[VerificationReport]) -> str:
     return "\n".join(lines)
 
 
-def _finish_verification(payload: dict, reports: list[VerificationReport], fmt: str, output: str | None) -> None:
+def _finish_verification(
+    command: str, params: dict, reports: list[VerificationReport], fmt: str, output: str | None
+) -> None:
+    """Write the reports in fmt and exit 0 when every check passed, 1 otherwise.
+
+    The json payload is {"command", **params, "pass", "suites"}.
+    """
     ok = all(rep.passed for rep in reports)
     if fmt == "json":
+        payload = {"command": command, **params, "pass": ok, "suites": [rep.to_dict() for rep in reports]}
         _write(dumps(payload), output)
     elif fmt == "csv":
         _write(_report_csv(reports), output)
@@ -219,8 +226,7 @@ def main() -> None:
 def quon_check(k: int, fmt: str, output: str | None, tol: float | None) -> None:
     """Verify the deformed commutators, number operators, and nilpotency."""
     report = verify_quon_relations(quon_operators(k), _resolve_tol(tol))
-    payload = {"command": "quon-check", "k": k, "pass": report.passed, "suites": [report.to_dict()]}
-    _finish_verification(payload, [report], fmt, output)
+    _finish_verification("quon-check", {"k": k}, [report], fmt, output)
 
 
 @main.command("su2-check")
@@ -238,14 +244,7 @@ def su2_check(k: int, r: float, seed: int, fmt: str, output: str | None, tol: fl
         verify_su2(params, rule, seed=seed),
         verify_shift_eigenbasis(params.j, r, rule),
     ]
-    payload = {
-        "command": "su2-check",
-        "k": k,
-        "r": r,
-        "pass": all(rep.passed for rep in reports),
-        "suites": [rep.to_dict() for rep in reports],
-    }
-    _finish_verification(payload, reports, fmt, output)
+    _finish_verification("su2-check", {"k": k, "r": r}, reports, fmt, output)
 
 
 @main.command("basis")
@@ -322,15 +321,7 @@ def fbar_cmd(j1, j2, j3, r, fmt, output) -> None:
 def ortho(j1, j2, r, mismatch_r, fmt, output, tol) -> None:
     """Both orthogonality sums of the symmetric symbol."""
     report = verify_fbar_orthogonality(j1, j2, r, _resolve_tol(tol), mismatched_r=mismatch_r)
-    payload = {
-        "command": "ortho",
-        "j1": str(j1),
-        "j2": str(j2),
-        "r": float(r),
-        "pass": report.passed,
-        "suites": [report.to_dict()],
-    }
-    _finish_verification(payload, [report], fmt, output)
+    _finish_verification("ortho", {"j1": str(j1), "j2": str(j2), "r": float(r)}, [report], fmt, output)
 
 
 @main.command("we-check")
@@ -343,15 +334,7 @@ def ortho(j1, j2, r, mismatch_r, fmt, output, tol) -> None:
 def we_check(j, rank, r, fmt, output, tol) -> None:
     """Factorize shift-basis tensor matrix elements through the first symbol."""
     report = verify_wigner_eckart(j, [rank], r, _resolve_tol(tol))
-    payload = {
-        "command": "we-check",
-        "j": str(j),
-        "rank": rank,
-        "r": float(r),
-        "pass": report.passed,
-        "suites": [report.to_dict()],
-    }
-    _finish_verification(payload, [report], fmt, output)
+    _finish_verification("we-check", {"j": str(j), "rank": rank, "r": float(r)}, [report], fmt, output)
 
 
 @main.command("winf")
@@ -366,15 +349,7 @@ def winf(k, r, max_index, fmt, output, tol) -> None:
     report = verify_sine_algebra(
         ShiftParams(k, r), range(-max_index, max_index + 1), _resolve_tol(tol)
     )
-    payload = {
-        "command": "winf",
-        "k": k,
-        "r": float(r),
-        "max_index": max_index,
-        "pass": report.passed,
-        "suites": [report.to_dict()],
-    }
-    _finish_verification(payload, [report], fmt, output)
+    _finish_verification("winf", {"k": k, "r": float(r), "max_index": max_index}, [report], fmt, output)
 
 
 @main.command("yr")
@@ -615,11 +590,4 @@ def report_cmd(max_j, r, seed, timings, fmt, output, tol) -> None:
         first = reports[0].checks[0]
         reports[0].checks[0] = Check(first.name, first.tol * 10.0 + 1.0, first.tol, False)
 
-    payload = {
-        "command": "report",
-        "max_j": str(max_j),
-        "r": float(r),
-        "pass": all(rep.passed for rep in reports),
-        "suites": [rep.to_dict() for rep in reports],
-    }
-    _finish_verification(payload, reports, fmt, output)
+    _finish_verification("report", {"max_j": str(max_j), "r": float(r)}, reports, fmt, output)

@@ -14,6 +14,11 @@ Tables are dense ndarrays indexed by s labels and are memoized in the
 package's one cache per (labels, r).  r is keyed by its exact rational
 value (a float by its binary expansion), never within a tolerance,
 because it is an input parameter rather than a measured quantity.
+
+A tensor operator is one read-only stacked array of its spherical
+components.  Its shift-labeled components are not stored: the transforms
+are functions from stacked arrays to stacked arrays at the r they are
+given.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .errors import InvalidArgumentError, UndeterminedReducedElementError
 from .qarith import HalfInt, ToleranceRule, _as_fraction, alpha_value, halfint_range
 from .report import Check, VerificationReport
 from .su2 import AngularSpace, _expected_ladder, basis_transform_matrix, phase_matrix
-from .wigner import _ninej_network, _ninej_triads, cg, cg_block, clear_cache, default_table, ninej, threejm_block
+from .wigner import _ninej_network, _ninej_triads, cg_block, clear_cache, default_table, ninej, threejm_block
 
 __all__ = [
     "cg_ur_table",
@@ -347,108 +352,81 @@ def ninej_from_fbar(j1, j2, j3, j4, j5, j6, j7, j8, j9, r) -> NinejSubstitution:
 class TensorComponents:
     """Irreducible tensor family on a pair of angular spaces.
 
-    spherical[i] is the matrix of the component with magnetic label
-    m = -rank + i, mapping the ket space into the bra space.  transformed,
-    when present, holds the 2*rank+1 phase-mixed components for the stated
-    family parameter.
+    spherical is one read-only complex array of shape (2*rank+1, bra.dim,
+    ket.dim): spherical[i] is the matrix of the component with magnetic
+    label m = -rank + i, mapping the ket space into the bra space.  Any
+    array-like of that shape is accepted and copied.
     """
 
     rank: HalfInt
     bra: AngularSpace
     ket: AngularSpace
-    spherical: tuple[np.ndarray, ...]
-    r: float | None = None
-    transformed: tuple[np.ndarray, ...] | None = None
+    spherical: np.ndarray
 
     def __post_init__(self):
         rank = HalfInt.of(self.rank)
         object.__setattr__(self, "rank", rank)
         if rank.twice < 0:
             raise InvalidArgumentError("tensor rank must be nonnegative")
-        count = rank.twice + 1
-        if len(self.spherical) != count:
-            raise InvalidArgumentError(
-                f"rank {rank} carries {count} components, got {len(self.spherical)}"
-            )
-        shape = (self.bra.dim, self.ket.dim)
-        for part in self.spherical:
-            if part.shape != shape:
-                raise InvalidArgumentError(f"component shape {part.shape} does not match {shape}")
-        if self.transformed is not None and len(self.transformed) != count:
-            raise InvalidArgumentError("transformed component count mismatch")
+        shape = (rank.twice + 1, self.bra.dim, self.ket.dim)
+        try:
+            spherical = np.array(self.spherical, dtype=complex)
+        except ValueError:
+            raise InvalidArgumentError(f"components do not stack to the shape {shape}") from None
+        if spherical.shape != shape:
+            raise InvalidArgumentError(f"components of shape {spherical.shape} do not match {shape}")
+        spherical.setflags(write=False)
+        object.__setattr__(self, "spherical", spherical)
 
 
 def identity_tensor(j) -> TensorComponents:
     """The rank-0 tensor whose single component is the identity."""
     space = AngularSpace(HalfInt.of(j))
-    return TensorComponents(
-        rank=HalfInt(0),
-        bra=space,
-        ket=space,
-        spherical=(np.eye(space.dim, dtype=complex),),
-    )
+    return TensorComponents(rank=HalfInt(0), bra=space, ket=space, spherical=[np.eye(space.dim)])
 
 
 def angular_momentum_tensor(j, rank: int) -> TensorComponents:
     """Irreducible tensors built out of the angular momentum itself.
 
     Rank 1 is the spherical vector (J-/sqrt2, J3, -J+/sqrt2); higher
-    integer ranks come from repeated coupling with that vector using the
-    magnetic-basis coefficients.  Components vanish identically once the
-    rank exceeds 2j.
+    integer ranks come from repeated coupling with that vector, weighted by
+    one magnetic-basis cg block per step.  Components vanish identically
+    once the rank exceeds 2j.
     """
     space = AngularSpace(HalfInt.of(j))
     if not isinstance(rank, int) or rank < 1:
         raise InvalidArgumentError(f"tensor rank must be a positive integer, got {rank!r}")
-    jplus = _expected_ladder(space, +1)
-    jminus = _expected_ladder(space, -1)
+    jminus = _expected_ladder(space, -1) / math.sqrt(2.0)
     jz = np.diag([float(m) for m in space.m_values()]).astype(complex)
-    vector = (jminus / math.sqrt(2.0), jz, -jplus / math.sqrt(2.0))
+    vector = np.stack([jminus, jz, -_expected_ladder(space, +1) / math.sqrt(2.0)])
     parts = vector
     for target in range(2, rank + 1):
-        prev = parts
-        built = []
+        weights = cg_block(target - 1, 1, target)  # [q1 + target - 1, q2 + 1, q + target]
+        built = np.zeros((2 * target + 1, space.dim, space.dim), dtype=complex)
         for iq, q in enumerate(range(-target, target + 1)):
-            comp = np.zeros((space.dim, space.dim), dtype=complex)
             for i1, q1 in enumerate(range(-(target - 1), target)):
                 q2 = q - q1
                 if abs(q2) > 1:
                     continue
-                weight = cg(HalfInt(2 * (target - 1)), HalfInt(2 * q1), HalfInt(2), HalfInt(2 * q2), HalfInt(2 * target), HalfInt(2 * q))
+                weight = weights[i1, q2 + 1, iq]
                 if weight != 0.0:
-                    comp += weight * (prev[i1] @ vector[q2 + 1])
-            built.append(comp)
-        parts = tuple(built)
-    return TensorComponents(rank=HalfInt.of(rank), bra=space, ket=space, spherical=tuple(parts))
+                    built[iq] += weight * (parts[i1] @ vector[q2 + 1])
+        parts = built
+    return TensorComponents(rank=HalfInt.of(rank), bra=space, ket=space, spherical=parts)
 
 
-def tensor_transform(t: TensorComponents, r) -> TensorComponents:
-    """Phase-mix the spherical components into the shift-labeled family.
+def tensor_transform(t: TensorComponents, r) -> np.ndarray:
+    """The shift-labeled components of t at r, stacked like t.spherical.
 
     Component s is (2k+1)^(-1/2) sum_m exp(2 pi i alpha_s m/(2k+1)) T_m,
     the same unitary map that carries the state basis over.
     """
-    mix = basis_transform_matrix(t.rank, r)
-    stack = np.stack(t.spherical)
-    transformed = np.einsum("ms,mij->sij", mix, stack)
-    return TensorComponents(
-        rank=t.rank,
-        bra=t.bra,
-        ket=t.ket,
-        spherical=t.spherical,
-        r=float(r),
-        transformed=tuple(transformed[s] for s in range(transformed.shape[0])),
-    )
+    return np.einsum("ms,mij->sij", basis_transform_matrix(t.rank, r), t.spherical)
 
 
-def tensor_transform_inverse(t: TensorComponents) -> tuple[np.ndarray, ...]:
-    """Recover the spherical components from the transformed family."""
-    if t.transformed is None or t.r is None:
-        raise InvalidArgumentError("tensor carries no transformed components")
-    mix = basis_transform_matrix(t.rank, t.r)
-    stack = np.stack(t.transformed)
-    recovered = np.einsum("ms,sij->mij", np.conj(mix), stack)
-    return tuple(recovered[i] for i in range(recovered.shape[0]))
+def tensor_transform_inverse(stack: np.ndarray, rank, r) -> np.ndarray:
+    """The inverse of tensor_transform: the spherical components of a rank-`rank` tensor from its shift-labeled ones at r."""
+    return np.einsum("ms,sij->mij", np.conj(basis_transform_matrix(rank, r)), stack)
 
 
 def verify_tensor_transform(j, rank: int, r, tol: ToleranceRule | None = None) -> VerificationReport:
@@ -457,10 +435,8 @@ def verify_tensor_transform(j, rank: int, r, tol: ToleranceRule | None = None) -
         tol = ToleranceRule()
     tensor = identity_tensor(j) if rank == 0 else angular_momentum_tensor(j, rank)
     moved = tensor_transform(tensor, r)
-    back = tensor_transform_inverse(moved)
-    worst = max(
-        float(np.max(np.abs(orig - rec))) for orig, rec in zip(tensor.spherical, back)
-    )
+    back = tensor_transform_inverse(moved, tensor.rank, r)
+    worst = float(np.max(np.abs(tensor.spherical - back)))
     report = VerificationReport(suite="tensor-transform", k=None, r=float(r))
     report.add(Check.residual_check("round_trip", worst, tol.abs_tol))
 
@@ -475,10 +451,7 @@ def verify_tensor_transform(j, rank: int, r, tol: ToleranceRule | None = None) -
 
     if tensor.rank.is_integer:
         shifted = tensor_transform(tensor, float(r) + 2.0)
-        cyclic = max(
-            float(np.max(np.abs(shifted.transformed[s] - moved.transformed[(s + 1) % count])))
-            for s in range(count)
-        )
+        cyclic = float(np.max(np.abs(shifted - np.roll(moved, -1, axis=0))))
         report.add(Check.residual_check("family_shift_relabels_cyclically", cyclic, tol.abs_tol))
     return report
 
@@ -490,28 +463,30 @@ class WignerEckartResult:
     reduced: complex
     max_residual: float
     ratio_spread: float
-    admissible: int
 
 
-def wigner_eckart_check(t: TensorComponents, r, *, floor: float = 1e-8) -> WignerEckartResult:
+# Symbol moduli at or below this take no part in the ratios of wigner_eckart_check.
+_SYMBOL_FLOOR = 1e-8
+
+
+def wigner_eckart_check(t: TensorComponents, r) -> WignerEckartResult:
     """Factorize shift-basis matrix elements through the first symbol.
 
     Every matrix element of a transformed component between shift
     eigenstates must equal one common reduced element times the
     corresponding first-symbol value.  The reduced element is taken as
     the median of the elementwise ratios over entries whose symbol
-    modulus exceeds the floor; when no entry qualifies the element is
-    undetermined and an error is raised.  The spherical components are
-    transformed at r on every call, whatever components t already carries.
+    modulus exceeds _SYMBOL_FLOOR; when no entry qualifies the element is
+    undetermined and an error is raised.  The components are transformed
+    at r by tensor_transform.
     """
     v1 = basis_transform_matrix(t.bra.j, r)
     v2 = basis_transform_matrix(t.ket.j, r)
-    stack = np.stack(tensor_transform(t, r).transformed)
-    elements = np.einsum("ma,xmn,nb->axb", np.conj(v1), stack, v2)
+    elements = np.einsum("ma,xmn,nb->axb", np.conj(v1), tensor_transform(t, r), v2)
 
     symbols = f_table(t.bra.j, t.ket.j, t.rank, r)  # [s1, s2, s_k]
     aligned = np.transpose(symbols, (0, 2, 1))  # -> [s1, s_k, s2]
-    mask = np.abs(aligned) > floor
+    mask = np.abs(aligned) > _SYMBOL_FLOOR
     if not np.any(mask):
         raise UndeterminedReducedElementError(
             "every symbol value vanishes; the reduced element is undetermined"
@@ -520,12 +495,7 @@ def wigner_eckart_check(t: TensorComponents, r, *, floor: float = 1e-8) -> Wigne
     reduced = complex(np.median(ratios.real), np.median(ratios.imag))
     spread = float(np.max(np.abs(ratios - reduced)))
     residual = float(np.max(np.abs(elements - reduced * aligned)))
-    return WignerEckartResult(
-        reduced=reduced,
-        max_residual=residual,
-        ratio_spread=spread,
-        admissible=int(np.count_nonzero(mask)),
-    )
+    return WignerEckartResult(reduced=reduced, max_residual=residual, ratio_spread=spread)
 
 
 def verify_wigner_eckart(

@@ -140,9 +140,8 @@ class CouplingTable:
             self.misses += 1
         # built outside the lock: builders look up other entries themselves
         value = build()
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-        size = np.asarray(value).nbytes
+        value.setflags(write=False)
+        size = value.nbytes
         if size > _CACHE_BOUND:
             return value
         with self._lock:
@@ -152,7 +151,7 @@ class CouplingTable:
                 self.bytes += size
                 while self.bytes > _CACHE_BOUND:
                     _, evicted = self._entries.popitem(last=False)
-                    self.bytes -= np.asarray(evicted).nbytes
+                    self.bytes -= evicted.nbytes
                     self.evictions += 1
         return stored
 
@@ -160,21 +159,11 @@ class CouplingTable:
         return len(self._entries)
 
     def items(self):
-        """(SymbolKey, value) records of every entry with m = m1 + m2 of the cached cg blocks.
-
-        Blocks that break the triangle rule hold only zeros and give no records.
-        """
+        """(SymbolKey, value) records of the cached cg blocks (_block_records)."""
         with self._lock:
             blocks = [(key[1:], value) for key, value in self._entries.items() if key[0] == "cg"]
-        for (tj1, tj2, tj), block in blocks:
-            if not _triangle_twice(tj1, tj2, tj):
-                continue
-            for i1, tm1 in enumerate(range(-tj1, tj1 + 1, 2)):
-                for i2, tm2 in enumerate(range(-tj2, tj2 + 1, 2)):
-                    tm = tm1 + tm2
-                    if abs(tm) <= tj:
-                        key = SymbolKey("cg", (tj1, tj2, tj), (tm1, tm2, tm))
-                        yield key, float(block[i1, i2, (tm + tj) // 2])
+        for twice_j, block in blocks:
+            yield from _block_records(twice_j, block)
 
     def clear(self) -> None:
         with self._lock:
@@ -183,6 +172,21 @@ class CouplingTable:
             self.misses = 0
             self.bytes = 0
             self.evictions = 0
+
+
+def _block_records(twice_j: tuple[int, int, int], block: np.ndarray):
+    """(SymbolKey, value) records of every entry with m = m1 + m2 of one cg block, m1 major.
+
+    A block that breaks the triangle rule holds only zeros and gives no records.
+    """
+    tj1, tj2, tj = twice_j
+    if not _triangle_twice(tj1, tj2, tj):
+        return
+    for i1, tm1 in enumerate(range(-tj1, tj1 + 1, 2)):
+        for i2, tm2 in enumerate(range(-tj2, tj2 + 1, 2)):
+            tm = tm1 + tm2
+            if abs(tm) <= tj:
+                yield SymbolKey("cg", twice_j, (tm1, tm2, tm)), float(block[i1, i2, (tm + tj) // 2])
 
 
 _DEFAULT_TABLE = CouplingTable()
@@ -357,13 +361,19 @@ def ninej(j1, j2, j3, j4, j5, j6, j7, j8, j9) -> float:
     return float(_ninej_network([_threejm_block(*triad) for triad in triads]))
 
 
-def export_table(table: CouplingTable, path) -> int:
-    """Write the table's coupling records as '2j1 2j2 2j 2m1 2m2 2m value' lines.
+def export_table(triples, path) -> int:
+    """Write the records of the cg blocks of the given (2j1, 2j2, 2j) triples as '2j1 2j2 2j 2m1 2m2 2m value' lines.
 
-    Values are rendered with 17 significant digits, so reloading
+    The blocks are read through cg_block, so the file does not depend on
+    what the cache holds.  A triple given twice is written once, and one
+    that breaks the triangle rule gives no records.  Lines are sorted by
+    labels.  Values are rendered with 17 significant digits, so reloading
     reproduces them bit for bit.
     """
-    records = sorted(table.items(), key=lambda kv: (kv[0].twice_j, kv[0].twice_m))
+    records = []
+    for twice_j in dict.fromkeys(tuple(triple) for triple in triples):
+        records.extend(_block_records(twice_j, cg_block(*map(HalfInt, twice_j))))
+    records.sort(key=lambda kv: (kv[0].twice_j, kv[0].twice_m))
     lines = [" ".join(map(str, key.twice_j + key.twice_m)) + f" {value:.17g}" for key, value in records]
     text = "\n".join(lines) + ("\n" if lines else "")
     with open(path, "w", encoding="ascii") as fh:

@@ -9,10 +9,13 @@ dense Kronecker products.  None of the package's integer kernels, phase
 bookkeeping, caching, einsum wiring or monomial operator algebra is reused,
 so agreement is meaningful.
 
-The one exception is `looped_sine_residuals`: it keeps the per-pair loop of
-single `Operator` calls that the stacked sine-algebra check replaced, as a
-bit-for-bit reference for that evaluation order.  `dense_sine_residuals`
-is the independent oracle for the same identity.
+Three functions are exceptions: they reuse the package to pin an
+evaluation order bit for bit.  `looped_sine_residuals` keeps the per-pair
+loop of single `Operator` calls that the stacked sine-algebra check
+replaced; `dense_sine_residuals` is the independent oracle for the same
+identity.  `looped_angular_momentum_tensor` and `looped_tensor_transform`
+keep the scalar `cg` loop and the tuple of components that the stacked
+tensor builder replaced.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ import numpy as np
 from sympy import Rational
 from sympy.physics.wigner import clebsch_gordan, wigner_3j, wigner_9j
 
-from wracah import Operator, commutator, shift_op
-from wracah.su2 import restrict_to_angular
+from wracah import HalfInt, Operator, cg, commutator, shift_op
+from wracah.su2 import AngularSpace, _expected_ladder, basis_transform_matrix, restrict_to_angular
 
 
 def fr(x) -> Fraction:
@@ -438,3 +441,37 @@ def looped_sine_residuals(params, indices) -> tuple[float, float]:
             residual = commutator(t_m, monomial(an, bn)) + factor * monomial(am + an, bm + bn)
             worst = max(worst, residual.norm())
     return unitary, worst
+
+
+def looped_angular_momentum_tensor(j, rank: int) -> tuple[np.ndarray, ...]:
+    """The spherical components of the rank-`rank` tensor built from the angular momentum, as a tuple.
+
+    The loop of the package's builder before it read whole cg blocks: each
+    weight is a scalar `cg` lookup, and the components are summed in the
+    same order, so the result is a bit-for-bit reference for that order.
+    """
+    space = AngularSpace(HalfInt.of(j))
+    jz = np.diag([float(m) for m in space.m_values()]).astype(complex)
+    vector = (_expected_ladder(space, -1) / math.sqrt(2.0), jz, -_expected_ladder(space, +1) / math.sqrt(2.0))
+    parts = vector
+    for target in range(2, rank + 1):
+        prev = parts
+        built = []
+        for q in range(-target, target + 1):
+            comp = np.zeros((space.dim, space.dim), dtype=complex)
+            for i1, q1 in enumerate(range(-(target - 1), target)):
+                q2 = q - q1
+                if abs(q2) > 1:
+                    continue
+                weight = cg(target - 1, q1, 1, q2, target, q)
+                if weight != 0.0:
+                    comp += weight * (prev[i1] @ vector[q2 + 1])
+            built.append(comp)
+        parts = tuple(built)
+    return parts
+
+
+def looped_tensor_transform(parts: tuple[np.ndarray, ...], rank, r) -> tuple[np.ndarray, ...]:
+    """The shift-labeled components of a tuple of spherical components, as a tuple."""
+    transformed = np.einsum("ms,mij->sij", basis_transform_matrix(rank, r), np.stack(parts))
+    return tuple(transformed[s] for s in range(transformed.shape[0]))

@@ -108,6 +108,27 @@ class TestVerificationCommands:
         result = runner.invoke(main, ["winf", "--k", "3", "--r", "0", "--max-index", "2"])
         assert result.exit_code == 0, result.output
 
+    @pytest.mark.parametrize(
+        "args, params",
+        [
+            (["quon-check", "--k", "3"], {"k": 3}),
+            (["su2-check", "--k", "3", "--r", "2"], {"k": 3, "r": 2.0}),
+            (["ortho", "--j1", "1", "--j2", "1/2", "--mismatch-r", "2"], {"j1": "1", "j2": "1/2", "r": 1.0}),
+            (["we-check", "--j", "1", "--rank", "1"], {"j": "1", "rank": 1, "r": 1.0}),
+            (["winf", "--k", "3"], {"k": 3, "r": 1.0, "max_index": 2}),
+            (["report", "--max-j", "1/2"], {"max_j": "1/2", "r": 1.0}),
+        ],
+    )
+    def test_payload_keys_in_order(self, runner, args, params):
+        """Every verification command writes {"command", its parameters, "pass", "suites"}, in that order."""
+        result = runner.invoke(main, args)
+        payload = json.loads(result.output)
+        assert list(payload) == ["command", *params, "pass", "suites"]
+        assert {key: payload[key] for key in params} == params
+        passed = all(c["pass"] for s in payload["suites"] for c in s["checks"])
+        assert payload["command"] == args[0] and payload["pass"] is passed
+        assert result.exit_code == (0 if passed else 1)
+
     def test_text_format_lines(self, runner):
         result = runner.invoke(main, ["quon-check", "--k", "3", "--format", "text"])
         assert result.exit_code == 0

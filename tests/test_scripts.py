@@ -1,11 +1,13 @@
-"""Smoke runs of the scripts at tiny sizes, each in a fresh interpreter."""
+"""Smoke runs of the scripts at tiny sizes, in a fresh interpreter unless a test must shrink the cache."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
-from wracah.wigner import load_table
+from wracah import wigner
+from wracah.wigner import clear_cache, load_table
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,6 +34,33 @@ def test_export_tables_writes_loadable_magnetic_table(tmp_path):
     lines = path.read_text().splitlines()
     assert lines
     assert len(dict(load_table(path).items())) == len(lines)
+
+
+def test_export_tables_does_not_depend_on_the_cache(tmp_path, monkeypatch):
+    """On a 64 KiB cache, evicting blocks as it runs, the script writes the same magnetic table as on the default one."""
+    main = runpy.run_path(str(ROOT / "scripts" / "export_tables.py"), run_name="export_tables")["main"]
+
+    def magnetic(out):
+        clear_cache()
+        assert main(["--max-j", "2", "--r", "0.37", "--out", str(out)]) == 0
+        return (out / "magnetic_cg.txt").read_text()
+
+    default = magnetic(tmp_path / "default")
+    monkeypatch.setattr(wigner, "_CACHE_BOUND", 64 << 10)
+    small = magnetic(tmp_path / "small")
+    assert wigner.default_table().evictions > 0
+    assert small == default
+    # every m1, m2 with |m1 + m2| <= j of every admissible triple of spins up to 2
+    expected = sum(
+        1
+        for t1 in range(5)
+        for t2 in range(5)
+        for t in range(abs(t1 - t2), min(t1 + t2, 4) + 1, 2)
+        for m1 in range(-t1, t1 + 1, 2)
+        for m2 in range(-t2, t2 + 1, 2)
+        if abs(m1 + m2) <= t
+    )
+    assert len(default.splitlines()) == expected
 
 
 def test_ninej_substitution_scan_runs():

@@ -390,17 +390,21 @@ class TestCaching:
             SymbolKey("sixj", (2, 2, 4), (0, 0, 0))
 
     def test_export_load_round_trip(self, tmp_path):
+        """The file holds the records of the blocks it is given, whatever the cache holds."""
+        triples = [(2, 2, 4), (3, 2, 1), (2, 2, 6), (2, 2, 4)]  # (2, 2, 6) breaks the triangle rule
         clear_cache()
-        cg(1, 0, 1, 0, 2, 0)
-        cg(Fraction(3, 2), HALF, 1, -1, HALF, -HALF)
-        cg(1, 0, 1, 0, 3, 0)  # a block that breaks the triangle rule is cached but gives no records
+        cg(0, 0, 0, 0, 0, 0)  # a cached block that was not asked for
         path = tmp_path / "table.dat"
-        count = export_table(default_table(), path)
+        count = export_table(triples, path)
+        clear_cache()
+        for twice_j in triples:
+            cg_block(*(Fraction(t, 2) for t in twice_j))
         records = dict(default_table().items())
-        assert count > 0
-        assert count == len(records)
-        # bit identical via 17 digits
+        assert count == len(records) == 9 + 6
+        # bit identical via 17 digits, in label order
         assert dict(load_table(path).items()) == records
+        lines = path.read_text().splitlines()
+        assert lines == sorted(lines, key=lambda line: [int(x) for x in line.split()[:6]])
 
     def test_load_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.dat"
