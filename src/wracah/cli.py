@@ -69,7 +69,8 @@ HALFINT = HalfIntParam()
 class WracahCommand(click.Command):
     """Every library error raised by a command is a usage error: exit 2 with its message.
 
-    So is a size too large to allocate: exit 1 stays reserved for a failed check.
+    So is a size too large to allocate, or a value beyond the float range:
+    exit 1 stays reserved for a failed check.
     """
 
     def invoke(self, ctx):
@@ -80,6 +81,9 @@ class WracahCommand(click.Command):
         except MemoryError as exc:
             # numpy's message names the size it could not allocate
             raise click.UsageError(f"out of memory: {str(exc) or 'the request is too large'}", ctx) from exc
+        except OverflowError as exc:
+            # an exact value, such as alpha = -j*r + s at |r| near 1e308, beyond the float range
+            raise click.UsageError(f"value out of the float range: {exc}", ctx) from exc
 
 
 class WracahGroup(click.Group):

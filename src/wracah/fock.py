@@ -12,10 +12,11 @@ therefore monomial: one target row and one weight per column, with O(dim)
 algebra and an exact spectral norm.  A sum or an adjoint that would leave
 that form raises InvalidArgumentError.
 
-The product, the sum and the norm are module functions on (target, weight)
-arrays.  They also take a leading stack axis, so a verifier can evaluate
-many operators of one space in one call; `Operator` calls them on single
-operators, and a stacked row gets the same bits as the single operator.
+The product, the adjoint, the sum and the norm are module functions on
+(target, weight) arrays.  They also take a leading stack axis, so a
+verifier can evaluate many operators of one space in one call; `Operator`
+calls them on single operators, and a stacked row gets the same bits as
+the single operator.
 """
 
 from __future__ import annotations
@@ -143,23 +144,22 @@ class Operator:
         return Operator._built(self.space, self.target, -self.weight)
 
     def adjoint(self) -> "Operator":
-        cols = np.flatnonzero(self.weight)
-        rows = self.target[cols]
-        if np.unique(rows).size != rows.size:
-            raise InvalidArgumentError("adjoint leaves monomial form: two columns share a nonzero row")
-        target = np.arange(self.space.dim)
-        weight = np.zeros(self.space.dim, dtype=complex)
-        target[rows] = cols
-        weight[rows] = self.weight[cols].conj()
-        return Operator._built(self.space, target, weight)
+        """The conjugate transpose, by `_adjoint`."""
+        return Operator._built(self.space, *_adjoint(self.target, self.weight))
 
     def power(self, n: int) -> "Operator":
+        """self^n as the chain P_i = self @ P_(i-1) from the identity.
+
+        The chain runs on the raw arrays and is wrapped once; each link is
+        the product `self @ result` would form, so the bits are those of n
+        single products.  Repeated squaring would round differently.
+        """
         if not isinstance(n, numbers.Integral) or n < 0:
             raise InvalidArgumentError("power expects a nonnegative integer")
-        result = Operator.identity(self.space)
+        target, weight = np.arange(self.space.dim), np.ones(self.space.dim, dtype=complex)
         for _ in range(int(n)):
-            result = self @ result
-        return result
+            target, weight = _product(self.target, self.weight, target, weight)
+        return Operator._built(self.space, target, weight)
 
     def norm(self) -> float:
         """Spectral norm, exact: see `_spectral_norms`."""
@@ -204,6 +204,27 @@ def _product(target_a, weight_a, target_b, weight_b) -> tuple[np.ndarray, np.nda
     weight.real = a.real * b.real - a.imag * b.imag
     weight.imag = a.real * b.imag + a.imag * b.real
     return _gather(target_a, target_b), weight
+
+
+def _adjoint(target, weight) -> tuple[np.ndarray, np.ndarray]:
+    """Target rows and weights of A^H, for a single operator or a stack.
+
+    Column c of A with a nonzero weight becomes column target[c] of A^H,
+    holding the conjugate weight in row c; columns of A^H that receive no
+    entry keep their own row and a zero weight.  Two nonzero columns of
+    one operator that share a row raise InvalidArgumentError.
+    """
+    shape, dim = target.shape, target.shape[-1]
+    target, weight = target.reshape(-1, dim), weight.reshape(-1, dim)
+    stack, cols = np.nonzero(weight)
+    slots = stack * dim + target[stack, cols]
+    if np.bincount(slots).max(initial=0) > 1:
+        raise InvalidArgumentError("adjoint leaves monomial form: two columns share a nonzero row")
+    adj_target = np.tile(np.arange(dim), len(target))
+    adj_weight = np.zeros(target.size, dtype=complex)
+    adj_target[slots] = cols
+    adj_weight[slots] = weight[stack, cols].conj()
+    return adj_target.reshape(shape), adj_weight.reshape(shape)
 
 
 def _monomial_sum(target_a, weight_a, target_b, weight_b) -> tuple[np.ndarray, np.ndarray]:

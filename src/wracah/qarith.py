@@ -1,11 +1,18 @@
 """Scalar arithmetic at a root of unity.
 
 q-brackets and q-factorials for q = exp(2*pi*i/k), exact unit phases kept as
-reduced rational turns, and half-integer bookkeeping for angular momentum
-labels.  Fractional powers q^x use the principal branch exp(2*pi*i*x/k); this
-is the one choice under which the analytic eigenvectors of the cyclic shift
+rational turns, and half-integer bookkeeping for angular momentum labels.
+Fractional powers q^x use the principal branch exp(2*pi*i*x/k); this is the
+one choice under which the analytic eigenvectors of the cyclic shift
 reproduce its claimed eigenvalues for every real family parameter, which the
 verification suites exercise directly.
+
+The scalar functions work on integer turns: an argument is read once as an
+integer pair (numerator, denominator), the turn of a phase is formed from
+integers and handed to `_turn_phase`, which reduces it by one gcd, and a
+rational value such as alpha is rounded by one integer true division.  No
+Fraction is built per call, and an unreduced pair gives the same bits as
+the reduced one.
 """
 
 from __future__ import annotations
@@ -49,20 +56,28 @@ def _require_order(k) -> int:
     return int(k)
 
 
-def _as_fraction(x) -> Fraction:
-    """Exact rational value of x.  Floats convert via their binary expansion."""
+def _ratio(x) -> tuple[int, int]:
+    """Exact rational value of x as Python integers (numerator, denominator > 0),
+    not necessarily reduced.  Floats convert via their binary expansion."""
     if isinstance(x, HalfInt):
-        return x.as_fraction
+        return x.twice, 2
     if isinstance(x, Fraction):
-        return x
+        return x.numerator, x.denominator
     if isinstance(x, numbers.Integral) and not isinstance(x, bool):
-        return Fraction(int(x))
+        return int(x), 1
     if isinstance(x, numbers.Real):
         xf = float(x)
         if not math.isfinite(xf):
             raise InvalidArgumentError(f"expected a finite real number, got {x!r}")
-        return Fraction(xf)
+        return xf.as_integer_ratio()
     raise InvalidArgumentError(f"expected a real number, got {x!r}")
+
+
+def _as_fraction(x) -> Fraction:
+    """Exact rational value of x.  Floats convert via their binary expansion."""
+    if isinstance(x, Fraction):
+        return x
+    return Fraction(*_ratio(x))
 
 
 @dataclass(frozen=True, order=True)
@@ -269,8 +284,8 @@ def root_of_unity(k) -> UnitPhase:
 def q_power(x, k) -> complex:
     """Principal fractional power exp(2*pi*i*x/k) of the order-k root."""
     k = _require_order(k)
-    x = _as_fraction(x)
-    return _turn_phase(x.numerator, x.denominator * k)
+    num, den = _ratio(x)
+    return _turn_phase(num, den * k)
 
 
 def q_bracket(x, k) -> complex:
@@ -280,24 +295,25 @@ def q_bracket(x, k) -> complex:
     exactly at multiples of k, where the numerator is an exact zero.
     """
     k = _require_order(k)
-    qx = q_power(x, k)
-    q = root_of_unity(k).to_complex()
-    return (1 - qx) / (1 - q)
+    num, den = _ratio(x)
+    return (1 - _turn_phase(num, den * k)) / (1 - _turn_phase(1, k))
 
 
 def q_factorial(n, k) -> complex:
     """[n]! = [1][2]...[n] with [0]! = 1, built as the literal product.
 
-    For n >= k the product carries the exactly vanishing bracket [k] and the
-    result is an exact complex zero; dividing by it must be refused upstream,
-    see q_factorial_is_degenerate.
+    Each factor has the bits of q_bracket(i, k).  For n >= k the product
+    carries the exactly vanishing bracket [k] and the result is an exact
+    complex zero; dividing by it must be refused upstream, see
+    q_factorial_is_degenerate.
     """
     k = _require_order(k)
     if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 0:
         raise InvalidArgumentError(f"q-factorial needs an integer n >= 0, got {n!r}")
+    base = 1 - _turn_phase(1, k)
     value = complex(1.0)
     for i in range(1, int(n) + 1):
-        value *= q_bracket(i, k)
+        value *= (1 - _turn_phase(i, k)) / base
     return value
 
 
@@ -309,26 +325,28 @@ def q_factorial_is_degenerate(n, k) -> bool:
     return int(n) >= k
 
 
-def _alpha_fraction(j: HalfInt, r, s: int) -> Fraction:
-    if not 0 <= int(s) <= j.twice:
-        raise InvalidArgumentError(f"family label s = {s} outside 0..{j.twice} for j = {j}")
-    return Fraction(int(s)) - j.as_fraction * _as_fraction(r)
+def _alpha_ratio(j, r, s) -> tuple[int, int, int]:
+    """2j and the integers (a, b) with alpha = -j*r + s = a / b, b > 0."""
+    tj, s = HalfInt.of(j).twice, int(s)
+    if not 0 <= s <= tj:
+        raise InvalidArgumentError(f"family label s = {s} outside 0..{tj} for j = {HalfInt(tj)}")
+    p, q = _ratio(r)
+    return tj, 2 * q * s - tj * p, 2 * q
 
 
 def alpha_value(j, r, s: int) -> float:
     """The s-th eigenvalue exponent alpha = -j*r + s of a size-(2j+1) family."""
-    j = HalfInt.of(j)
-    return float(_alpha_fraction(j, r, int(s)))
+    _, a, b = _alpha_ratio(j, r, s)
+    return a / b
 
 
 def alpha_phase(j, r, s: int, m, sign: int = 1) -> complex:
     """exp(sign * 2*pi*i * alpha*m / (2j+1)) with alpha = -j*r + s.
 
-    The turn alpha*m/(2j+1) is accumulated in exact rational arithmetic and
-    rounded once, so rational family parameters give bit-stable phases.
+    The turn sign*alpha*m/(2j+1) is formed from integers and rounded once,
+    so rational family parameters give bit-stable phases.
     """
     j = HalfInt.of(j)
-    m = HalfInt.of(m)
-    order = j.twice + 1
-    turn = sign * _alpha_fraction(j, r, int(s)) * m.as_fraction / order
-    return phase_from_turn(turn)
+    tm = HalfInt.of(m).twice
+    tj, a, b = _alpha_ratio(j, r, s)
+    return _turn_phase(sign * a * tm, 2 * b * (tj + 1))

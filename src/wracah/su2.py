@@ -27,6 +27,7 @@ from .fock import (
     FockSpace,
     Operator,
     QuonOps,
+    _adjoint,
     _monomial_sum,
     _product,
     _spectral_norms,
@@ -225,6 +226,38 @@ def _expected_ladder(space: AngularSpace, sign: int) -> np.ndarray:
     return mat
 
 
+def _shift_action_residuals(u: Operator, half: complex, wrap: complex) -> dict[str, float]:
+    """Largest deviation of the shift from its literal action, per column family.
+
+    Column (n1, n2) must hold one entry: interior steps go to (n1+1, n2-1)
+    with weight 1, wrapping mode 1 goes to (0, n2-1) and wrapping mode 2 to
+    (n1+1, k-1) with half the wrap phase, the double wrap goes to (0, k-1)
+    with the full one.  A column's deviation is |weight - value| when its
+    entry sits in the expected row, else the larger of the two moduli.
+    Moduli come from np.hypot, which rounds as Python's abs of a complex
+    does; np.abs of a complex array can differ in the last bit.
+    """
+    k = u.space.k
+    n1, n2 = np.divmod(np.arange(k * k), k)
+    wraps1, wraps2 = n1 == k - 1, n2 == 0
+    row = np.where(wraps1, 0, n1 + 1) * k + np.where(wraps2, k - 1, n2 - 1)
+    value = np.where(wraps1 & wraps2, wrap, np.where(wraps1 | wraps2, half, 1.0 + 0j))
+    got = u.weight
+    diff = got - value
+    deviation = np.where(
+        u.target == row,
+        np.hypot(diff.real, diff.imag),
+        np.maximum(np.hypot(got.real, got.imag), np.hypot(value.real, value.imag)),
+    )
+    families = {
+        "interior_shift_action": ~wraps1 & ~wraps2,
+        "mode1_wrap_action": wraps1 & ~wraps2,
+        "mode2_wrap_action": ~wraps1 & wraps2,
+        "double_wrap_action": wraps1 & wraps2,
+    }
+    return {name: float(np.max(deviation[mask], initial=0.0)) for name, mask in families.items()}
+
+
 def verify_su2(
     params: ShiftParams,
     tol: ToleranceRule | None = None,
@@ -255,27 +288,7 @@ def verify_su2(
         for name, residual in residuals.items():
             report.add(Check.residual_check(name, residual.norm(), tol.abs_tol))
 
-    # literal action, all four column families: interior steps carry no
-    # phase, wrapping a single mode costs half the wrap phase, wrapping
-    # both costs the full one.  Entries are (column, row, value) labels.
-    half = params.half_wrap_phase
-    families = {
-        "interior_shift_action": [
-            ((n1, n2), (n1 + 1, n2 - 1), 1.0) for n1 in range(k - 1) for n2 in range(1, k)
-        ],
-        "mode1_wrap_action": [((k - 1, n2), (0, n2 - 1), half) for n2 in range(1, k)],
-        "mode2_wrap_action": [((n1, 0), (n1 + 1, k - 1), half) for n1 in range(k - 1)],
-        "double_wrap_action": [((k - 1, 0), (0, k - 1), params.wrap_phase)],
-    }
-    for name, entries in families.items():
-        worst = 0.0
-        for col, row, value in entries:
-            # the largest entry of the column minus value at row; the
-            # column's one entry sits in row u.target[c]
-            c = fock.index(*col)
-            got = complex(u.weight[c])
-            hit = u.target[c] == fock.index(*row)
-            worst = max(worst, abs(got - value) if hit else max(abs(got), abs(value)))
+    for name, worst in _shift_action_residuals(u, params.half_wrap_phase, params.wrap_phase).items():
         report.add(Check.residual_check(name, worst, tol.abs_tol))
 
     add_norms({"shift_unitary": u.adjoint() @ u - Operator.identity(fock)})
@@ -388,7 +401,7 @@ def shift_eigenvalue(j, r, s: int) -> complex:
     return alpha_phase(j, r, s, HalfInt(2), sign=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShiftEigenbasis:
     """Joint eigenbasis of the Casimir and the cyclic shift at parameter r.
 
@@ -529,9 +542,10 @@ def verify_sine_algebra(
     be empty), and the unitarity of every T_m.
 
     Every monomial is derived from one restricted shift, through one power
-    chain of U and of U^H (`_monomial_grid`).  For each m, the commutators
-    with all n are evaluated at once, on stacks of |pairs| operators, with
-    the fock module's stacked product, sum and norm; memory stays at
+    chain of U and of U^H (`_monomial_grid`).  T_m^H T_m - I is evaluated
+    for every m in one stack, and for each m the commutators with all n
+    are evaluated at once, on stacks of |pairs| operators, with the fock
+    module's stacked adjoint, product, sum and norm; memory stays at
     O(|pairs| k).  Each residual has the bits of the same chain of single
     `Operator` calls.
     """
@@ -553,11 +567,11 @@ def verify_sine_algebra(
 
     n_target, n_weight = stacked(pairs)
     eye = Operator.identity(u.space)
+    gram = _product(*_adjoint(n_target, n_weight), n_target, n_weight)
+    worst_unitary = float(np.max(_spectral_norms(*_monomial_sum(*gram, eye.target, -eye.weight))))
     worst_comm = 0.0
-    worst_unitary = 0.0
     for am, bm in pairs:
         t_m = Operator._built(u.space, targets[at[am], at[bm]], weights[at[am], at[bm]])
-        worst_unitary = max(worst_unitary, (t_m.adjoint() @ t_m - eye).norm())
         mn = _product(t_m.target, t_m.weight, n_target, n_weight)
         nm_target, nm_weight = _product(n_target, n_weight, t_m.target, t_m.weight)
         commutators = _monomial_sum(*mn, nm_target, -nm_weight)

@@ -348,7 +348,7 @@ def ninej_from_fbar(j1, j2, j3, j4, j5, j6, j7, j8, j9, r) -> NinejSubstitution:
     return NinejSubstitution(value=value, reference=reference, residual=abs(value - reference))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TensorComponents:
     """Irreducible tensor family on a pair of angular spaces.
 
@@ -450,7 +450,8 @@ def verify_tensor_transform(j, rank: int, r, tol: ToleranceRule | None = None) -
     )
 
     if tensor.rank.is_integer:
-        shifted = tensor_transform(tensor, float(r) + 2.0)
+        # stepped exactly: in floating point r + 2.0 rounds back to r once |r| >= 2**54
+        shifted = tensor_transform(tensor, _as_fraction(r) + 2)
         cyclic = float(np.max(np.abs(shifted - np.roll(moved, -1, axis=0))))
         report.add(Check.residual_check("family_shift_relabels_cyclically", cyclic, tol.abs_tol))
     return report

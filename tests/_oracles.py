@@ -9,13 +9,17 @@ dense Kronecker products.  None of the package's integer kernels, phase
 bookkeeping, caching, einsum wiring or monomial operator algebra is reused,
 so agreement is meaningful.
 
-Three functions are exceptions: they reuse the package to pin an
+Some functions are exceptions: they reuse the package to pin an
 evaluation order bit for bit.  `looped_sine_residuals` keeps the per-pair
 loop of single `Operator` calls that the stacked sine-algebra check
-replaced; `dense_sine_residuals` is the independent oracle for the same
-identity.  `looped_angular_momentum_tensor` and `looped_tensor_transform`
-keep the scalar `cg` loop and the tuple of components that the stacked
-tensor builder replaced.
+replaced, with each T_m^H T_m - I formed from `sorted_adjoint`;
+`dense_sine_residuals` is the independent oracle for the same identity.
+`looped_angular_momentum_tensor` and `looped_tensor_transform` keep the
+scalar `cg` loop and the tuple of components that the stacked tensor
+builder replaced.  `chained_power` keeps `Operator.power` as a chain of
+`@`, `sorted_adjoint` the single-operator adjoint with its `np.unique`
+check, and `looped_shift_action` the per-entry loop of the literal
+shift-action check.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,7 +35,7 @@ import numpy as np
 from sympy import Rational
 from sympy.physics.wigner import clebsch_gordan, wigner_3j, wigner_9j
 
-from wracah import HalfInt, Operator, cg, commutator, shift_op
+from wracah import FockSpace, HalfInt, InvalidArgumentError, Operator, cg, commutator, shift_op
 from wracah.su2 import AngularSpace, _expected_ladder, basis_transform_matrix, restrict_to_angular
 
 
@@ -186,9 +191,37 @@ def fraction_turn_phase(turn: Fraction) -> complex:
     return cmath.exp(2j * math.pi * n / d)
 
 
+def exact_fraction(x) -> Fraction:
+    """The exact value of an int, numpy integer, float, Fraction or HalfInt,
+    in Python integers."""
+    if isinstance(x, HalfInt):
+        return Fraction(x.twice, 2)
+    if isinstance(x, numbers.Integral):
+        return Fraction(int(x))
+    return Fraction(x)
+
+
 def fraction_q_power(x, k: int) -> complex:
     """q^x = exp(2 pi i x / k) through the Fraction turn x / k."""
-    return fraction_turn_phase(Fraction(x) / k)
+    return fraction_turn_phase(exact_fraction(x) / k)
+
+
+def fraction_q_bracket(x, k: int) -> complex:
+    """(1 - q^x) / (1 - q), both powers through Fraction turns."""
+    return (1 - fraction_q_power(x, k)) / (1 - fraction_q_power(1, k))
+
+
+def fraction_q_factorial(n: int, k: int) -> complex:
+    """[1][2]...[n], each bracket through Fraction turns, multiplied in order."""
+    value = complex(1.0)
+    for i in range(1, n + 1):
+        value *= fraction_q_bracket(i, k)
+    return value
+
+
+def fraction_alpha_value(j, r, s: int) -> float:
+    """alpha = s - j r summed as Fractions and rounded once."""
+    return float(Fraction(int(s)) - exact_fraction(j) * exact_fraction(r))
 
 
 def fraction_alpha_phase(j, r, s: int, m, sign: int = 1) -> complex:
@@ -417,16 +450,68 @@ def dense_sine_residuals(k: int, r, indices) -> tuple[float, float]:
     return unitary, worst
 
 
+def chained_power(op: Operator, n: int) -> Operator:
+    """op^n as the chain P_i = op @ P_(i-1) of single products from the identity."""
+    result = Operator.identity(op.space)
+    for _ in range(n):
+        result = op @ result
+    return result
+
+
+def sorted_adjoint(op: Operator) -> Operator:
+    """The conjugate transpose of one monomial operator, its injectivity
+    checked by sorting the rows of the nonzero columns."""
+    cols = np.flatnonzero(op.weight)
+    rows = op.target[cols]
+    if np.unique(rows).size != rows.size:
+        raise InvalidArgumentError("adjoint leaves monomial form: two columns share a nonzero row")
+    target = np.arange(op.space.dim)
+    weight = np.zeros(op.space.dim, dtype=complex)
+    target[rows] = cols
+    weight[rows] = op.weight[cols].conj()
+    return Operator(op.space, target, weight)
+
+
+def looped_shift_action(u: Operator, half: complex, wrap: complex) -> dict[str, float]:
+    """The literal-action residuals of the shift, one labeled entry at a time.
+
+    Each entry is (column, row, value) in occupation labels; a column
+    deviates by |weight - value| when its entry sits in that row, else by
+    the larger of the two moduli, all with Python's abs.
+    """
+    k = u.space.k
+    fock = FockSpace(k)
+    families = {
+        "interior_shift_action": [
+            ((n1, n2), (n1 + 1, n2 - 1), 1.0) for n1 in range(k - 1) for n2 in range(1, k)
+        ],
+        "mode1_wrap_action": [((k - 1, n2), (0, n2 - 1), half) for n2 in range(1, k)],
+        "mode2_wrap_action": [((n1, 0), (n1 + 1, k - 1), half) for n1 in range(k - 1)],
+        "double_wrap_action": [((k - 1, 0), (0, k - 1), wrap)],
+    }
+    result = {}
+    for name, entries in families.items():
+        worst = 0.0
+        for col, row, value in entries:
+            c = fock.index(*col)
+            got = complex(u.weight[c])
+            hit = u.target[c] == fock.index(*row)
+            worst = max(worst, abs(got - value) if hit else max(abs(got), abs(value)))
+        result[name] = worst
+    return result
+
+
 def looped_sine_residuals(params, indices) -> tuple[float, float]:
     """(monomial_unitary, sine_commutation) one pair at a time: each monomial
-    from its own `Operator.power` chain, clock and phase from Fraction turns,
-    and each commutator residual as a chain of single `Operator` calls."""
+    from its own `chained_power`, clock and phase from Fraction turns, each
+    T_m^H T_m - I from `sorted_adjoint`, and each commutator residual as a
+    chain of single `Operator` calls."""
     k = params.k
     u = restrict_to_angular(shift_op(params), k)
 
     @lru_cache(maxsize=None)
     def monomial(m1: int, m2: int):
-        shift_part = u.power(m1) if m1 >= 0 else u.adjoint().power(-m1)
+        shift_part = chained_power(u, m1) if m1 >= 0 else chained_power(sorted_adjoint(u), -m1)
         clock = [fraction_q_power(tm * m2, k) for tm in range(-(k - 1), k, 2)]
         return fraction_q_power(m1 * m2, k) * (shift_part @ Operator.diagonal(u.space, clock))
 
@@ -435,7 +520,7 @@ def looped_sine_residuals(params, indices) -> tuple[float, float]:
     unitary = worst = 0.0
     for am, bm in pairs:
         t_m = monomial(am, bm)
-        unitary = max(unitary, (t_m.adjoint() @ t_m - eye).norm())
+        unitary = max(unitary, (sorted_adjoint(t_m) @ t_m - eye).norm())
         for an, bn in pairs:
             factor = 2j * math.sin(2 * math.pi * (am * bn - bm * an) / k)
             residual = commutator(t_m, monomial(an, bn)) + factor * monomial(am + an, bm + bn)

@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wracah.cli import main
@@ -323,6 +323,16 @@ class TestUsageErrors:
         st.integers(min_value=-40, max_value=-1).map(lambda t: f"{t}/2"),
         st.sampled_from(["0.3", "1/3", "1/0", "inf", "nan", "1e400"]),
     )
+    # well-formed family parameters whose alpha = -j*r + s leaves the float range
+    _overflowing_rs = st.sampled_from(["1e308", "-1e308", "9e307"])
+    _overflowing_heads = st.sampled_from(
+        [
+            ["report", "--max-j", "2", "--r"],
+            ["basis", "--j", "2", "--r"],
+            ["su2-check", "--k", "5", "--r"],
+            ["cg-ur", "--j1", "2", "--j2", "2", "--j", "2", "--r"],
+        ]
+    )
     # under a directory that does not exist
     _unwritable_paths = st.text(alphabet="abx._-", min_size=1, max_size=5).map(
         lambda name: f"/nonexistent-wracah-output-dir/{name}"
@@ -340,8 +350,13 @@ class TestUsageErrors:
             st.tuples(st.just(["basis", "--j"]), _bad_spins, st.just(None)),
             st.tuples(st.just(["we-check", "--rank", "1", "--j"]), _bad_spins, st.just(None)),
             st.tuples(st.just(["quon-check", "--k", "3", "--output"]), _unwritable_paths, st.just(None)),
+            st.tuples(_overflowing_heads, _overflowing_rs, st.just(None)),
         )
     )
+    @example((["report", "--max-j", "2", "--r"], "1e308", None))
+    @example((["basis", "--j", "2", "--r"], "-1e308", None))
+    @example((["su2-check", "--k", "5", "--r"], "9e307", None))
+    @example((["cg-ur", "--j1", "2", "--j2", "2", "--j", "2", "--r"], "1e308", None))
     @settings(max_examples=60)
     def test_malformed_input_always_exits_two(self, case):
         head, value, env_tol = case

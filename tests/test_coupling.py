@@ -439,6 +439,24 @@ class TestTensors:
             assert np.max(np.abs(b[s] - a[(s + 1) % n])) < 1e-12
 
 
+    @pytest.mark.parametrize("r", [1e17, 2**60])
+    def test_family_step_is_exact_at_large_r(self, r):
+        """In floating point r + 2.0 rounds back to r here, which relabels nothing."""
+        for j in (HALF, ONE, THREEHALF, TWO):
+            for rank in (1, 2):
+                report = verify_tensor_transform(j, rank, r)
+                assert report.passed, (str(j), rank)
+                [cyclic] = [c for c in report.checks if c.name == "family_shift_relabels_cyclically"]
+                assert cyclic.residual == 0.0
+
+    def test_equality_is_identity(self):
+        """Tensors hold arrays, so == compares identity and hash works, neither raising."""
+        a, b = angular_momentum_tensor(ONE, 1), angular_momentum_tensor(ONE, 1)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+        assert hash(a) == hash(a)
+
+
 class TestWignerEckart:
     def test_scalar_reduced_element_closed_form(self):
         for j in (ONE, THREEHALF, TWO):

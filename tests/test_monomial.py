@@ -12,6 +12,7 @@ import cmath
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,21 +26,24 @@ from wracah import (
     ShiftParams,
     SubspaceLeakageError,
     quon_operators,
+    shift_op,
     verify_quon_relations,
     verify_sine_algebra,
     verify_su2,
 )
-from wracah.fock import _monomial_sum, _product, _spectral_norms
+from wracah.fock import _adjoint, _monomial_sum, _product, _spectral_norms
 from wracah.qarith import ToleranceRule
 from wracah.su2 import restrict_to_angular
 
 from _oracles import (
     angular_rows,
+    chained_power,
     dense_modulus,
     dense_quon_generators,
     dense_shift,
     dense_sine_residuals,
     looped_sine_residuals,
+    sorted_adjoint,
 )
 
 # both residuals sit at the rounding level of operators whose entries stay
@@ -145,6 +149,74 @@ def test_stacked_algebra_matches_single_operators_bitwise(seed):
 
     norms = _spectral_norms(x_t, x_w)
     assert [n.hex() for n in norms.tolist()] == [x.norm().hex() for x in xs]
+
+
+# the orders and family parameters at which the raw-array paths are pinned
+# to the chains of single Operator calls they replaced
+ORACLE_ORDERS = [*range(2, 31), 101]
+
+
+def _oracle_family(k: int):
+    return (0, 1, 0.37, -2.37, 1 / 3, Fraction(7, 5), 1e-7, 2**60, random.Random(k).uniform(-3.0, 3.0))
+
+
+def _same_operator(got: Operator, want: Operator) -> bool:
+    return got.target.tobytes() == want.target.tobytes() and got.weight.tobytes() == want.weight.tobytes()
+
+
+@pytest.mark.parametrize("k", ORACLE_ORDERS)
+def test_power_is_the_chain_of_products_bitwise(k):
+    """power runs the chain of `@` on raw arrays: the same bits at every n."""
+    rng = np.random.default_rng(k)
+    ops = quon_operators(k)
+    shift = shift_op(ShiftParams(k, rng.uniform(-3.0, 3.0)))
+    randoms = [_random_monomial(rng, ops.space), _random_monomial(rng, ops.space, injective=True)]
+    for op in (ops.lower1, ops.raise2, shift, *randoms):
+        for n in sorted({0, 1, 2, 3, 5, k - 1, k}):
+            assert _same_operator(op.power(n), chained_power(op, n)), n
+    assert _same_operator(shift.power(np.int64(3)), chained_power(shift, 3))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_adjoint_matches_sorted_adjoint_bitwise(seed):
+    """The stacked adjoint gives every row, and Operator.adjoint every single
+    operator, the bits of the sorted single-operator adjoint; columns with a
+    zero weight may share a row."""
+    rng = np.random.default_rng(seed)
+    space = FockSpace(5)
+    xs = []
+    for _ in range(6):
+        x = _random_monomial(rng, space, injective=True)
+        zero = x.weight == 0
+        target = np.where(zero, rng.integers(0, space.dim, space.dim), x.target)
+        xs.append(Operator(space, target, x.weight))
+    x_t, x_w = np.stack([x.target for x in xs]), np.stack([x.weight for x in xs])
+    adj_t, adj_w = _adjoint(x_t, x_w)
+    for x, t, w in zip(xs, adj_t, adj_w):
+        want = sorted_adjoint(x)
+        assert _same_operator(x.adjoint(), want)
+        assert t.tobytes() == want.target.tobytes() and w.tobytes() == want.weight.tobytes()
+
+    # one stack row whose two nonzero columns share a target row spoils the stack
+    bad_t = x_t.copy()
+    nonzero = np.flatnonzero(x_w[3])
+    bad_t[3, nonzero[0]] = x_t[3, nonzero[1]]
+    with pytest.raises(InvalidArgumentError, match="adjoint leaves monomial form"):
+        _adjoint(bad_t, x_w)
+    _adjoint(np.delete(bad_t, 3, axis=0), np.delete(x_w, 3, axis=0))
+
+
+@pytest.mark.parametrize("k", ORACLE_ORDERS)
+def test_sine_residuals_match_looped_calls_across_orders(k):
+    """The stacked unitarity and commutators against the per-m loop of single
+    Operator calls with the sorted adjoint, bit for bit.  Each order below
+    101 takes every third family parameter, so each parameter meets ten orders."""
+    family = _oracle_family(k)
+    for r in family if k == 101 else family[k % 3 :: 3]:
+        params = ShiftParams(k, r)
+        report = verify_sine_algebra(params, [-1, 2])
+        looped = looped_sine_residuals(params, [-1, 2])
+        assert [c.residual.hex() for c in report.checks] == [x.hex() for x in looped], r
 
 
 def test_sum_leaving_monomial_form_raises():

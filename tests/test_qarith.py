@@ -2,8 +2,10 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,9 +27,18 @@ from wracah import (
     root_of_unity,
 )
 from wracah.qarith import EXACT_DENOMINATOR_LIMIT, _turn_phase
-from wracah.su2 import phase_matrix
+from wracah.su2 import phase_matrix, shift_eigenvalue
 
-from _oracles import fraction_alpha_phase, fraction_q_power, fraction_turn_phase, fraction_unit_phase
+from _oracles import (
+    exact_fraction,
+    fraction_alpha_phase,
+    fraction_alpha_value,
+    fraction_q_bracket,
+    fraction_q_factorial,
+    fraction_q_power,
+    fraction_turn_phase,
+    fraction_unit_phase,
+)
 
 halfints = st.integers(min_value=-12, max_value=12).map(HalfInt)
 orders = st.integers(min_value=2, max_value=9)
@@ -245,6 +256,84 @@ class TestAlphaPhases:
     def test_out_of_range_label_rejected(self):
         with pytest.raises(InvalidArgumentError):
             alpha_value(HalfInt.of(1), 0.0, 3)
+
+
+# the orders and family parameters at which the integer-turn routes are
+# pinned to the Fraction routes they replaced
+TURN_ORDERS = [*range(2, 31), 101]
+TURN_FAMILY = [
+    0,
+    1,
+    0.37,
+    -2.37,
+    1 / 3,
+    Fraction(1, 3),
+    Fraction(7, 5),
+    1e-7,
+    2**60,
+    np.int64(-3),
+    np.float64(0.713),
+    HalfInt(3),
+    *(random.Random(seed).uniform(-3.0, 3.0) for seed in range(3)),
+]
+
+
+class TestIntegerTurns:
+    """q-brackets, q-factorials and alpha from integer turns carry the bits
+    of the Fraction routes, whatever the type of each argument."""
+
+    @pytest.mark.parametrize("k", TURN_ORDERS)
+    def test_brackets_match_fraction_route(self, k):
+        xs = [
+            *range(-k, 2 * k + 2),
+            np.int64(3),
+            np.int32(k - 1),
+            Fraction(5, 3),
+            Fraction(-7, 2),
+            HalfInt(3),
+            HalfInt(-5),
+            *TURN_FAMILY,
+        ]
+        for x in xs:
+            assert bits(q_bracket(x, k)) == bits(fraction_q_bracket(x, k)), x
+            assert bits(q_power(x, k)) == bits(fraction_q_power(x, k)), x
+
+    @pytest.mark.parametrize("k", TURN_ORDERS)
+    def test_factorials_match_fraction_route(self, k):
+        for n in [*range(k + 2), np.int64(k - 1)]:
+            assert bits(q_factorial(n, k)) == bits(fraction_q_factorial(int(n), k)), n
+
+    @pytest.mark.parametrize("k", TURN_ORDERS)
+    def test_alpha_matches_fraction_route(self, k):
+        """Each order below 101 takes every third family parameter, so each
+        parameter meets ten orders."""
+        tj = k - 1
+        spins = [HalfInt(tj), Fraction(tj, 2)] + ([tj // 2, np.int64(tj // 2)] if tj % 2 == 0 else [])
+        for r in TURN_FAMILY if k == 101 else TURN_FAMILY[k % 3 :: 3]:
+            for s in (*range(k), np.int64(tj)):
+                j = spins[s % len(spins)]
+                assert alpha_value(j, r, s).hex() == fraction_alpha_value(j, r, s).hex(), (j, r, s)
+                want = fraction_alpha_phase(Fraction(tj, 2), exact_fraction(r), int(s), 1, -1)
+                assert bits(shift_eigenvalue(j, r, s)) == bits(want), (j, r, s)
+                for tm, sign in ((-tj, 1), (1 - tj % 2, -1), (tj, -1)):
+                    got = alpha_phase(j, r, s, HalfInt(tm), sign)
+                    want = fraction_alpha_phase(Fraction(tj, 2), exact_fraction(r), int(s), Fraction(tm, 2), sign)
+                    assert bits(got) == bits(want), (j, r, s, tm, sign)
+
+    def test_arguments_are_still_checked(self):
+        with pytest.raises(InvalidArgumentError):
+            alpha_phase(HalfInt(2), 0.3, 3, HalfInt(0))
+        with pytest.raises(InvalidArgumentError):
+            q_bracket(float("nan"), 5)
+        with pytest.raises(InvalidArgumentError):
+            q_factorial(Fraction(3, 2), 5)
+        with pytest.raises(InvalidOrderError):
+            q_factorial(3, 1)
+        with pytest.raises(InvalidOrderError):
+            q_bracket(1, True)
+        # an alpha beyond the float range raises as float() of the Fraction does
+        with pytest.raises(OverflowError):
+            alpha_value(HalfInt(4), 1e308, 0)
 
 
 class TestToleranceRule:

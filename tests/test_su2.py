@@ -14,6 +14,7 @@ from wracah import (
     FockSpace,
     HalfInt,
     InvalidArgumentError,
+    Operator,
     ShiftParams,
     SubspaceLeakageError,
     ToleranceRule,
@@ -32,8 +33,16 @@ from wracah import (
     verify_su2,
 )
 from wracah.qarith import halfint_range
-from wracah.su2 import phase_matrix, restrict_to_angular, shift_eigenvalue
+from wracah.su2 import (
+    _shift_action_residuals,
+    _shift_family,
+    phase_matrix,
+    restrict_to_angular,
+    shift_eigenvalue,
+)
 from wracah.wigner import clear_cache, default_table
+
+from _oracles import looped_shift_action
 
 R_GRID = (0.0, 0.5, 1.0, 2.37)
 
@@ -62,6 +71,33 @@ def test_shift_action_k3_literal():
     assert abs(u[fock.index(1, 2), fock.index(0, 0)] - half) < 1e-14
     # double wrap: |2,0) -> full phase * |0,2)
     assert abs(u[fock.index(0, 2), fock.index(2, 0)] - phase) < 1e-14
+
+
+@pytest.mark.parametrize("k", [*range(2, 31), 101])
+def test_shift_action_matches_entrywise_loop_bitwise(k):
+    """The masked literal-action check against the per-entry loop with
+    Python's abs: on the shift, on the shift with perturbed weights, and on
+    monomials whose entries mostly sit in the wrong rows.  Each order takes
+    every third family parameter, so each parameter meets ten orders."""
+    rng = np.random.default_rng(k)
+    space = FockSpace(k)
+    shift = _shift_family(quon_operators(k))
+    family = (0, 1, 0.37, -2.37, 1 / 3, Fraction(7, 5), 1e-7, 2**60, rng.uniform(-3.0, 3.0))
+    for i, r in enumerate(family[k % 3 :: 3]):
+        params = ShiftParams(k, r)
+        u = shift(params)
+        noise = rng.normal(size=(2, space.dim)) * 1e-3
+        ops = [u, Operator(space, u.target, u.weight * (1 + noise[0] + 1j * noise[1]))]
+        if i == 0:
+            weights = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+            ops += [
+                Operator(space, rng.integers(0, space.dim, space.dim), weights),
+                Operator(space, np.where(rng.random(space.dim) < 0.5, u.target, 0), u.weight + weights * 1e-2),
+            ]
+        for op in ops:
+            got = _shift_action_residuals(op, params.half_wrap_phase, params.wrap_phase)
+            want = looped_shift_action(op, params.half_wrap_phase, params.wrap_phase)
+            assert {n: x.hex() for n, x in got.items()} == {n: x.hex() for n, x in want.items()}, r
 
 
 def test_modulus_diagonal_values():
@@ -179,6 +215,13 @@ class TestShiftEigenbasis:
         check = next(c for c in report.checks if c.name == "wrap_phase_consistency")
         assert check.residual == 0.0
         assert report.r == float(r)
+
+    def test_equality_is_identity(self):
+        """The basis holds arrays, so == compares identity and hash works, neither raising."""
+        a, b = shift_eigenbasis(HalfInt(2), 0.3), shift_eigenbasis(HalfInt(2), 0.3)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+        assert hash(a) == hash(a)
 
     def test_to_dict_shape(self):
         d = shift_eigenbasis(HalfInt(1), 1.0).to_dict()
