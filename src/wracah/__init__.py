@@ -27,16 +27,13 @@ from .fock import FockSpace, Operator, QuonOps, commutator, quon_operators, veri
 from .qarith import (
     HalfInt,
     ToleranceRule,
-    UnitPhase,
     alpha_phase,
     alpha_value,
     halfint_range,
-    phase_from_turn,
     q_bracket,
     q_factorial,
     q_factorial_is_degenerate,
     q_power,
-    root_of_unity,
 )
 from .report import Check, VerificationReport
 from .sphere import (
@@ -68,9 +65,7 @@ from .urcoupling import (
     angular_momentum_tensor,
     cg_ur,
     cg_ur_table,
-    f_symbol,
     f_table,
-    fbar_symbol,
     fbar_table,
     identity_tensor,
     ninej_from_fbar,
@@ -81,7 +76,7 @@ from .urcoupling import (
     verify_wigner_eckart,
     wigner_eckart_check,
 )
-from .wigner import CouplingTable, SymbolKey, cg, ninej, threejm, triangle
+from .wigner import CouplingTable, cg, ninej, threejm, triangle
 
 __version__ = "0.1.0"
 
@@ -104,12 +99,10 @@ __all__ = [
     "SphericalPoint",
     "Su2Ops",
     "SubspaceLeakageError",
-    "SymbolKey",
     "TableConflictError",
     "TensorComponents",
     "ToleranceRule",
     "UndeterminedReducedElementError",
-    "UnitPhase",
     "UnsupportedLimitError",
     "VerificationReport",
     "WignerEckartResult",
@@ -124,22 +117,18 @@ __all__ = [
     "cg_ur_table",
     "clock_shift_monomial",
     "commutator",
-    "f_symbol",
     "f_table",
-    "fbar_symbol",
     "fbar_table",
     "halfint_range",
     "identity_tensor",
     "modulus_op",
     "ninej",
     "ninej_from_fbar",
-    "phase_from_turn",
     "q_bracket",
     "q_factorial",
     "q_factorial_is_degenerate",
     "q_power",
     "quon_operators",
-    "root_of_unity",
     "shift_eigenbasis",
     "shift_op",
     "spherical_harmonic",

@@ -236,7 +236,7 @@ def quon_check(k: int, fmt: str, output: str | None, tol: float | None) -> None:
 @main.command("su2-check")
 @click.option("--k", type=int, required=True)
 @click.option("--r", type=float, default=1.0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @FORMAT
 @OUTPUT
 @TOL
@@ -570,7 +570,7 @@ def _build_report(
 @main.command("report")
 @click.option("--max-j", "max_j", type=HALFINT, required=True)
 @click.option("--r", type=float, default=1.0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--timings", is_flag=True, help="print each suite's wall time, slowest first, and the cache's counters to stderr")
 @FORMAT
 @OUTPUT

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, SpaceMismatchError
-from .qarith import ToleranceRule, _require_order, q_bracket, root_of_unity
+from .qarith import ToleranceRule, _require_order, _turn_phase, q_bracket
 from .report import Check, VerificationReport
 
 __all__ = [
@@ -303,7 +303,7 @@ def verify_quon_relations(ops: QuonOps, tol: ToleranceRule | None = None) -> Ver
     k = ops.space.k
     if tol is None:
         tol = ToleranceRule.for_order(k)
-    q = root_of_unity(k).to_complex()
+    q = _turn_phase(1, k)
     one = Operator.identity(ops.space)
     report = VerificationReport(suite="quon", k=k, r=None)
 

@@ -27,21 +27,18 @@ from .errors import InvalidArgumentError, InvalidOrderError
 
 __all__ = [
     "HalfInt",
-    "UnitPhase",
     "ToleranceRule",
     "EXACT_DENOMINATOR_LIMIT",
     "halfint_range",
     "all_spins",
     "integer_spins",
     "half_integer_spins",
-    "root_of_unity",
     "q_power",
     "q_bracket",
     "q_factorial",
     "q_factorial_is_degenerate",
     "alpha_value",
     "alpha_phase",
-    "phase_from_turn",
 ]
 
 # Rational turns with denominators up to this bound take the exact path;
@@ -186,47 +183,6 @@ def half_integer_spins(max_j) -> list[HalfInt]:
 
 
 @dataclass(frozen=True)
-class UnitPhase:
-    """exp(2*pi*i * numerator/denominator), stored as a reduced turn in [0, 1)."""
-
-    numerator: int
-    denominator: int
-
-    def __post_init__(self):
-        if self.denominator == 0:
-            raise InvalidArgumentError("denominator must be nonzero")
-        turn = Fraction(self.numerator, self.denominator) % 1
-        object.__setattr__(self, "numerator", turn.numerator)
-        object.__setattr__(self, "denominator", turn.denominator)
-
-    @staticmethod
-    def from_turn(turn: Fraction) -> "UnitPhase":
-        turn = Fraction(turn)
-        return UnitPhase(turn.numerator, turn.denominator)
-
-    @property
-    def turn(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    def __mul__(self, other: "UnitPhase") -> "UnitPhase":
-        return UnitPhase.from_turn(self.turn + other.turn)
-
-    def __pow__(self, exponent: int) -> "UnitPhase":
-        if not isinstance(exponent, numbers.Integral):
-            raise InvalidArgumentError("UnitPhase powers must be integers")
-        return UnitPhase.from_turn(self.turn * int(exponent))
-
-    def conjugate(self) -> "UnitPhase":
-        return UnitPhase.from_turn(-self.turn)
-
-    def to_complex(self) -> complex:
-        return _turn_phase(self.numerator, self.denominator)
-
-    def __complex__(self) -> complex:
-        return self.to_complex()
-
-
-@dataclass(frozen=True)
 class ToleranceRule:
     """Absolute comparison threshold for verification checks."""
 
@@ -266,19 +222,6 @@ def _turn_phase(num: int, den: int) -> complex:
     if d == 4:
         return 1j if n == 1 else -1j
     return cmath.exp(2j * math.pi * n / d)
-
-
-def phase_from_turn(turn) -> complex:
-    """exp(2*pi*i*turn) with the exact path for coarse rational turns."""
-    if isinstance(turn, Fraction):
-        return _turn_phase(turn.numerator, turn.denominator)
-    return cmath.exp(2j * math.pi * (float(turn) % 1.0))
-
-
-def root_of_unity(k) -> UnitPhase:
-    """The primitive root exp(2*pi*i/k)."""
-    k = _require_order(k)
-    return UnitPhase(1, k)
 
 
 def q_power(x, k) -> complex:

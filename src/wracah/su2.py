@@ -38,12 +38,12 @@ from .qarith import (
     HalfInt,
     ToleranceRule,
     _as_fraction,
+    _ratio,
     _require_order,
     _turn_phase,
     alpha_phase,
     alpha_value,
     halfint_range,
-    phase_from_turn,
     q_factorial,
     q_factorial_is_degenerate,
 )
@@ -88,17 +88,16 @@ class ShiftParams:
     def j(self) -> HalfInt:
         return HalfInt(self.k - 1)
 
-    def _wrap_turn(self):
-        return _as_fraction(self.r) * (self.k - 1) / 2
-
     @property
     def wrap_phase(self) -> complex:
-        """exp(i pi (k-1) r), evaluated through the exact turn when r is rational."""
-        return phase_from_turn(self._wrap_turn() % 1)
+        """exp(i pi (k-1) r), from the exact turn (k-1) p / 2q of r = p/q."""
+        p, q = _ratio(self.r)
+        return _turn_phase(p * (self.k - 1), 2 * q)
 
     @property
     def half_wrap_phase(self) -> complex:
-        return phase_from_turn((self._wrap_turn() / 2) % 1)
+        p, q = _ratio(self.r)
+        return _turn_phase(p * (self.k - 1), 4 * q)
 
 
 @dataclass(frozen=True)
@@ -478,7 +477,8 @@ def verify_shift_eigenbasis(j, r, tol: ToleranceRule | None = None) -> Verificat
     report.add(Check.residual_check("generic_solver_agreement", worst, max(tol.abs_tol, 1e-9)))
 
     # the wrap phase must close the eigenvector ansatz: exp(i*phase) = exp(2*pi*i*j*r)
-    closure = abs(params.wrap_phase - phase_from_turn((j.as_fraction * _as_fraction(r)) % 1))
+    p, q = _ratio(r)
+    closure = abs(params.wrap_phase - _turn_phase(j.twice * p, 2 * q))
     report.add(Check.residual_check("wrap_phase_consistency", float(closure), tol.abs_tol))
     return report
 

@@ -39,9 +39,7 @@ __all__ = [
     "cg_ur_table",
     "cg_ur",
     "f_table",
-    "f_symbol",
     "fbar_table",
-    "fbar_symbol",
     "alpha_labels",
     "clear_cache",
     "verify_cg_ur_unitarity",
@@ -149,14 +147,6 @@ def f_table(j1, j2, j3, r) -> np.ndarray:
     return default_table().get(("f", j1.twice, j2.twice, j3.twice, r.numerator, r.denominator), build)
 
 
-def f_symbol(j1, j2, j3, s1, s2, s3, r) -> complex:
-    j1, j2, j3 = HalfInt.of(j1), HalfInt.of(j2), HalfInt.of(j3)
-    s1 = _validate_s(j1, s1, "s1")
-    s2 = _validate_s(j2, s2, "s2")
-    s3 = _validate_s(j3, s3, "s3")
-    return complex(f_table(j1, j2, j3, r)[s1, s2, s3])
-
-
 def fbar_table(j1, j2, j3, r) -> np.ndarray:
     """Symmetric recoupling symbol, indexed [s1, s2, s3].
 
@@ -177,14 +167,6 @@ def fbar_table(j1, j2, j3, r) -> np.ndarray:
         return norm * _phase_transform(p1, p2, p3, core)
 
     return default_table().get(("fbar", j1.twice, j2.twice, j3.twice, r.numerator, r.denominator), build)
-
-
-def fbar_symbol(j1, j2, j3, s1, s2, s3, r) -> complex:
-    j1, j2, j3 = HalfInt.of(j1), HalfInt.of(j2), HalfInt.of(j3)
-    s1 = _validate_s(j1, s1, "s1")
-    s2 = _validate_s(j2, s2, "s2")
-    s3 = _validate_s(j3, s3, "s3")
-    return complex(fbar_table(j1, j2, j3, r)[s1, s2, s3])
 
 
 def _stacked_residuals(j1, j2, first, second=None) -> tuple[float, float]:

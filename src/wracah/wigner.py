@@ -26,8 +26,7 @@ import itertools
 import math
 import operator
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass
+from collections import Counter, OrderedDict
 
 import numpy as np
 
@@ -43,7 +42,6 @@ __all__ = [
     "threejm",
     "threejm_block",
     "ninej",
-    "SymbolKey",
     "CouplingTable",
     "default_table",
     "clear_cache",
@@ -84,22 +82,6 @@ def _check_labels(twice_j, twice_m) -> None:
         _check_jm(tj, tm)
         if abs(tm) > tj:
             raise InvalidArgumentError(f"|2m| = {abs(tm)} exceeds 2j = {tj}")
-
-
-@dataclass(frozen=True)
-class SymbolKey:
-    """Record key of one coupling coefficient: twice-integer labels plus a variant tag."""
-
-    variant: str
-    twice_j: tuple[int, ...]
-    twice_m: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.variant != "cg":
-            raise InvalidArgumentError(f"unknown symbol variant {self.variant!r}")
-        if len(self.twice_j) != 3 or len(self.twice_m) != 3:
-            raise InvalidArgumentError("coupling keys carry three j and three m labels")
-        _check_labels(self.twice_j, self.twice_m)
 
 
 # Bytes of cached arrays.  The largest pair of integer spins at max-j 10,
@@ -159,7 +141,7 @@ class CouplingTable:
         return len(self._entries)
 
     def items(self):
-        """(SymbolKey, value) records of the cached cg blocks (_block_records)."""
+        """(labels, value) records of the cached cg blocks, as _block_records gives them."""
         with self._lock:
             blocks = [(key[1:], value) for key, value in self._entries.items() if key[0] == "cg"]
         for twice_j, block in blocks:
@@ -175,7 +157,7 @@ class CouplingTable:
 
 
 def _block_records(twice_j: tuple[int, int, int], block: np.ndarray):
-    """(SymbolKey, value) records of every entry with m = m1 + m2 of one cg block, m1 major.
+    """((2j1, 2j2, 2j, 2m1, 2m2, 2m), value) records of every entry with m = m1 + m2 of one cg block, m1 major.
 
     A block that breaks the triangle rule holds only zeros and gives no records.
     """
@@ -186,7 +168,7 @@ def _block_records(twice_j: tuple[int, int, int], block: np.ndarray):
         for i2, tm2 in enumerate(range(-tj2, tj2 + 1, 2)):
             tm = tm1 + tm2
             if abs(tm) <= tj:
-                yield SymbolKey("cg", twice_j, (tm1, tm2, tm)), float(block[i1, i2, (tm + tj) // 2])
+                yield (tj1, tj2, tj, tm1, tm2, tm), float(block[i1, i2, (tm + tj) // 2])
 
 
 _DEFAULT_TABLE = CouplingTable()
@@ -367,28 +349,30 @@ def export_table(triples, path) -> int:
     The blocks are read through cg_block, so the file does not depend on
     what the cache holds.  A triple given twice is written once, and one
     that breaks the triangle rule gives no records.  Lines are sorted by
-    labels.  Values are rendered with 17 significant digits, so reloading
-    reproduces them bit for bit.
+    their six labels.  Values are rendered with 17 significant digits, so
+    load_table reproduces them bit for bit.
     """
     records = []
     for twice_j in dict.fromkeys(tuple(triple) for triple in triples):
         records.extend(_block_records(twice_j, cg_block(*map(HalfInt, twice_j))))
-    records.sort(key=lambda kv: (kv[0].twice_j, kv[0].twice_m))
-    lines = [" ".join(map(str, key.twice_j + key.twice_m)) + f" {value:.17g}" for key, value in records]
+    records.sort()  # the labels of a record are unique
+    lines = [" ".join(map(str, labels)) + f" {value:.17g}" for labels, value in records]
     text = "\n".join(lines) + ("\n" if lines else "")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
     return len(lines)
 
 
-def load_table(path) -> CouplingTable:
-    """Rebuild the cg blocks of an exported file.
+def load_table(path) -> dict[tuple[int, int, int], np.ndarray]:
+    """The cg blocks of an exported file, as {(2j1, 2j2, 2j): read-only block}.
 
-    Each record must obey the triangle rule and carry a finite value, the
-    records must fill their blocks completely, and a coefficient given twice
-    must carry the same value both times.
+    The mapping is built apart from the cache and holds every block of the
+    file.  Each record must carry valid labels with m = m1 + m2, obey the
+    triangle rule and carry a finite value; a coefficient given twice must
+    carry the same value both times, and the records must fill their blocks
+    completely.
     """
-    records: dict[SymbolKey, float] = {}
+    records: dict[tuple[int, ...], float] = {}
     with open(path, "r", encoding="ascii") as fh:
         for line in fh:
             parts = line.split()
@@ -398,29 +382,34 @@ def load_table(path) -> CouplingTable:
             if len(parts) != 7:
                 raise malformed
             try:
-                labels = [int(p) for p in parts[:6]]
+                labels = tuple(int(p) for p in parts[:6])
                 value = float(parts[6])
             except ValueError:
                 raise malformed from None
-            key = SymbolKey("cg", tuple(labels[:3]), tuple(labels[3:]))
-            if not _triangle_twice(*key.twice_j):
+            try:
+                _check_labels(labels[:3], labels[3:])
+            except InvalidArgumentError as err:
+                raise InvalidArgumentError(f"record {line.strip()!r}: {err}") from None
+            if labels[5] != labels[3] + labels[4]:
+                raise InvalidArgumentError(f"record {line.strip()!r} has m != m1 + m2")
+            if not _triangle_twice(*labels[:3]):
                 raise InvalidArgumentError(f"record {line.strip()!r} breaks the triangle rule")
             if not math.isfinite(value):
                 raise InvalidArgumentError(f"record {line.strip()!r} carries a value that is not finite")
-            stored = records.setdefault(key, value)
+            stored = records.setdefault(labels, value)
             if stored != value:
-                raise TableConflictError(f"key {key} already stores {stored!r}, refused {value!r}")
-    blocks: dict[tuple[int, ...], np.ndarray] = {}
-    for key, value in records.items():
-        (tj1, tj2, tj), (tm1, tm2, tm) = key.twice_j, key.twice_m
-        block = blocks.setdefault(key.twice_j, np.zeros((tj1 + 1, tj2 + 1, tj + 1)))
+                raise TableConflictError(f"record {labels} already stores {stored!r}, refused {value!r}")
+    blocks: dict[tuple[int, int, int], np.ndarray] = {}
+    for (tj1, tj2, tj, tm1, tm2, tm), value in records.items():
+        block = blocks.setdefault((tj1, tj2, tj), np.zeros((tj1 + 1, tj2 + 1, tj + 1)))
         block[(tm1 + tj1) // 2, (tm2 + tj2) // 2, (tm + tj) // 2] = value
-    table = CouplingTable()
+    counts = Counter(labels[:3] for labels in records)
     for twice_j, block in blocks.items():
-        table.get(("cg", *twice_j), lambda block=block: block)
-    if dict(table.items()) != records:
-        raise InvalidArgumentError(f"{path}: the records do not fill complete cg blocks")
-    return table
+        # the records are distinct entries of the block, so as many as it has means all of them
+        if counts[twice_j] != sum(1 for _ in _block_records(twice_j, block)):
+            raise InvalidArgumentError(f"{path}: the records do not fill the cg block {twice_j}")
+        block.setflags(write=False)
+    return blocks
 
 
 def _casimir_vectors(tj1: np.ndarray, tj2: np.ndarray, tm: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -333,6 +333,7 @@ class TestUsageErrors:
             ["cg-ur", "--j1", "2", "--j2", "2", "--j", "2", "--r"],
         ]
     )
+    _seeded_heads = st.sampled_from([["report", "--max-j", "1", "--seed"], ["su2-check", "--k", "5", "--seed"]])
     # under a directory that does not exist
     _unwritable_paths = st.text(alphabet="abx._-", min_size=1, max_size=5).map(
         lambda name: f"/nonexistent-wracah-output-dir/{name}"
@@ -351,8 +352,11 @@ class TestUsageErrors:
             st.tuples(st.just(["we-check", "--rank", "1", "--j"]), _bad_spins, st.just(None)),
             st.tuples(st.just(["quon-check", "--k", "3", "--output"]), _unwritable_paths, st.just(None)),
             st.tuples(_overflowing_heads, _overflowing_rs, st.just(None)),
+            st.tuples(_seeded_heads, st.integers(max_value=-1).map(str), st.just(None)),
         )
     )
+    @example((["report", "--max-j", "1", "--seed"], "-1", None))
+    @example((["su2-check", "--k", "5", "--seed"], "-1", None))
     @example((["report", "--max-j", "2", "--r"], "1e308", None))
     @example((["basis", "--j", "2", "--r"], "-1e308", None))
     @example((["su2-check", "--k", "5", "--r"], "9e307", None))

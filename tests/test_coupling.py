@@ -23,9 +23,7 @@ from wracah import (
     angular_momentum_tensor,
     cg_ur,
     cg_ur_table,
-    f_symbol,
     f_table,
-    fbar_symbol,
     fbar_table,
     identity_tensor,
     ninej_from_fbar,
@@ -180,8 +178,8 @@ class TestCgUr:
 class TestFSymbols:
     def test_all_zero_spins(self):
         z = HalfInt(0)
-        assert f_symbol(z, z, z, 0, 0, 0, 1.0) == pytest.approx(1.0)
-        assert fbar_symbol(z, z, z, 0, 0, 0, 1.0) == pytest.approx(1.0)
+        assert f_table(z, z, z, 1.0)[0, 0, 0] == pytest.approx(1.0)
+        assert fbar_table(z, z, z, 1.0)[0, 0, 0] == pytest.approx(1.0)
 
     def test_f_from_coupling_definition(self):
         """f is the conjugated coupling coefficient of (j2 j3 | j1) with a
@@ -214,7 +212,7 @@ class TestFSymbols:
     def test_frozen_imaginary_value(self):
         # three spin-1 systems at r = 0: the odd total spin forces purely
         # imaginary entries; (0,1,2) is exactly i/sqrt(6)
-        got = fbar_symbol(ONE, ONE, ONE, 0, 1, 2, 0.0)
+        got = fbar_table(ONE, ONE, ONE, 0.0)[0, 1, 2]
         assert abs(got.real) < 1e-14
         assert got.imag == pytest.approx(0.40824829046386307, abs=1e-14)
 

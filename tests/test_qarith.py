@@ -15,16 +15,13 @@ from wracah import (
     InvalidArgumentError,
     InvalidOrderError,
     ToleranceRule,
-    UnitPhase,
     alpha_phase,
     alpha_value,
     halfint_range,
-    phase_from_turn,
     q_bracket,
     q_factorial,
     q_factorial_is_degenerate,
     q_power,
-    root_of_unity,
 )
 from wracah.qarith import EXACT_DENOMINATOR_LIMIT, _turn_phase
 from wracah.su2 import phase_matrix, shift_eigenvalue
@@ -92,26 +89,17 @@ class TestHalfInt:
 
 
 class TestUnitPhase:
-    def test_exact_quarter_turns(self):
-        assert UnitPhase.from_turn(Fraction(0)).to_complex() == 1
-        assert UnitPhase.from_turn(Fraction(1, 2)).to_complex() == -1
-        assert UnitPhase.from_turn(Fraction(1, 4)).to_complex() == 1j
-        assert UnitPhase.from_turn(Fraction(3, 4)).to_complex() == -1j
+    """Unit phases exp(2 pi i t) of rational turns t, through _turn_phase."""
 
-    @given(turns, turns)
-    def test_multiplication_adds_turns_mod_one(self, s, t):
-        product = UnitPhase.from_turn(s) * UnitPhase.from_turn(t)
-        assert product.turn == (s + t) % 1
+    def test_exact_quarter_turns(self):
+        assert _turn_phase(0, 1) == 1
+        assert _turn_phase(1, 2) == -1
+        assert _turn_phase(1, 4) == 1j
+        assert _turn_phase(3, 4) == -1j
 
     @given(turns)
     def test_unit_modulus(self, t):
-        assert abs(abs(UnitPhase.from_turn(t).to_complex()) - 1.0) < 1e-15
-
-    @given(turns, st.integers(min_value=-6, max_value=6))
-    def test_power_and_conjugate(self, t, n):
-        p = UnitPhase.from_turn(t)
-        assert (p**n).turn == (n * t) % 1
-        assert (p * p.conjugate()).turn == 0
+        assert abs(abs(_turn_phase(t.numerator, t.denominator)) - 1.0) < 1e-15
 
 
 class TestTurnPhase:
@@ -187,26 +175,27 @@ class TestTurnPhase:
         st.integers(min_value=1, max_value=EXACT_DENOMINATOR_LIMIT),
     )
     def test_unit_phase_matches_fraction_path(self, n, d):
-        assert bits(UnitPhase(n, d).to_complex()) == bits(fraction_unit_phase(n, d))
+        assert bits(_turn_phase(n, d)) == bits(fraction_unit_phase(n, d))
 
     def test_unit_phase_above_the_limit_rounds_like_phase_from_turn(self):
+        """Above the limit the phase is taken from the rounded quotient 17 / d, within an ulp of the exact route."""
         d = EXACT_DENOMINATOR_LIMIT + 3
-        phase = UnitPhase(17, d).to_complex()
-        assert bits(phase) == bits(phase_from_turn(Fraction(17, d)))
+        phase = _turn_phase(17, d)
+        assert bits(phase) == bits(cmath.exp(2j * math.pi * (17 / d)))
         assert abs(phase - fraction_unit_phase(17, d)) < 1e-15
 
 
 class TestDeformedArithmetic:
     def test_root_of_unity_small_orders(self):
-        assert root_of_unity(2).to_complex() == -1
-        assert root_of_unity(4).to_complex() == 1j
-        q3 = root_of_unity(3).to_complex()
+        assert q_power(1, 2) == -1
+        assert q_power(1, 4) == 1j
+        q3 = q_power(1, 3)
         assert abs(q3 - complex(-0.5, math.sqrt(3) / 2)) < 1e-15
 
     @pytest.mark.parametrize("bad", [0, 1, -3, 2.5])
     def test_order_must_be_integer_at_least_two(self, bad):
         with pytest.raises(InvalidOrderError):
-            root_of_unity(bad)
+            q_power(1, bad)
 
     def test_bracket_endpoints_are_exact_zeros(self):
         for k in range(2, 10):
@@ -346,6 +335,3 @@ class TestToleranceRule:
         assert base.abs_tol == 1e-10
         wide = ToleranceRule.for_order(32)
         assert wide.abs_tol == 1e-10 * 4.0
-
-    def test_phase_from_turn_half(self):
-        assert phase_from_turn(Fraction(1, 2)) == -1

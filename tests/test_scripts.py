@@ -4,10 +4,11 @@ import os
 import runpy
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from wracah import wigner
-from wracah.wigner import clear_cache, load_table
+from wracah.wigner import cg_block, clear_cache, load_table
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,8 +33,14 @@ def test_export_tables_writes_loadable_magnetic_table(tmp_path):
     assert (tmp_path / "fbar_1_1over2_1over2_r1.0.csv").exists()
     path = tmp_path / "magnetic_cg.txt"
     lines = path.read_text().splitlines()
-    assert lines
-    assert len(dict(load_table(path).items())) == len(lines)
+    loaded = load_table(path)
+    # every admissible triple of spins up to 1, each block complete and bit identical
+    assert sorted(loaded) == sorted(
+        (t1, t2, t) for t1 in range(3) for t2 in range(3) for t in range(abs(t1 - t2), min(t1 + t2, 2) + 1, 2)
+    )
+    assert sum(len(list(wigner._block_records(t, block))) for t, block in loaded.items()) == len(lines)
+    for twice_j, block in loaded.items():
+        assert block.tobytes() == cg_block(*(Fraction(t, 2) for t in twice_j)).tobytes(), twice_j
 
 
 def test_export_tables_does_not_depend_on_the_cache(tmp_path, monkeypatch):

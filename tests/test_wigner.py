@@ -19,7 +19,6 @@ from wracah import (
     CouplingTable,
     HalfInt,
     InvalidArgumentError,
-    SymbolKey,
     TableConflictError,
     cg,
     ninej,
@@ -376,18 +375,12 @@ class TestCaching:
         with pytest.raises(InvalidArgumentError):  # but one record leaves the block incomplete
             load_table(path)
         path.write_text("0 0 0 0 0 0 1\n0 0 0 0 0 0 1\n")
-        assert dict(load_table(path).items()) == {SymbolKey("cg", (0, 0, 0), (0, 0, 0)): 1.0}
+        loaded = load_table(path)
+        assert list(loaded) == [(0, 0, 0)]
+        assert loaded[0, 0, 0].tobytes() == cg_block(0, 0, 0).tobytes()
         path.write_text("0 0 0 0 0 0 1\n0 0 0 0 0 0 0.5\n")
         with pytest.raises(TableConflictError):
             load_table(path)
-
-    def test_symbol_key_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            SymbolKey("cg", (2, 2, 4), (1, 0, 1))  # parity mismatch
-        with pytest.raises(InvalidArgumentError):
-            SymbolKey("cg", (2, 2), (0, 0))
-        with pytest.raises(InvalidArgumentError):
-            SymbolKey("sixj", (2, 2, 4), (0, 0, 0))
 
     def test_export_load_round_trip(self, tmp_path):
         """The file holds the records of the blocks it is given, whatever the cache holds."""
@@ -396,15 +389,27 @@ class TestCaching:
         cg(0, 0, 0, 0, 0, 0)  # a cached block that was not asked for
         path = tmp_path / "table.dat"
         count = export_table(triples, path)
-        clear_cache()
-        for twice_j in triples:
-            cg_block(*(Fraction(t, 2) for t in twice_j))
-        records = dict(default_table().items())
-        assert count == len(records) == 9 + 6
-        # bit identical via 17 digits, in label order
-        assert dict(load_table(path).items()) == records
+        assert count == 9 + 6
+        # bit identical via 17 digits, in label order, one read-only block per admissible triple
+        loaded = load_table(path)
+        assert sorted(loaded) == [(2, 2, 4), (3, 2, 1)]
+        for twice_j, block in loaded.items():
+            assert block.tobytes() == cg_block(*(Fraction(t, 2) for t in twice_j)).tobytes()
+            assert not block.flags.writeable
         lines = path.read_text().splitlines()
         assert lines == sorted(lines, key=lambda line: [int(x) for x in line.split()[:6]])
+
+    def test_load_keeps_blocks_beyond_the_cache_bound(self, tmp_path, monkeypatch):
+        """On a 64 KiB cache, a file of more block bytes than that loads back whole and bit for bit."""
+        monkeypatch.setattr(wigner, "_CACHE_BOUND", 64 << 10)
+        triples = [(t1, t2, t) for t1 in range(9) for t2 in range(9) for t in range(abs(t1 - t2), t1 + t2 + 1, 2)]
+        path = tmp_path / "table.dat"
+        export_table(triples, path)
+        loaded = load_table(path)
+        assert sorted(loaded) == sorted(triples)
+        assert sum(block.nbytes for block in loaded.values()) > wigner._CACHE_BOUND
+        for twice_j, block in loaded.items():
+            assert block.tobytes() == cg_block(*(Fraction(t, 2) for t in twice_j)).tobytes(), twice_j
 
     def test_load_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.dat"
@@ -421,6 +426,10 @@ class TestCaching:
             pytest.param("0 0 0 0 0 0 nan", id="nan"),
             pytest.param("0 0 0 0 0 0 one", id="value-not-a-number"),
             pytest.param("0 0 zero 0 0 0 1", id="label-not-a-number"),
+            pytest.param("2 2 4 1 0 1 0.5", id="parity-mismatch"),
+            pytest.param("2 2 4 4 0 4 0.5", id="m1-above-j1"),
+            pytest.param("2 2 4 2 0 0 0.5", id="m-not-m1-plus-m2"),
+            pytest.param("-2 0 2 0 0 0 1", id="negative-j"),
         ],
     )
     def test_load_rejects_bad_record(self, tmp_path, record):
