@@ -28,10 +28,13 @@ def tag(j: HalfInt) -> str:
 
 
 def dump_table(name, build, spins, columns, r, out_dir: pathlib.Path) -> pathlib.Path:
-    """Write build(*spins, r) as name_<j1>_<j2>_<j3>_r<r>.csv, one row per entry, labelled by columns."""
+    """Write build(*spins, r) as name_<j1>_<j2>_<j3>_r<r>.csv, one row per entry, labelled by columns.
+
+    Every cell is rendered here, once, so rows_to_csv takes each as the string it is.
+    """
     table = build(*spins, r)
     rows = [
-        {**dict(zip(columns, labels)), "re": fmt_float(value.real), "im": fmt_float(value.imag)}
+        {**dict(zip(columns, map(str, labels))), "re": fmt_float(value.real), "im": fmt_float(value.imag)}
         for labels, value in np.ndenumerate(table)
     ]
     path = out_dir / f"{name}_{'_'.join(tag(j) for j in spins)}_r{r}.csv"

@@ -2,7 +2,9 @@
 
 Exit codes: 0 when every check passes, 1 when a verification fails, 2 for
 usage errors.  Output is deterministic: canonical JSON (insertion-ordered
-keys, 17 significant digits) or CSV with complex values rendered re+imi.
+keys, 17 significant digits), CSV, or text, which is one `col=value` line
+per row unless the command has its own lines.  `_render` writes the format
+asked for, each value rendered by `serialize.fmt_cell` (complex as re+imi).
 `report --timings` prints each suite's wall time and the state of the
 package's cache to stderr and leaves the output itself unchanged.
 
@@ -18,6 +20,7 @@ import itertools
 import os
 import sys
 import time
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -26,10 +29,11 @@ from .errors import InvalidArgumentError, WracahError
 from .fock import quon_operators, verify_quon_relations
 from .qarith import HalfInt, ToleranceRule, all_spins, half_integer_spins, integer_spins
 from .report import Check, VerificationReport
-from .serialize import dumps, fmt_complex, fmt_float, matrix_to_csv, rows_to_csv
+from .serialize import dumps, fmt_cell, matrix_to_csv, rows_to_csv
 from .sphere import QuadratureGrid, SphericalPoint, verify_sphere, y_r_eigenfunction, y_r_grid_values
 from .su2 import ShiftParams, shift_eigenbasis, verify_shift_eigenbasis, verify_sine_algebra, verify_su2
 from .urcoupling import (
+    _validate_s,
     alpha_labels,
     cg_ur,
     cg_ur_table,
@@ -116,75 +120,59 @@ def _write(text: str, output: str | None) -> None:
         click.echo(text)
 
 
-def _report_csv(reports: list[VerificationReport]) -> str:
-    rows = []
-    for rep in reports:
-        for check in rep.checks:
-            rows.append(
-                {
-                    "suite": rep.suite,
-                    "k": "" if rep.k is None else rep.k,
-                    "r": "" if rep.r is None else fmt_float(rep.r),
-                    "name": check.name,
-                    "residual": check.residual,
-                    "tol": check.tol,
-                    "pass": check.passed,
-                }
-            )
-    return rows_to_csv(["suite", "k", "r", "name", "residual", "tol", "pass"], rows)
+def _fields(columns, rows) -> str:
+    """One line of `col=value` fields per row, each value by fmt_cell; "(no records)" for no rows."""
+    lines = (" ".join(f"{col}={fmt_cell(row[col])}" for col in columns) for row in rows)
+    return "\n".join(lines) or "(no records)"
 
 
-def _report_text(reports: list[VerificationReport]) -> str:
-    lines = []
-    for rep in reports:
-        where = rep.suite
-        if rep.k is not None:
-            where += f" k={rep.k}"
-        if rep.r is not None:
-            where += f" r={fmt_float(rep.r)}"
-        for check in rep.checks:
-            status = "pass" if check.passed else "FAIL"
-            lines.append(
-                f"{status}  {where}  {check.name}  residual={check.residual:.3e}  tol={check.tol:.1e}"
-            )
-    return "\n".join(lines)
+def _valued(records):
+    """Each record with its re and im joined into one complex "value"."""
+    return ({**rec, "value": complex(rec["re"], rec["im"])} for rec in records)
+
+
+def _render(fmt, output, payload: dict, columns, rows, *, text=None, csv=None, code: int = 0) -> NoReturn:
+    """Write one command's output in fmt, then exit with code.
+
+    json dumps payload.  csv is the command's own csv(), or else
+    rows_to_csv(columns, rows).  text is the command's own text(), or else
+    _fields(columns, rows).  rows is read, and text or csv called, only for
+    the format they serve, so rows given as a generator cost nothing in json.
+    """
+    if fmt == "json":
+        body = dumps(payload)
+    elif fmt == "csv":
+        body = csv() if csv else rows_to_csv(columns, rows)
+    else:
+        body = text() if text else _fields(columns, rows)
+    _write(body, output)
+    sys.exit(code)
 
 
 def _finish_verification(
     command: str, params: dict, reports: list[VerificationReport], fmt: str, output: str | None
-) -> None:
+) -> NoReturn:
     """Write the reports in fmt and exit 0 when every check passed, 1 otherwise.
 
-    The json payload is {"command", **params, "pass", "suites"}.
+    The json payload is {"command", **params, "pass", "suites"}; csv has a
+    row and text a line per check.
     """
     ok = all(rep.passed for rep in reports)
-    if fmt == "json":
-        payload = {"command": command, **params, "pass": ok, "suites": [rep.to_dict() for rep in reports]}
-        _write(dumps(payload), output)
-    elif fmt == "csv":
-        _write(_report_csv(reports), output)
-    else:
-        _write(_report_text(reports), output)
-    sys.exit(0 if ok else 1)
+    payload = {"command": command, **params, "pass": ok, "suites": [rep.to_dict() for rep in reports]}
 
+    def rows():
+        for rep in reports:
+            for check in rep.checks:
+                yield {"suite": rep.suite, "k": rep.k, "r": rep.r, **check.to_dict()}
 
-def _records_out(payload: dict, records: list[dict], columns: list[str], fmt: str, output: str | None) -> None:
-    if fmt == "json":
-        _write(dumps(payload), output)
-    elif fmt == "csv":
-        rows = []
-        for rec in records:
-            row = dict(rec)
-            row["value"] = complex(rec["re"], rec["im"])
-            rows.append(row)
-        _write(rows_to_csv(columns + ["value"], rows), output)
-    else:
-        lines = []
-        for rec in records:
-            head = " ".join(f"{col}={_plain(rec[col])}" for col in columns)
-            lines.append(f"{head} value={fmt_complex(complex(rec['re'], rec['im']))}")
-        _write("\n".join(lines) if lines else "(no records)", output)
-    sys.exit(0)
+    def line(row) -> str:
+        at = (f"{key}={fmt_cell(row[key])}" for key in ("k", "r") if row[key] is not None)
+        where = " ".join([row["suite"], *at])
+        status = "pass" if row["pass"] else "FAIL"
+        return f"{status}  {where}  {row['name']}  residual={row['residual']:.3e}  tol={row['tol']:.1e}"
+
+    columns = ["suite", "k", "r", "name", "residual", "tol", "pass"]
+    _render(fmt, output, payload, columns, rows(), text=lambda: "\n".join(map(line, rows())), code=0 if ok else 1)
 
 
 def _symbol_out(command: str, names: tuple[str, ...], spins: tuple[HalfInt, ...], r: float, entries, fmt, output):
@@ -199,13 +187,7 @@ def _symbol_out(command: str, names: tuple[str, ...], spins: tuple[HalfInt, ...]
         records.append(record)
     spin_fields = {name: str(j) for name, j in zip(names, spins)}
     payload = {"command": command, **spin_fields, "r": float(r), "records": records}
-    _records_out(payload, records, [*names, *alpha_names, "r"], fmt, output)
-
-
-def _plain(value) -> str:
-    if isinstance(value, float):
-        return fmt_float(value)
-    return str(value)
+    _render(fmt, output, payload, [*names, *alpha_names, "r", "value"], _valued(records))
 
 
 FORMAT = click.option(
@@ -259,17 +241,9 @@ def su2_check(k: int, r: float, seed: int, fmt: str, output: str | None, tol: fl
 def basis(j: HalfInt, r: float, fmt: str, output: str | None) -> None:
     """Emit the shift eigenbasis: labels, eigenvalues, transform matrix."""
     data = shift_eigenbasis(j, r)
-    if fmt == "csv":
-        _write(matrix_to_csv(data.transform), output)
-    elif fmt == "text":
-        lines = [
-            f"s={s} alpha={fmt_float(data.alphas[s])} eigenvalue={fmt_complex(data.eigenvalues[s])}"
-            for s in range(len(data.alphas))
-        ]
-        _write("\n".join(lines), output)
-    else:
-        _write(dumps({"command": "basis", **data.to_dict()}), output)
-    sys.exit(0)
+    rows = ({"s": s, "alpha": a, "eigenvalue": ev} for s, (a, ev) in enumerate(zip(data.alphas, data.eigenvalues)))
+    payload = {"command": "basis", **data.to_dict()}
+    _render(fmt, output, payload, ["s", "alpha", "eigenvalue"], rows, csv=lambda: matrix_to_csv(data.transform))
 
 
 @main.command("cg-ur")
@@ -287,6 +261,8 @@ def cg_ur_cmd(j1, j2, j, r, s1, s2, s, fmt, output) -> None:
     chosen = (s1, s2, s)
     if any(x is not None for x in chosen) and not all(x is not None for x in chosen):
         raise click.UsageError("give all of --s1 --s2 --s or none of them")
+    if s1 is not None:  # out-of-range labels are a usage error outside the triangle too
+        chosen = (_validate_s(j1, s1, "s1"), _validate_s(j2, s2, "s2"), _validate_s(j, s, "s"))
     if not triangle(j1, j2, j):
         entries = []
     elif s1 is not None:
@@ -368,55 +344,26 @@ def winf(k, r, max_index, fmt, output, tol) -> None:
 @OUTPUT
 def yr(ell, s, r, theta, phi, grid_theta, grid_phi, fmt, output) -> None:
     """Pointwise value of a shift-family eigenfunction on the sphere."""
-    point = SphericalPoint(theta, phi)
-    value = y_r_eigenfunction(ell, s, r, point)
     if (grid_theta is None) != (grid_phi is None):
         raise click.UsageError("give both --grid-theta and --grid-phi or neither")
+    value = y_r_eigenfunction(ell, s, r, SphericalPoint(theta, phi))  # also rejects an s outside 0..2l
+    columns = ["theta", "phi", "re", "im"]
     if grid_theta is not None:
         grid = QuadratureGrid(grid_theta, grid_phi)
         samples = y_r_grid_values(ell, r, grid)[s]
-        rows = []
-        for it, th in enumerate(grid.thetas):
-            for ip, ph in enumerate(grid.phis):
-                rows.append(
-                    {
-                        "theta": float(th),
-                        "phi": float(ph),
-                        "re": samples[it, ip].real,
-                        "im": samples[it, ip].imag,
-                    }
-                )
-        if fmt == "json":
-            _write(
-                dumps({"command": "yr", "l": ell, "s": s, "r": float(r), "grid": rows}), output
-            )
-        elif fmt == "csv":
-            _write(rows_to_csv(["theta", "phi", "re", "im"], rows), output)
-        else:
-            lines = [
-                f"theta={fmt_float(row['theta'])} phi={fmt_float(row['phi'])} "
-                f"value={fmt_complex(complex(row['re'], row['im']))}"
-                for row in rows
-            ]
-            _write("\n".join(lines), output)
-        sys.exit(0)
-    record = {
-        "command": "yr",
-        "l": ell,
-        "s": s,
-        "r": float(r),
-        "theta": float(theta),
-        "phi": float(phi),
-        "re": value.real,
-        "im": value.imag,
-    }
-    if fmt == "csv":
-        _write(rows_to_csv(["theta", "phi", "re", "im"], [record]), output)
-    elif fmt == "text":
-        _write(f"y[l={ell}, s={s}, r={fmt_float(float(r))}]({fmt_float(theta)}, {fmt_float(phi)}) = {fmt_complex(value)}", output)
-    else:
-        _write(dumps(record), output)
-    sys.exit(0)
+        nodes = [
+            {"theta": float(th), "phi": float(ph), "re": samples[it, ip].real, "im": samples[it, ip].imag}
+            for it, th in enumerate(grid.thetas)
+            for ip, ph in enumerate(grid.phis)
+        ]
+        payload = {"command": "yr", "l": ell, "s": s, "r": float(r), "grid": nodes}
+        _render(fmt, output, payload, columns, nodes, text=lambda: _fields(["theta", "phi", "value"], _valued(nodes)))
+    record = {"theta": float(theta), "phi": float(phi), "re": value.real, "im": value.imag}
+
+    def text():
+        return f"y[l={ell}, s={s}, r={fmt_cell(r)}]({fmt_cell(theta)}, {fmt_cell(phi)}) = {fmt_cell(value)}"
+
+    _render(fmt, output, {"command": "yr", "l": ell, "s": s, "r": float(r), **record}, columns, [record], text=text)
 
 
 # Twice-spins of the 9-j arrays that the substitution check evaluates.

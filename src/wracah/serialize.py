@@ -2,7 +2,9 @@
 
 Floats are rendered with 17 significant digits (lossless for binary64) and
 dict keys keep their insertion order, so repeated runs produce byte-identical
-output.
+output.  `fmt_cell` decides how one value reads in CSV and in the CLI's
+text: a string as it is, None as nothing, booleans as true/false, integers
+in decimal, floats by `fmt_float` and complex values as re+imi.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .errors import InvalidArgumentError
 __all__ = [
     "fmt_float",
     "fmt_complex",
+    "fmt_cell",
     "dumps",
     "complex_record",
     "matrix_to_csv",
@@ -99,7 +102,12 @@ def matrix_to_json_entries(mat: np.ndarray) -> list[list[dict]]:
     return [[complex_record(entry) for entry in row] for row in np.atleast_2d(mat)]
 
 
-def _csv_cell(value) -> str:
+def fmt_cell(value) -> str:
+    """One value as a CSV cell or a text field; a string, already rendered, is checked first."""
+    if isinstance(value, str):
+        return value
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, numbers.Integral):
@@ -111,8 +119,9 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def rows_to_csv(columns: list[str], rows: list[dict]) -> str:
+def rows_to_csv(columns: list[str], rows) -> str:
+    """A header of columns, then one line per row (a dict keyed by column), each cell by fmt_cell."""
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_csv_cell(row[col]) for col in columns))
+        lines.append(",".join(fmt_cell(row[col]) for col in columns))
     return "\n".join(lines) + "\n"

@@ -233,6 +233,65 @@ class TestTableCommands:
             assert (float(theta[1]), float(phi[1])) == (node["theta"], node["phi"])
             assert complex(value[1].replace("i", "j")) == complex(node["re"], node["im"])
 
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (
+                ["basis", "--j", "1/2", "--r", "1", "--format", "text"],
+                "s=0 alpha=-0.5 eigenvalue=0+1i\ns=1 alpha=0.5 eigenvalue=-0-1i\n",
+            ),
+            (
+                ["cg-ur", "--j1", "1/2", "--j2", "0", "--j", "1/2", "--r", "0", "--format", "text"],
+                "j1=0.5 j2=0 j=0.5 alpha1=0 alpha2=0 alpha=0 r=0 value=1+0i\n"
+                "j1=0.5 j2=0 j=0.5 alpha1=0 alpha2=0 alpha=1 r=0 value=0+0i\n"
+                "j1=0.5 j2=0 j=0.5 alpha1=1 alpha2=0 alpha=0 r=0 value=0+0i\n"
+                "j1=0.5 j2=0 j=0.5 alpha1=1 alpha2=0 alpha=1 r=0 value=1+0i\n",
+            ),
+            (["cg-ur", "--j1", "1/2", "--j2", "1/2", "--j", "2", "--format", "text"], "(no records)\n"),
+            (
+                ["fbar", "--j1", "1/2", "--j2", "1/2", "--j3", "0", "--r", "0", "--format", "text"],
+                "j1=0.5 j2=0.5 j3=0 alpha1=0 alpha2=0 alpha3=0 r=0 value=0+0i\n"
+                "j1=0.5 j2=0.5 j3=0 alpha1=0 alpha2=1 alpha3=0 r=0 value=0+0.70710678118654757i\n"
+                "j1=0.5 j2=0.5 j3=0 alpha1=1 alpha2=0 alpha3=0 r=0 value=0-0.70710678118654757i\n"
+                "j1=0.5 j2=0.5 j3=0 alpha1=1 alpha2=1 alpha3=0 r=0 value=0+0i\n",
+            ),
+            (
+                ["yr", "--l", "1", "--s", "0", "--r", "0", "--theta", "0", "--phi", "0", "--format", "text"],
+                "y[l=1, s=0, r=0](0, 0) = 0.28209479177387814+0i\n",
+            ),
+            (
+                ["yr", "--l", "1", "--s", "0", "--r", "0", "--theta", "0", "--phi", "0", "--format", "csv"],
+                "theta,phi,re,im\n0,0,0.28209479177387814,0\n\n",
+            ),
+            # a verification report leaves k or r empty where the suite has none
+            (
+                ["ortho", "--j1", "0", "--j2", "0", "--format", "csv"],
+                "suite,k,r,name,residual,tol,pass\n"
+                "fbar-orthogonality,,1,third_column_sum_resolves_identity,0,1e-10,true\n"
+                "fbar-orthogonality,,1,pair_sum_orthogonality,0,1e-10,true\n\n",
+            ),
+            (
+                ["quon-check", "--k", "2", "--format", "csv"],
+                "suite,k,r,name,residual,tol,pass\n"
+                "quon,2,,mode1_deformed_commutator,0,1e-10,true\n"
+                "quon,2,,mode1_number_raises,0,1e-10,true\n"
+                "quon,2,,mode1_number_lowers,0,1e-10,true\n"
+                "quon,2,,mode1_raise_nilpotent,0,1e-10,true\n"
+                "quon,2,,mode1_lower_nilpotent,0,1e-10,true\n"
+                "quon,2,,mode2_deformed_commutator,0,1e-10,true\n"
+                "quon,2,,mode2_number_raises,0,1e-10,true\n"
+                "quon,2,,mode2_number_lowers,0,1e-10,true\n"
+                "quon,2,,mode2_raise_nilpotent,0,1e-10,true\n"
+                "quon,2,,mode2_lower_nilpotent,0,1e-10,true\n"
+                "quon,2,,cross_mode_commutators,0,1e-10,true\n\n",
+            ),
+        ],
+    )
+    def test_rendered_literally(self, runner, args, expected):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert result.output == expected
+
     def test_output_file(self, runner, tmp_path):
         target = tmp_path / "out.json"
         result = runner.invoke(
@@ -278,6 +337,12 @@ class TestUsageErrors:
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert "s1 must lie in 0..2j = 2, got 3" in result.output
+
+    def test_yr_grid_pairing_is_checked_first(self, runner):
+        """A lone --grid-theta is reported as such, before the label s is even looked at."""
+        result = runner.invoke(main, ["yr", "--l", "2", "--s", "9", "--theta", "0", "--phi", "0", "--grid-theta", "3"])
+        assert result.exit_code == 2
+        assert "give both --grid-theta and --grid-phi or neither" in result.output
 
     def test_winf_negative_max_index(self, runner):
         result = runner.invoke(main, ["winf", "--k", "3", "--max-index", "-1"])
@@ -361,6 +426,8 @@ class TestUsageErrors:
     @example((["basis", "--j", "2", "--r"], "-1e308", None))
     @example((["su2-check", "--k", "5", "--r"], "9e307", None))
     @example((["cg-ur", "--j1", "2", "--j2", "2", "--j", "2", "--r"], "1e308", None))
+    # an out-of-range label on a triple outside the triangle
+    @example((["cg-ur", "--j1", "1", "--j2", "1", "--j", "3", "--s1", "5", "--s2", "0", "--s"], "0", None))
     @settings(max_examples=60)
     def test_malformed_input_always_exits_two(self, case):
         head, value, env_tol = case
