@@ -13,7 +13,6 @@ that return structured reports; the command line (cli) wires them together.
 """
 
 from .errors import (
-    DegenerateFactorialError,
     InvalidArgumentError,
     InvalidOrderError,
     SpaceMismatchError,
@@ -32,7 +31,6 @@ from .qarith import (
     halfint_range,
     q_bracket,
     q_factorial,
-    q_factorial_is_degenerate,
     q_power,
 )
 from .report import Check, VerificationReport
@@ -84,7 +82,6 @@ __all__ = [
     "AngularSpace",
     "Check",
     "CouplingTable",
-    "DegenerateFactorialError",
     "FockSpace",
     "HalfInt",
     "InvalidArgumentError",
@@ -126,7 +123,6 @@ __all__ = [
     "ninej_from_fbar",
     "q_bracket",
     "q_factorial",
-    "q_factorial_is_degenerate",
     "q_power",
     "quon_operators",
     "shift_eigenbasis",

@@ -4,12 +4,13 @@ Exit codes: 0 when every check passes, 1 when a verification fails, 2 for
 usage errors.  Output is deterministic: canonical JSON (insertion-ordered
 keys, 17 significant digits), CSV, or text, which is one `col=value` line
 per row unless the command has its own lines.  `_render` writes the format
-asked for, each value rendered by `serialize.fmt_cell` (complex as re+imi).
-`report --timings` prints each suite's wall time and the state of the
-package's cache to stderr and leaves the output itself unchanged.
+asked for, each value rendered by `serialize.fmt_cell` (complex as re+imi),
+and stdout and an --output file get the same bytes, ending in one newline.
+A verification's tolerance is --tol when given, else each suite's own
+default.  `report --timings` prints each suite's wall time and the state
+of the package's cache to stderr and leaves the output itself unchanged.
 
 Environment:
-  WRACAH_TOL      overrides the default absolute tolerance.
   WRACAH_CORRUPT  test hook; when set, the report command falsifies one
                   check so the failure path can be exercised end to end.
 """
@@ -25,7 +26,7 @@ from typing import NoReturn
 import click
 import numpy as np
 
-from .errors import InvalidArgumentError, WracahError
+from .errors import WracahError
 from .fock import quon_operators, verify_quon_relations
 from .qarith import HalfInt, ToleranceRule, all_spins, half_integer_spins, integer_spins
 from .report import Check, VerificationReport
@@ -94,30 +95,26 @@ class WracahGroup(click.Group):
     command_class = WracahCommand
 
 
-def _resolve_tol(explicit: float | None) -> ToleranceRule | None:
-    """--tol beats WRACAH_TOL beats each suite's own default."""
-    if explicit is not None:
-        return ToleranceRule(explicit)
-    env = os.environ.get("WRACAH_TOL")
-    if env:
-        try:
-            value = float(env)
-        except ValueError:
-            raise InvalidArgumentError(f"WRACAH_TOL={env!r} is not a number") from None
-        return ToleranceRule(value)
-    return None
+def _resolve_tol(tol: float | None) -> ToleranceRule | None:
+    """--tol, or None for each suite's own default."""
+    return None if tol is None else ToleranceRule(tol)
 
 
 def _write(text: str, output: str | None) -> None:
-    """Print text, or write it to the output file; a file that cannot be written is a usage error."""
+    """Print text, or write it to the output file, ending in one newline either way.
+
+    A file that cannot be written is a usage error.
+    """
+    if not text.endswith("\n"):
+        text += "\n"
     if output:
         try:
             with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
+                fh.write(text)
         except OSError as exc:
             raise click.UsageError(f"cannot write --output {output}: {exc.strerror or exc}") from exc
     else:
-        click.echo(text)
+        click.echo(text, nl=False)
 
 
 def _fields(columns, rows) -> str:
@@ -458,7 +455,7 @@ def _build_report(
     triples_up_to_2 = list(itertools.product(all_spins(min(max_j, HalfInt(4))), repeat=3))
     sine_rs = [0.0, r] if r else [0.0]
     sine_cases = [(j, rv) for j in integer_spins(min(max_j, HalfInt(4)))[1:] for rv in sine_rs]  # k = 3, 5
-    bound = rule.abs_tol if rule is not None else 1e-10
+    bound = (rule or ToleranceRule()).abs_tol
     before_pairs = [
         (None, positive_spins, lambda j: verify_quon_relations(quon_operators(j.twice + 1), rule)),
         (None, positive_spins, lambda j: verify_su2(ShiftParams(j.twice + 1, r), rule, seed=seed)),

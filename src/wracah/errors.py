@@ -25,10 +25,6 @@ class UnsupportedLimitError(WracahError):
     """j = 0 was requested where a nontrivial representation is needed."""
 
 
-class DegenerateFactorialError(WracahError):
-    """Division by a q-factorial that contains a vanishing bracket."""
-
-
 class TableConflictError(WracahError):
     """Two records of a coupling table give one coefficient different values."""
 

@@ -64,9 +64,6 @@ class FockSpace:
             raise InvalidArgumentError(f"index {index} outside dimension {self.dim}")
         return divmod(index, self.k)
 
-    def labels(self) -> list[tuple[int, int]]:
-        return [(n1, n2) for n1 in range(self.k) for n2 in range(self.k)]
-
 
 class Operator:
     """Immutable monomial operator tied to a labeled space.

@@ -36,7 +36,6 @@ __all__ = [
     "q_power",
     "q_bracket",
     "q_factorial",
-    "q_factorial_is_degenerate",
     "alpha_value",
     "alpha_phase",
 ]
@@ -129,32 +128,14 @@ class HalfInt:
     def __add__(self, other):
         return HalfInt(self.twice + HalfInt.of(other).twice)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return HalfInt(self.twice - HalfInt.of(other).twice)
-
-    def __rsub__(self, other):
-        return HalfInt(HalfInt.of(other).twice - self.twice)
 
     def __neg__(self):
         return HalfInt(-self.twice)
 
     def __abs__(self):
         return HalfInt(abs(self.twice))
-
-    def __mul__(self, other):
-        # Integer multiples stay exact half-integers; a product of two
-        # half-integers is generally a quarter-integer, so it is returned
-        # as a Fraction and integrality can be read off the denominator.
-        if isinstance(other, numbers.Integral) and not isinstance(other, bool):
-            return HalfInt(self.twice * int(other))
-        if isinstance(other, HalfInt):
-            return self.as_fraction * other.as_fraction
-        return NotImplemented
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
 
 def halfint_range(lo, hi) -> list[HalfInt]:
@@ -247,8 +228,8 @@ def q_factorial(n, k) -> complex:
 
     Each factor has the bits of q_bracket(i, k).  For n >= k the product
     carries the exactly vanishing bracket [k] and the result is an exact
-    complex zero; dividing by it must be refused upstream, see
-    q_factorial_is_degenerate.
+    complex zero, so only n < k may be divided by; the shift divides by
+    [k-1]!, the largest of them.
     """
     k = _require_order(k)
     if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 0:
@@ -258,14 +239,6 @@ def q_factorial(n, k) -> complex:
     for i in range(1, int(n) + 1):
         value *= (1 - _turn_phase(i, k)) / base
     return value
-
-
-def q_factorial_is_degenerate(n, k) -> bool:
-    """True when [n]! contains the vanishing bracket [k], i.e. n >= k."""
-    k = _require_order(k)
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 0:
-        raise InvalidArgumentError(f"q-factorial needs an integer n >= 0, got {n!r}")
-    return int(n) >= k
 
 
 def _alpha_ratio(j, r, s) -> tuple[int, int, int]:

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateFactorialError,
-    InvalidArgumentError,
-    SubspaceLeakageError,
-    UnsupportedLimitError,
-)
+from .errors import InvalidArgumentError, SubspaceLeakageError, UnsupportedLimitError
 from .fock import (
     FockSpace,
     Operator,
@@ -45,7 +40,6 @@ from .qarith import (
     alpha_value,
     halfint_range,
     q_factorial,
-    q_factorial_is_degenerate,
 )
 from .report import Check, VerificationReport
 from .serialize import complex_record, matrix_to_json_entries
@@ -59,7 +53,6 @@ __all__ = [
     "modulus_op",
     "shift_op",
     "restrict_to_angular",
-    "angular_indices",
     "angular_momentum_ops",
     "verify_su2",
     "basis_transform_matrix",
@@ -124,12 +117,6 @@ class AngularSpace:
         return halfint_range(-self.j, self.j)
 
 
-def angular_indices(k: int) -> list[int]:
-    """Fock indices of the n1 + n2 = k - 1 states, ordered by ascending m."""
-    space = FockSpace(_require_order(k))
-    return [space.index(n1, space.k - 1 - n1) for n1 in range(space.k)]
-
-
 def modulus_op(k: int) -> Operator:
     """The Hermitean modulus sqrt(N1 (N2 + 1)) of the ladder polar splitting."""
     space = FockSpace(_require_order(k))
@@ -150,8 +137,6 @@ def _shift_family(ops: QuonOps):
     are built once and every family member reuses them.
     """
     k = ops.space.k
-    if q_factorial_is_degenerate(k - 1, k):
-        raise DegenerateFactorialError(f"[{k - 1}]! vanishes at order {k}")
     fact = q_factorial(k - 1, k)
     power1 = ops.lower1.power(k - 1)
     power2 = ops.raise2.power(k - 1)
@@ -163,16 +148,17 @@ def _shift_family(ops: QuonOps):
     return shift
 
 
-def restrict_to_angular(op: Operator, k: int | None = None) -> Operator:
-    """Project onto the n1 + n2 = k - 1 subspace, refusing leaky operators."""
+def restrict_to_angular(op: Operator) -> Operator:
+    """Project onto the n1 + n2 = k - 1 subspace of op's Fock space, refusing leaky operators.
+
+    Its states (n1, k - 1 - n1), by ascending m, sit at the Fock indices
+    n1*k + k - 1 - n1 = (n1 + 1)(k - 1).
+    """
     if not isinstance(op.space, FockSpace):
         raise InvalidArgumentError("restriction expects an operator on a Fock space")
-    if k is None:
-        k = op.space.k
-    elif k != op.space.k:
-        raise InvalidArgumentError(f"order {k} does not match the operator space order {op.space.k}")
+    k = op.space.k
     tol = ToleranceRule.for_order(k)
-    idx = np.array(angular_indices(k))
+    idx = np.arange(1, k + 1) * (k - 1)
     position = np.full(op.space.dim, -1)
     position[idx] = np.arange(k)
     rows = position[op.target[idx]]
@@ -208,9 +194,9 @@ def angular_momentum_ops(params: ShiftParams) -> Su2Ops:
 
 def _ladders(ops: QuonOps, h: Operator, u: Operator) -> Su2Ops:
     k = ops.space.k
-    plus = restrict_to_angular(h @ u, k)
-    minus = restrict_to_angular(u.adjoint() @ h, k)
-    z = restrict_to_angular((ops.number1 - ops.number2) * 0.5, k)
+    plus = restrict_to_angular(h @ u)
+    minus = restrict_to_angular(u.adjoint() @ h)
+    z = restrict_to_angular((ops.number1 - ops.number2) * 0.5)
     return Su2Ops(space=AngularSpace(HalfInt(k - 1)), plus=plus, minus=minus, z=z)
 
 
@@ -317,8 +303,8 @@ def verify_su2(
     ):
         report.add(Check.residual_check(name, float(np.max(np.abs(got.mat - expected))), tol.abs_tol))
 
-    h_ang = restrict_to_angular(h, k)
-    u_ang = restrict_to_angular(u, k)
+    h_ang = restrict_to_angular(h)
+    u_ang = restrict_to_angular(u)
     casimir = su2.casimir()
     add_norms(
         {
@@ -415,9 +401,6 @@ class ShiftEigenbasis:
     eigenvalues: np.ndarray
     transform: np.ndarray
 
-    def vector(self, s: int) -> np.ndarray:
-        return self.transform[:, s]
-
     def to_dict(self) -> dict:
         return {
             "j": str(self.j),
@@ -450,7 +433,7 @@ def verify_shift_eigenbasis(j, r, tol: ToleranceRule | None = None) -> Verificat
         tol = ToleranceRule.for_order(k)
     # the exact r, so the shift and the basis see the same wrap turn
     params = ShiftParams(k, _as_fraction(r))
-    u = restrict_to_angular(shift_op(params), k)
+    u = restrict_to_angular(shift_op(params))
     report = VerificationReport(suite="shift-eigenbasis", k=k, r=float(r))
 
     residual = float(
@@ -485,7 +468,7 @@ def verify_shift_eigenbasis(j, r, tol: ToleranceRule | None = None) -> Verificat
 
 def clock_shift_monomial(params: ShiftParams, m1: int, m2: int) -> Operator:
     """q^(m1 m2) U^m1 V^m2 on the angular space, V the diagonal clock q^(N1-N2)."""
-    u = restrict_to_angular(shift_op(params), params.k)
+    u = restrict_to_angular(shift_op(params))
     targets, weights = _monomial_grid(u, [m1], [m2])
     return Operator._built(u.space, targets[0, 0], weights[0, 0])
 
@@ -557,7 +540,7 @@ def verify_sine_algebra(
         raise InvalidArgumentError("the sine algebra check needs at least one monomial index")
     pairs = [(a, b) for a in indices for b in indices]
     values = sorted(set(indices) | {a + b for a in indices for b in indices})
-    u = restrict_to_angular(shift_op(params), k)
+    u = restrict_to_angular(shift_op(params))
     targets, weights = _monomial_grid(u, values, values)
     at = {m: i for i, m in enumerate(values)}
 

@@ -507,7 +507,7 @@ def looped_sine_residuals(params, indices) -> tuple[float, float]:
     T_m^H T_m - I from `sorted_adjoint`, and each commutator residual as a
     chain of single `Operator` calls."""
     k = params.k
-    u = restrict_to_angular(shift_op(params), k)
+    u = restrict_to_angular(shift_op(params))
 
     @lru_cache(maxsize=None)
     def monomial(m1: int, m2: int):

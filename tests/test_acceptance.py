@@ -124,14 +124,14 @@ def test_criterion_03_casimir_and_cyclicity():
         for r in R_GRID:
             params = ShiftParams(k, r)
             su2 = angular_momentum_ops(params)
-            h = restrict_to_angular(modulus_op(k), k).mat
+            h = restrict_to_angular(modulus_op(k)).mat
             jz = su2.z.mat
             casimir = su2.casimir().mat
             worst_casimir = max(
                 worst_casimir,
                 float(np.max(np.abs(casimir - (h @ h + jz @ jz - jz)))),
             )
-            u = restrict_to_angular(shift_op(params), k).mat
+            u = restrict_to_angular(shift_op(params)).mat
             worst_comm = max(
                 worst_comm, float(np.linalg.norm(casimir @ u - u @ casimir, 2))
             )
@@ -158,7 +158,7 @@ def test_criterion_04_shift_eigenbasis():
         for r in R_GRID:
             params = ShiftParams(k, r)
             basis = shift_eigenbasis(params.j, r)
-            u = restrict_to_angular(shift_op(params), k).mat
+            u = restrict_to_angular(shift_op(params)).mat
             worst_vec = max(
                 worst_vec,
                 float(np.max(np.abs(u @ basis.transform - basis.transform * basis.eigenvalues[None, :]))),

@@ -78,17 +78,20 @@ class TestVerificationCommands:
         worst = max(c["residual"] for s in payload["suites"] for c in s["checks"])
         assert worst <= 1e-10
 
-    def test_tight_env_tolerance_fails(self, runner):
-        result = runner.invoke(main, ["quon-check", "--k", "3"], env={"WRACAH_TOL": "1e-30"})
-        assert result.exit_code == 1
-
     def test_explicit_tol_flag_beats_env(self, runner):
-        result = runner.invoke(
-            main,
-            ["quon-check", "--k", "3", "--tol", "1e-6"],
-            env={"WRACAH_TOL": "1e-30"},
-        )
+        """--tol replaces each suite's own default: every check reads it, and a tight one fails."""
+        result = runner.invoke(main, ["quon-check", "--k", "3", "--tol", "1e-6"])
         assert result.exit_code == 0
+        assert {c["tol"] for s in json.loads(result.output)["suites"] for c in s["checks"]} == {1e-6}
+        assert runner.invoke(main, ["quon-check", "--k", "3", "--tol", "1e-30"]).exit_code == 1
+
+    def test_tolerance_environment_variable_is_ignored(self, runner):
+        """Only --tol sets a tolerance; WRACAH_TOL is no knob."""
+        args = ["quon-check", "--k", "3"]
+        plain = runner.invoke(main, args)
+        tight = runner.invoke(main, args, env={"WRACAH_TOL": "1e-30"})
+        assert plain.exit_code == tight.exit_code == 0
+        assert tight.stdout_bytes == plain.stdout_bytes
 
     def test_ortho_mismatch_exits_one(self, runner):
         good = runner.invoke(main, ["ortho", "--j1", "1", "--j2", "1", "--r", "1"])
@@ -261,14 +264,14 @@ class TestTableCommands:
             ),
             (
                 ["yr", "--l", "1", "--s", "0", "--r", "0", "--theta", "0", "--phi", "0", "--format", "csv"],
-                "theta,phi,re,im\n0,0,0.28209479177387814,0\n\n",
+                "theta,phi,re,im\n0,0,0.28209479177387814,0\n",
             ),
             # a verification report leaves k or r empty where the suite has none
             (
                 ["ortho", "--j1", "0", "--j2", "0", "--format", "csv"],
                 "suite,k,r,name,residual,tol,pass\n"
                 "fbar-orthogonality,,1,third_column_sum_resolves_identity,0,1e-10,true\n"
-                "fbar-orthogonality,,1,pair_sum_orthogonality,0,1e-10,true\n\n",
+                "fbar-orthogonality,,1,pair_sum_orthogonality,0,1e-10,true\n",
             ),
             (
                 ["quon-check", "--k", "2", "--format", "csv"],
@@ -283,7 +286,7 @@ class TestTableCommands:
                 "quon,2,,mode2_number_lowers,0,1e-10,true\n"
                 "quon,2,,mode2_raise_nilpotent,0,1e-10,true\n"
                 "quon,2,,mode2_lower_nilpotent,0,1e-10,true\n"
-                "quon,2,,cross_mode_commutators,0,1e-10,true\n\n",
+                "quon,2,,cross_mode_commutators,0,1e-10,true\n",
             ),
         ],
     )
@@ -299,6 +302,26 @@ class TestTableCommands:
         )
         assert result.exit_code == 0
         assert json.loads(target.read_text())["j"] == "1/2"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["basis", "--j", "3/2", "--r", "0.37"],
+            ["quon-check", "--k", "2"],
+            ["yr", "--l", "1", "--s", "1", "--r", "0.37", "--theta", "0.5", "--phi", "0.5",
+             "--grid-theta", "2", "--grid-phi", "3"],
+        ],
+    )
+    def test_stdout_matches_output_file(self, runner, tmp_path, args, fmt):
+        """stdout and --output carry the same bytes, ending in one newline."""
+        target = tmp_path / f"out.{fmt}"
+        printed = runner.invoke(main, [*args, "--format", fmt])
+        written = runner.invoke(main, [*args, "--format", fmt, "--output", str(target)])
+        assert printed.exit_code == written.exit_code == 0, printed.output
+        assert written.stdout_bytes == b""
+        assert printed.stdout_bytes == target.read_bytes()
+        assert printed.stdout_bytes.endswith(b"\n") and not printed.stdout_bytes.endswith(b"\n\n")
 
 
 class TestUsageErrors:
@@ -317,11 +340,6 @@ class TestUsageErrors:
     def test_bad_order(self, runner):
         result = runner.invoke(main, ["quon-check", "--k", "1"])
         assert result.exit_code == 2
-
-    def test_env_tolerance_not_a_number(self, runner):
-        result = runner.invoke(main, ["quon-check", "--k", "3"], env={"WRACAH_TOL": "abc"})
-        assert result.exit_code == 2
-        assert "WRACAH_TOL" in result.output
 
     def test_zero_tolerance_flag(self, runner):
         result = runner.invoke(main, ["su2-check", "--k", "3", "--tol", "0"])
@@ -406,35 +424,32 @@ class TestUsageErrors:
 
     @given(
         st.one_of(
-            st.tuples(st.just(["quon-check", "--k", "3", "--tol"]), _bad_tols, st.just(None)),
-            st.tuples(st.just(["su2-check", "--k", "3", "--tol"]), _bad_tols, st.just(None)),
-            # an empty WRACAH_TOL counts as unset
-            st.tuples(st.just(["quon-check", "--k", "3"]), st.none(), _bad_tols.filter(bool)),
-            st.tuples(st.just(["quon-check", "--k"]), _bad_orders, st.just(None)),
-            st.tuples(st.just(["su2-check", "--k"]), _bad_orders, st.just(None)),
-            st.tuples(st.just(["winf", "--k"]), _bad_orders, st.just(None)),
-            st.tuples(st.just(["basis", "--j"]), _bad_spins, st.just(None)),
-            st.tuples(st.just(["we-check", "--rank", "1", "--j"]), _bad_spins, st.just(None)),
-            st.tuples(st.just(["quon-check", "--k", "3", "--output"]), _unwritable_paths, st.just(None)),
-            st.tuples(_overflowing_heads, _overflowing_rs, st.just(None)),
-            st.tuples(_seeded_heads, st.integers(max_value=-1).map(str), st.just(None)),
+            st.tuples(st.just(["quon-check", "--k", "3", "--tol"]), _bad_tols),
+            st.tuples(st.just(["su2-check", "--k", "3", "--tol"]), _bad_tols),
+            st.tuples(st.just(["quon-check", "--k"]), _bad_orders),
+            st.tuples(st.just(["su2-check", "--k"]), _bad_orders),
+            st.tuples(st.just(["winf", "--k"]), _bad_orders),
+            st.tuples(st.just(["basis", "--j"]), _bad_spins),
+            st.tuples(st.just(["we-check", "--rank", "1", "--j"]), _bad_spins),
+            st.tuples(st.just(["quon-check", "--k", "3", "--output"]), _unwritable_paths),
+            st.tuples(_overflowing_heads, _overflowing_rs),
+            st.tuples(_seeded_heads, st.integers(max_value=-1).map(str)),
         )
     )
-    @example((["report", "--max-j", "1", "--seed"], "-1", None))
-    @example((["su2-check", "--k", "5", "--seed"], "-1", None))
-    @example((["report", "--max-j", "2", "--r"], "1e308", None))
-    @example((["basis", "--j", "2", "--r"], "-1e308", None))
-    @example((["su2-check", "--k", "5", "--r"], "9e307", None))
-    @example((["cg-ur", "--j1", "2", "--j2", "2", "--j", "2", "--r"], "1e308", None))
+    @example((["report", "--max-j", "1", "--seed"], "-1"))
+    @example((["su2-check", "--k", "5", "--seed"], "-1"))
+    @example((["report", "--max-j", "2", "--r"], "1e308"))
+    @example((["basis", "--j", "2", "--r"], "-1e308"))
+    @example((["su2-check", "--k", "5", "--r"], "9e307"))
+    @example((["cg-ur", "--j1", "2", "--j2", "2", "--j", "2", "--r"], "1e308"))
     # an out-of-range label on a triple outside the triangle
-    @example((["cg-ur", "--j1", "1", "--j2", "1", "--j", "3", "--s1", "5", "--s2", "0", "--s"], "0", None))
+    @example((["cg-ur", "--j1", "1", "--j2", "1", "--j", "3", "--s1", "5", "--s2", "0", "--s"], "0"))
     @settings(max_examples=60)
     def test_malformed_input_always_exits_two(self, case):
-        head, value, env_tol = case
-        args = head if value is None else head + [value]
-        env = {"WRACAH_TOL": env_tol} if env_tol is not None else {"WRACAH_TOL": None}
-        result = CliRunner().invoke(main, args, env=env)
-        assert result.exit_code == 2, (args, env, result.output, result.exception)
+        head, value = case
+        args = head + [value]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, (args, result.output, result.exception)
         assert isinstance(result.exception, SystemExit)
 
 

@@ -30,7 +30,6 @@ def test_index_occupation_bijection(k):
             assert space.occupations(idx) == (n1, n2)
             seen.add(idx)
     assert seen == set(range(space.dim))
-    assert space.labels() == [space.occupations(i) for i in range(space.dim)]
 
 
 def test_index_rejects_out_of_range():

@@ -112,9 +112,9 @@ def test_restriction_matches_dense(case):
     leak = float(np.max(np.linalg.norm(dense[np.ix_(outside, rows)], axis=0)))
     if leak > ToleranceRule.for_order(k).abs_tol:
         with pytest.raises(SubspaceLeakageError):
-            restrict_to_angular(op, k)
+            restrict_to_angular(op)
     else:
-        assert np.array_equal(restrict_to_angular(op, k).mat, dense[np.ix_(rows, rows)])
+        assert np.array_equal(restrict_to_angular(op).mat, dense[np.ix_(rows, rows)])
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -20,7 +20,6 @@ from wracah import (
     halfint_range,
     q_bracket,
     q_factorial,
-    q_factorial_is_degenerate,
     q_power,
 )
 from wracah.qarith import EXACT_DENOMINATOR_LIMIT, _turn_phase
@@ -212,10 +211,10 @@ class TestDeformedArithmetic:
         assert abs(q_factorial(n, k) - q_factorial(n - 1, k) * q_bracket(n, k)) < 1e-14
 
     def test_factorial_degeneracy_flag(self):
-        assert not q_factorial_is_degenerate(2, 3)
-        assert q_factorial_is_degenerate(3, 3)
-        assert q_factorial_is_degenerate(5, 3)
+        """[n]! carries the vanishing bracket [k], and so is an exact zero, from n = k on."""
+        assert q_factorial(2, 3) != 0
         assert q_factorial(3, 3) == 0
+        assert q_factorial(5, 3) == 0
 
     @given(st.fractions(min_value=-4, max_value=4, max_denominator=32), orders)
     def test_q_power_matches_cmath(self, x, k):

@@ -138,7 +138,7 @@ def test_casimir_value_matches_spin():
 def test_shift_cyclicity_phase():
     for k, r in [(2, 0.5), (3, 2.37), (5, 1.0)]:
         params = ShiftParams(k, r)
-        u = restrict_to_angular(shift_op(params), k)
+        u = restrict_to_angular(shift_op(params))
         wrapped = u.power(k).mat
         expected = params.wrap_phase * np.eye(k)
         assert np.max(np.abs(wrapped - expected)) < 1e-12
@@ -157,10 +157,9 @@ def test_family_members_with_equal_wrap_phase_commute():
 
 
 def test_restrict_to_angular_rejects_leaky_operator():
-    params = ShiftParams(3, 0.0)
     ops = quon_operators(3)
     with pytest.raises(SubspaceLeakageError):
-        restrict_to_angular(ops.raise1, params.k)
+        restrict_to_angular(ops.raise1)
 
 
 class TestShiftEigenbasis:
