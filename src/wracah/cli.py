@@ -7,8 +7,9 @@ per row unless the command has its own lines.  `_render` writes the format
 asked for, each value rendered by `serialize.fmt_cell` (complex as re+imi),
 and stdout and an --output file get the same bytes, ending in one newline.
 A verification's tolerance is --tol when given, else each suite's own
-default.  `report --timings` prints each suite's wall time and the state
-of the package's cache to stderr and leaves the output itself unchanged.
+default.  `report --timings` prints each suite's wall time, the state of
+the package's cache and the process's peak resident memory to stderr and
+leaves the output itself unchanged.
 
 Environment:
   WRACAH_CORRUPT  test hook; when set, the report command falsifies one
@@ -515,7 +516,7 @@ def _build_report(
 @click.option("--max-j", "max_j", type=HALFINT, required=True)
 @click.option("--r", type=float, default=1.0, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--timings", is_flag=True, help="print each suite's wall time, slowest first, and the cache's counters to stderr")
+@click.option("--timings", is_flag=True, help="print each suite's wall time, slowest first, the cache's counters and the peak RSS to stderr")
 @FORMAT
 @OUTPUT
 @TOL
@@ -533,6 +534,14 @@ def report_cmd(max_j, r, seed, timings, fmt, output, tol) -> None:
             f"{cache.misses} misses, {cache.evictions} evictions",
             err=True,
         )
+        try:
+            import resource
+        except ImportError:  # not on Windows
+            pass
+        else:
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            unit = 2**20 if sys.platform == "darwin" else 2**10  # bytes on macOS, KiB on Linux
+            click.echo(f"peak: {peak / unit:.1f} MiB resident", err=True)
 
     if os.environ.get("WRACAH_CORRUPT"):
         first = reports[0].checks[0]

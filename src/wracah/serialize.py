@@ -39,7 +39,8 @@ def fmt_float(x: float) -> str:
 def fmt_complex(z: complex) -> str:
     """Fixed 're+imi' rendering used in CSV columns."""
     z = complex(z)
-    return f"{fmt_float(z.real)}{z.imag:+.17g}i"
+    real, imag = fmt_float(z.real), fmt_float(z.imag)
+    return f"{real}{'' if imag.startswith('-') else '+'}{imag}i"
 
 
 def complex_record(z: complex) -> dict:
@@ -47,45 +48,27 @@ def complex_record(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _emit(obj, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, numbers.Integral):
-        out.append(str(int(obj)))
-    elif isinstance(obj, numbers.Real):
-        out.append(fmt_float(float(obj)))
-    elif isinstance(obj, numbers.Complex):
-        _emit(complex_record(obj), out)
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _emit(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        out.append("[")
-        for i, value in enumerate(seq):
-            if i:
-                out.append(", ")
-            _emit(value, out)
-        out.append("]")
-    else:
-        raise InvalidArgumentError(f"cannot serialize {type(obj).__name__}")
-
-
 def dumps(obj) -> str:
     """Canonical JSON with insertion-ordered keys and 17-digit floats."""
-    out: list[str] = []
-    _emit(obj, out)
-    return "".join(out)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, numbers.Integral):
+        return str(int(obj))
+    if isinstance(obj, numbers.Real):
+        return fmt_float(obj)
+    if isinstance(obj, numbers.Complex):
+        return dumps(complex_record(obj))
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(str(key))}: {dumps(value)}" for key, value in obj.items()) + "}"
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(dumps, obj)) + "]"
+    raise InvalidArgumentError(f"cannot serialize {type(obj).__name__}")
 
 
 def matrix_to_csv(mat: np.ndarray) -> str:

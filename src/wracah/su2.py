@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,9 +257,13 @@ def verify_su2(
     unitarity and monomial structure of the shift, Hermitecity
     of the modulus, the su(2) commutators and ladder matrix elements, the
     Casimir identity against H^2 + J3^2 - J3, cyclicity of the shift, and
-    three family members, drawn with `seed`, whose shifts must not commute.
-    One quon algebra serves every operator, the sampled shifts included.
+    three family members whose shifts must not commute.  Their offsets from
+    r are drawn from uniform(0.1, 1.9) of `random.Random(seed)`; `seed` must
+    be a non-negative integer.  One quon algebra serves every operator, the
+    sampled shifts included.
     """
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
     k = params.k
     if tol is None:
         tol = ToleranceRule.for_order(k)
@@ -317,7 +322,7 @@ def verify_su2(
     # distinct wrap phases must give non-commuting shifts; the offsets are
     # added exactly, because in floating point r0 + offset rounds back to r0
     # once |r0| is beyond 2**53
-    rng = np.random.default_rng(seed)
+    rng = random.Random(int(seed))
     r0 = _as_fraction(params.r)
     wrap0 = params.wrap_phase
     smallest = math.inf

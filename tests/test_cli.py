@@ -534,7 +534,7 @@ class TestReport:
         assert all(c["pass"] for s in payload["suites"] for c in s["checks"])
 
     def test_timings_leave_output_unchanged(self, tmp_path):
-        """--timings adds a breakdown and the cache's counters on stderr; stdout and --output keep every byte."""
+        """--timings adds a breakdown, the cache's counters and the peak RSS on stderr; stdout and --output keep every byte."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         args = [sys.executable, "-m", "wracah", "report", "--max-j", "1", "--r", "0.37"]
@@ -546,8 +546,9 @@ class TestReport:
         assert plain.returncode == timed.returncode == 0, timed.stderr
         assert plain.stdout == timed.stdout
         assert plain.stderr == b""
-        *lines, cache = timed.stderr.decode().splitlines()
+        *lines, cache, peak = timed.stderr.decode().splitlines()
         assert re.fullmatch(r"cache: \d+ entries, \d+\.\d MiB, \d+ hits, \d+ misses, \d+ evictions", cache)
+        assert re.fullmatch(r"peak: \d+\.\d MiB resident", peak) and float(peak.split()[1]) > 1.0
         seconds = [float(line.split()[0]) for line in lines]
         assert seconds == sorted(seconds, reverse=True)
         suites = [line.split()[-1] for line in lines]
@@ -558,3 +559,25 @@ class TestReport:
         to_file = run("--timings", "--output", str(timed_file))
         assert to_file.returncode == 0 and to_file.stdout == b""
         assert timed_file.read_bytes() == plain_file.read_bytes() == plain.stdout
+
+    def test_no_command_imports_numpy_random(self):
+        """su2-polar draws its family members with the stdlib, so numpy.random,
+        and the hashlib and secrets it pulls in, stay out of the process.
+        Only what the commands load counts: numpy 1.x imports numpy.random itself."""
+        code = (
+            "import sys\n"
+            "import numpy\n"
+            "before = set(sys.modules)\n"
+            "from wracah.cli import main\n"
+            "for args in (['report', '--max-j', '1'], ['su2-check', '--k', '5']):\n"
+            "    try:\n"
+            "        main(args)\n"
+            "    except SystemExit as stop:\n"
+            "        assert stop.code == 0, (args, stop.code)\n"
+            "print(sorted({'numpy.random', 'secrets'} & (set(sys.modules) - before)))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.decode().splitlines()[-1] == "[]"

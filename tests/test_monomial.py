@@ -343,7 +343,7 @@ def _dense_su2_residuals(k: int, r: float, seed: int) -> dict[str, float]:
     out["shift_cyclicity"] = _svd(np.linalg.matrix_power(u_ang, k) - full * np.eye(k))
 
     # the same three sampled family members as the verifier draws
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     smallest = math.inf
     found = attempts = 0
     while found < 3 and attempts < 300:

@@ -309,6 +309,17 @@ def test_distinct_shift_sampling_at_huge_r():
     assert check.passed, check
 
 
+@pytest.mark.parametrize("seed", (-1, 1.5, "3", None))
+def test_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        verify_su2(ShiftParams(3, 0.37), seed=seed)
+
+
+@pytest.mark.parametrize("seed", (0, True, 2**70, np.int64(5)))
+def test_integer_seeds_are_accepted(seed):
+    assert verify_su2(ShiftParams(3, 0.37), seed=seed).passed
+
+
 def test_fresh_family_parameters_leave_the_cache_empty():
     """The eigenbasis builds its transform without caching it, so a verifier
     that draws a fresh r per call does not grow the shared cache."""
