@@ -403,7 +403,8 @@ def _pair_reports(
     The pairs are walked once, 2j1 major, so that the J^2 oracle is still
     diagonalized a row at a time.  A pair of integer spins runs its three
     suites together with its swapped pair, when the first of the two is
-    reached, right after the wigner-core checks that built its cg blocks.
+    reached, right after the wigner-core checks that built its cg blocks,
+    which the swapped pair reads too (the cache keeps one orientation).
     So the blocks and tables of both pairs are read while they are cached,
     and the cache can drop them afterwards.  The checks go into each suite
     in the order of its grid, and each suite's wall time is summed over the

@@ -14,10 +14,12 @@ m with signs fixed by the Condon-Shortley convention alone, is compared
 with the closed form by the verification suite; the two routes are never
 merged, and the oracle is never cached.
 
-Blocks are kept in the package's one bounded cache, and each value has one
-route: cg() and threejm() read those blocks, ninej() contracts them without
-caching its value, and the verifiers read them through one coupling-matrix
-helper.
+The package's one bounded cache keeps each cg block once, under its
+canonical orientation 2j1 >= 2j2; the swapped block is read from it by the
+exact exchange symmetry, and a 3-jm block is derived from its cg block on
+every read.  Each value has one route: cg() and threejm() read those
+blocks, ninej() contracts 3-jm blocks without caching its value, and the
+verifiers read cg blocks through one coupling-matrix helper.
 """
 
 from __future__ import annotations
@@ -87,16 +89,17 @@ def _check_labels(twice_j, twice_m) -> None:
 # Bytes of cached arrays.  The largest pair of integer spins at max-j 10,
 # (10, 10), keeps about 4.7 MB of cg blocks and cg_ur tables resident while
 # report checks it; a pair's tables are read together and then left for good.
-_CACHE_BOUND = 8 << 20
+_CACHE_BOUND = 5 << 20
 
 
 class CouplingTable:
     """LRU memo bounded by the bytes of its arrays, with counters, safe to share between threads.
 
     It is the one cache of the package.  Keys are tuples whose first item
-    names the kind of entry ("cg", "threejm", "phase", "cg_ur", "f",
-    "fbar"); the rest are twice-integer labels and, for shift-basis
-    entries, the numerator and denominator of the exact family parameter.
+    names the kind of entry ("cg", "phase", "cg_ur", "f", "fbar"); the rest
+    are twice-integer labels and, for shift-basis entries, the numerator and
+    denominator of the exact family parameter.  cg entries hold the
+    canonical blocks, 2j1 >= 2j2, only.
     Cached arrays are read-only.  When the entries hold more than
     _CACHE_BOUND bytes (ndarray.nbytes), the least recently used are
     evicted; an entry larger than the bound is returned without being kept.
@@ -141,7 +144,7 @@ class CouplingTable:
         return len(self._entries)
 
     def items(self):
-        """(labels, value) records of the cached cg blocks, as _block_records gives them."""
+        """(labels, value) records of the cached cg blocks, canonical ones only, as _block_records gives them."""
         with self._lock:
             blocks = [(key[1:], value) for key, value in self._entries.items() if key[0] == "cg"]
         for twice_j, block in blocks:
@@ -233,10 +236,21 @@ def _cg_values(tj1: int, tj2: int, tj: int, pairs) -> list[float]:
 def _cg_block(tj1: int, tj2: int, tj: int) -> np.ndarray:
     """Coupling coefficients as a dense (m1, m2, m) block, m ascending from -j.
 
-    Only the entries with m = m1 + m2 can be nonzero.  One kernel pass fills
-    the half with (m1, m2) first in ascending order, the m -> -m reflection
-    the other half; every other entry is an exact zero.
+    Only the entries with m = m1 + m2 can be nonzero.  Blocks with 2j1 >= 2j2
+    are the canonical ones, cached: one kernel pass fills the half with
+    (m1, m2) first in ascending order, the m -> -m reflection the other half;
+    every other entry is an exact zero.  A block with 2j1 < 2j2 is not cached
+    but read from its canonical one by the exchange symmetry
+    <j1 m1 j2 m2 | j m> = (-1)^(j1+j2-j) <j2 m2 j1 m1 | j m>, which is exact:
+    the kernel rounds the same squared value once for both orientations.
     """
+    if tj1 < tj2:
+        # a C-ordered copy, as a built block is: einsum rounds differently on strided views
+        block = _cg_block(tj2, tj1, tj).transpose(1, 0, 2).copy()
+        if ((tj1 + tj2 - tj) // 2) % 2:
+            np.subtract(0.0, block, out=block)  # a zero stays +0.0
+        block.setflags(write=False)
+        return block
 
     def build() -> np.ndarray:
         block = np.zeros((tj1 + 1, tj2 + 1, tj + 1))
@@ -262,17 +276,17 @@ def _cg_block(tj1: int, tj2: int, tj: int) -> np.ndarray:
 
 
 def _threejm_block(tj1: int, tj2: int, tj3: int) -> np.ndarray:
-    """3-jm symbols as a dense (m1, m2, m3) block, from the cg block at m = -m3."""
+    """3-jm symbols as a dense (m1, m2, m3) block, from the cg block at m = -m3.
 
-    def build() -> np.ndarray:
-        base = _cg_block(tj1, tj2, tj3)[:, :, ::-1]
-        tm3 = np.arange(-tj3, tj3 + 1, 2)
-        sign = np.where(((tj1 - tj2 - tm3) // 2) % 2, -1.0, 1.0)
-        block = (sign * base) / math.sqrt(tj3 + 1)
-        block[base == 0.0] = 0.0  # every zero is +0.0
-        return block
-
-    return _DEFAULT_TABLE.get(("threejm", tj1, tj2, tj3), build)
+    Derived on every read and never cached: the cg block is.
+    """
+    base = _cg_block(tj1, tj2, tj3)[:, :, ::-1]
+    tm3 = np.arange(-tj3, tj3 + 1, 2)
+    sign = np.where(((tj1 - tj2 - tm3) // 2) % 2, -1.0, 1.0)
+    block = (sign * base) / math.sqrt(tj3 + 1)
+    block[base == 0.0] = 0.0  # every zero is +0.0
+    block.setflags(write=False)
+    return block
 
 
 def _spins(*values) -> tuple[int, ...]:
@@ -334,8 +348,8 @@ def _ninej_network(blocks):
 def ninej(j1, j2, j3, j4, j5, j6, j7, j8, j9) -> float:
     """9-j symbol by full contraction of the six 3-jm symbols of its rows and columns.
 
-    Zero when a row or a column breaks the triangle rule.  The 3-jm blocks
-    are cached, the value is not.
+    Zero when a row or a column breaks the triangle rule.  The cg blocks
+    under the 3-jm blocks are cached, the value is not.
     """
     triads = _ninej_triads([_twice(x) for x in (j1, j2, j3, j4, j5, j6, j7, j8, j9)])
     if triads is None:

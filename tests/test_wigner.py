@@ -292,7 +292,7 @@ class TestLoweringConstruction:
 class TestCasimirOracle:
     """The J^2 oracle owes nothing to the closed form: it catches sign and row errors and stays accurate."""
 
-    @pytest.mark.parametrize("labels", [(3, 4, 5), (6, 2, 4), (4, 4, 0)])
+    @pytest.mark.parametrize("labels", [(4, 3, 5), (6, 2, 4), (4, 4, 0)])
     @pytest.mark.parametrize(
         "mutation",
         [
@@ -302,6 +302,7 @@ class TestCasimirOracle:
         ],
     )
     def test_mutated_closed_form_fails(self, monkeypatch, labels, mutation):
+        """A corrupted canonical block fails its pair and, read through the exchange symmetry, the swapped pair."""
         closed_form = wigner._cg_block
 
         def mutated(tj1, tj2, tj):
@@ -311,7 +312,8 @@ class TestCasimirOracle:
         monkeypatch.setattr(wigner, "_cg_block", mutated)
         report = verify_cg_against_lowering(3)
         failed = [check.name for check in report.checks if not check.passed]
-        assert failed == [f"lowering_agreement_2j1_{labels[0]}_2j2_{labels[1]}"]
+        pairs = sorted({labels[:2], labels[1::-1]})  # 2j1 major, as the checks run
+        assert failed == [f"lowering_agreement_2j1_{tj1}_2j2_{tj2}" for tj1, tj2 in pairs]
 
     def test_within_a_few_roundings_up_to_spin_six(self):
         assert verify_cg_against_lowering(6).max_residual <= 1e-14
@@ -325,8 +327,9 @@ class TestCasimirOracle:
         clear_cache()
         verify_cg_against_lowering(2)
         entries = list(default_table()._entries.items())
-        assert len(entries) == sum(min(tj1, tj2) + 1 for tj1 in range(5) for tj2 in range(5))
-        assert all(key[0] == "cg" for key, _ in entries)
+        # one entry per canonical triple, 2j1 >= 2j2: the swapped blocks are read from them
+        assert len(entries) == sum(tj2 + 1 for tj1 in range(5) for tj2 in range(tj1 + 1))
+        assert all(key[0] == "cg" and key[1] >= key[2] for key, _ in entries)
         clear_cache()
         for key, block in entries:
             assert block.tobytes() == wigner._cg_block(*key[1:]).tobytes()  # built again, cold
@@ -353,21 +356,27 @@ class TestCaching:
         assert all(value != (0.0).hex() for value in cold)
 
     def test_ninej_caches_blocks_only(self):
-        """A 9-j caches the 3-jm blocks it contracts, never its value; a failing triangle caches nothing."""
+        """A 9-j caches the cg blocks under the 3-jm blocks it contracts, never its value; a failing triangle caches nothing."""
         clear_cache()
         assert ninej(1, 1, 3, 1, 1, 1, 1, 1, 1) == 0.0
         assert len(default_table()) == 0
         ninej(1, HALF, HALF, HALF, 1, HALF, HALF, HALF, 1)
-        assert {key[0] for key in default_table()._entries} == {"cg", "threejm"}
+        assert {key[0] for key in default_table()._entries} == {"cg"}
+        assert all(key[1] >= key[2] for key in default_table()._entries)
 
     def test_hit_and_miss_counters(self):
+        """Both orientations of a pair of spins, and the 3-jm symbols, read one canonical entry."""
         clear_cache()
         table = default_table()
-        args = (1, 0, 1, 0, 2, 0)
+        args = (1, 0, HALF, HALF, HALF, HALF)
         cg(*args)
-        assert (table.hits, table.misses) == (0, 1)
+        assert (table.hits, table.misses, len(table)) == (0, 1, 1)
         cg(*args)
         assert (table.hits, table.misses) == (1, 1)
+        cg(HALF, HALF, 1, 0, HALF, HALF)
+        threejm(HALF, HALF, 1, 0, HALF, -HALF)
+        assert (table.hits, table.misses, len(table)) == (3, 1, 1)
+        assert list(table._entries) == [("cg", 2, 1, 1)]
 
     def test_load_rejects_conflicting_records(self, tmp_path):
         path = tmp_path / "table.dat"
@@ -450,6 +459,34 @@ class TestBlocks:
         with pytest.raises(ValueError):
             first[0, 0, 0] = 1.0
 
+    def test_swapped_blocks_equal_the_kernels_bit_for_bit(self):
+        """Every block with 2j1 < 2j2 <= 20, read from its canonical block, is the kernel's own for that orientation.
+
+        The entries come from _cg_values in the swapped orientation, and no
+        entry is -0.0, which a negation written -block would leave.
+        """
+        checked = 0
+        for tj2 in range(21):
+            for tj1 in range(tj2):
+                for tj in range(tj2 - tj1, tj1 + tj2 + 1, 2):
+                    pairs = [
+                        (tm1, tm2)
+                        for tm1 in range(-tj1, tj1 + 1, 2)
+                        for tm2 in range(-tj2, tj2 + 1, 2)
+                        if abs(tm1 + tm2) <= tj
+                    ]
+                    tm1s, tm2s = np.array(pairs).T
+                    expected = np.zeros((tj1 + 1, tj2 + 1, tj + 1))
+                    expected[(tm1s + tj1) // 2, (tm2s + tj2) // 2, (tm1s + tm2s + tj) // 2] = wigner._cg_values(
+                        tj1, tj2, tj, pairs
+                    )
+                    block = wigner._cg_block(tj1, tj2, tj)
+                    assert block.tobytes() == expected.tobytes(), (tj1, tj2, tj)
+                    assert not np.signbit(block[block == 0.0]).any(), (tj1, tj2, tj)
+                    assert block.flags.c_contiguous and not block.flags.writeable
+                    checked += 1
+        assert checked == 1_540
+
     def test_negative_spin_rejected(self):
         with pytest.raises(InvalidArgumentError):
             cg_block(-1, 0, 1)
@@ -484,21 +521,27 @@ class TestSharedCache:
         assert (len(table), table.bytes, table.evictions, table.hits, table.misses) == (0, 0, 0, 0, 0)
 
     def test_results_do_not_depend_on_the_cache(self, monkeypatch, tmp_path):
-        """A report on a 64 KiB cache equals the default run byte for byte; rebuilt tables equal their first build."""
+        """Reports on a 1 GiB, the default and a 64 KiB cache are equal byte for byte; rebuilt tables equal their first build."""
         from click.testing import CliRunner
 
         from wracah.cli import main
         from wracah.urcoupling import cg_ur_table, fbar_table
 
-        args = ["report", "--max-j", "3", "--r", "0.37", "--seed", "2"]
-        clear_cache()
-        default = CliRunner().invoke(main, args)
-        monkeypatch.setattr(wigner, "_CACHE_BOUND", 64 << 10)
-        clear_cache()
-        small = CliRunner().invoke(main, args)
-        assert small.exit_code == default.exit_code == 0, small.output
-        assert small.output == default.output
-        assert default_table().evictions > 0 and default_table().bytes <= 64 << 10
+        bounds = (1 << 30, wigner._CACHE_BOUND, 64 << 10)
+        runs = [["report", "--max-j", "3", "--r", "0.37", "--seed", "2"]]
+        runs += [["report", "--max-j", "4", "--r", r, "--seed", "3"] for r in ("1", "0.37")]
+        for args in runs:
+            outputs, evictions = [], []
+            for bound in bounds:
+                monkeypatch.setattr(wigner, "_CACHE_BOUND", bound)
+                clear_cache()
+                result = CliRunner().invoke(main, args)
+                assert result.exit_code == 0, result.output
+                outputs.append(result.output)
+                evictions.append(default_table().evictions)
+            assert outputs[0] == outputs[1] == outputs[2], args
+            assert evictions[0] == 0 and evictions[2] > 0, args
+            assert default_table().bytes <= 64 << 10
 
         clear_cache()
         first = [build(3, 2, 4, 0.37).tobytes() for build in (cg_ur_table, fbar_table)]
@@ -537,5 +580,5 @@ class TestSharedCache:
         assert not any(t.is_alive() for t in threads)
         assert len(results) == 6 * calls_per_thread
         assert table.hits + table.misses == 6 * calls_per_thread
-        assert len(table) == len(labels)
+        assert len(table) == sum(1 for js in labels if js[0] >= js[1])  # canonical blocks only
         assert all(block.tobytes() == cold[js].tobytes() for js, block in results)
