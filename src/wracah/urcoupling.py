@@ -317,7 +317,8 @@ def ninej_from_fbar(j1, j2, j3, j4, j5, j6, j7, j8, j9, r) -> NinejSubstitution:
     own conjugate and the family phases cancel identically.  The result
     is compared against the magnetic-basis 9-j contraction; the residual
     is reported, never corrected.  An array with a triad that breaks the
-    triangle rule is zero on both sides, and no table is built for it.
+    triangle rule is zero on both sides, and no table is built for it; a
+    negative spin raises InvalidArgumentError.
     """
     js = [HalfInt.of(x) for x in (j1, j2, j3, j4, j5, j6, j7, j8, j9)]
     r = _as_fraction(r)

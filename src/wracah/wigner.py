@@ -17,9 +17,9 @@ merged, and the oracle is never cached.
 The package's one bounded cache keeps each cg block once, under its
 canonical orientation 2j1 >= 2j2; the swapped block is read from it by the
 exact exchange symmetry, and a 3-jm block is derived from its cg block on
-every read.  Each value has one route: cg() and threejm() read those
-blocks, ninej() contracts 3-jm blocks without caching its value, and the
-verifiers read cg blocks through one coupling-matrix helper.
+every read.  Each value has one route: cg() and threejm() read one entry
+of a canonical block, ninej() contracts 3-jm blocks without caching its
+value, and the verifiers read cg blocks through one coupling-matrix helper.
 """
 
 from __future__ import annotations
@@ -289,10 +289,14 @@ def _threejm_block(tj1: int, tj2: int, tj3: int) -> np.ndarray:
     return block
 
 
-def _spins(*values) -> tuple[int, ...]:
-    twice = tuple(_twice(v) for v in values)
+def _nonnegative(twice) -> None:
     if min(twice) < 0:
         raise InvalidArgumentError(f"negative angular momentum 2j = {min(twice)}")
+
+
+def _spins(*values) -> tuple[int, ...]:
+    twice = tuple(_twice(v) for v in values)
+    _nonnegative(twice)
     return twice
 
 
@@ -316,18 +320,34 @@ def cg(j1, m1, j2, m2, j, m) -> float:
     tj2, tm2 = _twice(j2), _twice(m2)
     tj, tm = _twice(j), _twice(m)
     _check_labels((tj1, tj2, tj), (tm1, tm2, tm))
-    block = _cg_block(tj1, tj2, tj)
-    return float(block[(tm1 + tj1) // 2, (tm2 + tj2) // 2, (tm + tj) // 2])
+    return _cg_entry(tj1, tm1, tj2, tm2, tj, tm)
+
+
+def _cg_entry(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> float:
+    """One entry of a cg block on valid twice-labels, read from the canonical block without copying a block.
+
+    The same IEEE operations as _cg_block's swap, so the same bits.
+    """
+    if tj1 >= tj2:
+        return float(_cg_block(tj1, tj2, tj)[(tm1 + tj1) // 2, (tm2 + tj2) // 2, (tm + tj) // 2])
+    value = float(_cg_block(tj2, tj1, tj)[(tm2 + tj2) // 2, (tm1 + tj1) // 2, (tm + tj) // 2])
+    return 0.0 - value if ((tj1 + tj2 - tj) // 2) % 2 else value  # a zero stays +0.0
 
 
 def threejm(j1, m1, j2, m2, j3, m3) -> float:
-    """3-jm symbol via the standard phase conversion from the coupling coefficient."""
+    """3-jm symbol via the standard phase conversion from the coupling coefficient.
+
+    The same IEEE operations as _threejm_block on one entry, so the same bits.
+    """
     tj1, tm1 = _twice(j1), _twice(m1)
     tj2, tm2 = _twice(j2), _twice(m2)
     tj3, tm3 = _twice(j3), _twice(m3)
     _check_labels((tj1, tj2, tj3), (tm1, tm2, tm3))
-    block = _threejm_block(tj1, tj2, tj3)
-    return float(block[(tm1 + tj1) // 2, (tm2 + tj2) // 2, (tm3 + tj3) // 2])
+    value = _cg_entry(tj1, tm1, tj2, tm2, tj3, -tm3)
+    if value == 0.0:
+        return 0.0  # every zero is +0.0
+    sign = -1.0 if ((tj1 - tj2 - tm3) // 2) % 2 else 1.0
+    return (sign * value) / math.sqrt(tj3 + 1)
 
 
 # Positions of the three row and three column triads among the nine labels of a 9-j array.
@@ -335,21 +355,39 @@ _NINEJ_TRIADS = ((0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8
 
 
 def _ninej_triads(twice) -> list[tuple[int, int, int]] | None:
-    """The six triads of the nine twice-labels, rows first, or None when one breaks the triangle rule."""
+    """The six triads of the nine twice-labels, rows first, or None when one breaks the triangle rule.
+
+    A negative label raises InvalidArgumentError, as it does for a cg block.
+    """
+    _nonnegative(twice)
     triads = [tuple(twice[i] for i in positions) for positions in _NINEJ_TRIADS]
     return triads if all(_triangle_twice(*triad) for triad in triads) else None
 
 
 def _ninej_network(blocks):
-    """Full contraction of six blocks, the three rows and then the three columns of a 9-j array."""
-    return np.einsum("abc,def,ghi,adg,beh,cfi->", *blocks, optimize=True)
+    """Full contraction of six blocks, the rows abc, def, ghi and then the columns adg, beh, cfi of a 9-j array.
+
+    One fixed path of pairwise products: each row block meets its column
+    block in O(d^5), the first two of the resulting d^4 tensors meet over
+    b and d in O(d^6), and the last product is O(d^4).  Plain einsum runs
+    numpy's own loops, with no path search and no BLAS, so the value does
+    not depend on the BLAS thread count.
+    """
+    abc, def_, ghi, adg, beh, cfi = blocks
+    bcdg = np.einsum("abc,adg->bcdg", abc, adg)
+    dfbh = np.einsum("def,beh->dfbh", def_, beh)
+    ghcf = np.einsum("ghi,cfi->ghcf", ghi, cfi)
+    cgfh = np.einsum("bcdg,dfbh->cgfh", bcdg, dfbh)
+    return np.einsum("cgfh,ghcf->", cgfh, ghcf)
 
 
 def ninej(j1, j2, j3, j4, j5, j6, j7, j8, j9) -> float:
     """9-j symbol by full contraction of the six 3-jm symbols of its rows and columns.
 
-    Zero when a row or a column breaks the triangle rule.  The cg blocks
-    under the 3-jm blocks are cached, the value is not.
+    Zero when a row or a column breaks the triangle rule; a negative spin
+    raises InvalidArgumentError.  The contraction takes the one fixed
+    O(d^6) path of _ninej_network, in plain einsum with no BLAS.  The cg
+    blocks under the 3-jm blocks are cached, the value is not.
     """
     triads = _ninej_triads([_twice(x) for x in (j1, j2, j3, j4, j5, j6, j7, j8, j9)])
     if triads is None:

@@ -59,6 +59,8 @@ HALF = HalfInt(1)
 ONE = HalfInt(2)
 THREEHALF = HalfInt(3)
 TWO = HalfInt(4)
+# the three rows and three columns of a 9-j array, as positions among its nine spins
+NINEJ_TRIADS = ((0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8))
 
 small_spins = st.integers(min_value=0, max_value=4).map(HalfInt)
 r_values = st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.37, -1.0])
@@ -360,6 +362,19 @@ class TestNinejSubstitution:
             for table in (fbar_table(*spins, r), cg_ur_table(*spins, r)):
                 assert table.shape == tuple(t + 1 for t in js)
                 assert not np.any(table), js
+
+    def test_every_array_with_spins_up_to_one_at_six_r(self):
+        """The substitution holds, with no r dependence, on every 9-j array with spins <= 1 that obeys the triangle rule."""
+        spins = [HalfInt(t) for t in range(3)]
+        arrays = [
+            js
+            for js in itertools.product(spins, repeat=9)
+            if all(triangle(*(js[i] for i in triad)) for triad in NINEJ_TRIADS)
+        ]
+        assert len(arrays) == 215
+        for r in (0.0, 0.5, 1.0, 2.37, 3.14159, 0.37):
+            worst = max(ninej_from_fbar(*js, r).residual for js in arrays)
+            assert worst <= 1e-10, r
 
     def test_substitution_holds_at_other_r(self):
         """Observed: the identity is r independent.  Documented here rather

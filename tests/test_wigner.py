@@ -6,6 +6,7 @@ against the same closed form summed in Fractions, against the eigenvectors
 of J^2 and the lowering-operator construction, and against frozen literals.
 """
 
+import importlib
 import itertools
 import random
 import sys
@@ -22,6 +23,7 @@ from wracah import (
     TableConflictError,
     cg,
     ninej,
+    ninej_from_fbar,
     threejm,
     triangle,
 )
@@ -32,6 +34,7 @@ from wracah.wigner import (
     default_table,
     export_table,
     load_table,
+    threejm_block,
     verify_cg_against_lowering,
     verify_cg_orthogonality,
 )
@@ -106,6 +109,17 @@ class TestSelectionRules:
     def test_m_out_of_range_raises(self):
         with pytest.raises(InvalidArgumentError):
             threejm(1, 2, 1, -2, 1, 0)
+
+    @pytest.mark.parametrize(
+        "symbol", [ninej, lambda *js: ninej_from_fbar(*js, 0.37)], ids=["ninej", "ninej_from_fbar"]
+    )
+    def test_negative_spin_in_a_ninej_raises(self, symbol):
+        """A negative label raises as it does for a cg block, not a zero for a broken triangle."""
+        with pytest.raises(InvalidArgumentError) as expected:
+            cg_block(-1, 0, 1)
+        with pytest.raises(InvalidArgumentError) as raised:
+            symbol(-1, 0, 1, 0, 0, 0, 1, 0, 1)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestAgainstFractionKernel:
@@ -214,6 +228,58 @@ class TestAgainstSympy:
     def test_ninej_brute_magnetic_sum(self):
         js = (1, HALF, HALF, HALF, 1, HALF, HALF, HALF, 1)
         assert ninej(*js) == pytest.approx(brute_ninej(*js), abs=1e-13)
+
+    def test_ninej_seeded_sample_up_to_spin_four(self):
+        """Twenty seeded arrays with every 2j <= 8 whose six triads obey the triangle rule."""
+        rng = random.Random(24)
+
+        def third(t1, t2):
+            return [t for t in range(abs(t1 - t2), min(t1 + t2, 8) + 1, 2)]
+
+        cases = []
+        while len(cases) < 20:
+            t1, t2, t4, t5 = (rng.randint(0, 8) for _ in range(4))
+            t3, t6, t7, t8 = (rng.choice(third(*pair)) for pair in ((t1, t2), (t4, t5), (t1, t4), (t2, t5)))
+            closing = [t for t in third(t7, t8) if t in third(t3, t6)]
+            if closing:
+                cases.append((t1, t2, t3, t4, t5, t6, t7, t8, rng.choice(closing)))
+        assert max(map(max, cases)) == 8
+        for twice in cases:
+            js = [Fraction(t, 2) for t in twice]
+            assert ninej(*js) == pytest.approx(sympy_9j(*js), abs=1e-13), twice
+
+
+def _forbid_path_search(monkeypatch):
+    """Make every einsum path search raise, in numpy's namespace and in the module where einsum looks it up."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("einsum searched for a contraction path")
+
+    try:
+        einsumfunc = importlib.import_module("numpy._core.einsumfunc")
+    except ImportError:  # numpy 1
+        einsumfunc = importlib.import_module("numpy.core.einsumfunc")
+    for module in (np, einsumfunc):
+        monkeypatch.setattr(module, "einsum_path", refuse)
+
+
+class TestNinejNetwork:
+    """The 9-j contracts on one fixed path of pairwise products, with no path search."""
+
+    def test_ninej_searches_no_path(self, monkeypatch):
+        _forbid_path_search(monkeypatch)
+        js = (Fraction(3, 2), HALF, 1, HALF, HALF, 1, 1, 1, 2)
+        assert ninej(*js) == pytest.approx(sympy_9j(*js), abs=1e-13)
+        assert ninej(*[4] * 9) == pytest.approx(sympy_9j(*[4] * 9), abs=1e-13)
+
+    def test_ninej_from_fbar_searches_no_path(self, monkeypatch):
+        """Once its symmetric-symbol tables are cached, the substituted 9-j runs no path search either."""
+        js = (1, 1, 1, 1, 1, 1, 1, 1, 2)
+        warm = ninej_from_fbar(*js, 0.37)
+        _forbid_path_search(monkeypatch)
+        sub = ninej_from_fbar(*js, 0.37)
+        assert sub == warm
+        assert sub.residual <= 1e-10
 
 
 class TestStructure:
@@ -490,6 +556,37 @@ class TestBlocks:
     def test_negative_spin_rejected(self):
         with pytest.raises(InvalidArgumentError):
             cg_block(-1, 0, 1)
+
+    def test_scalars_equal_their_block_entries(self):
+        """Every cg and 3-jm label with 2j1, 2j2, 2j <= 6, in both orientations, zeros included as +0.0."""
+        for tj1, tj2, tj in itertools.product(range(7), repeat=3):
+            spins = (HalfInt(tj1), HalfInt(tj2), HalfInt(tj))
+            cg_entries, threejm_entries = cg_block(*spins), threejm_block(*spins)
+            for (i1, tm1), (i2, tm2), (i, tm) in itertools.product(
+                *(enumerate(range(-t, t + 1, 2)) for t in (tj1, tj2, tj))
+            ):
+                labels = (spins[0], HalfInt(tm1), spins[1], HalfInt(tm2), spins[2], HalfInt(tm))
+                assert cg(*labels).hex() == float(cg_entries[i1, i2, i]).hex(), labels
+                assert threejm(*labels).hex() == float(threejm_entries[i1, i2, i]).hex(), labels
+
+    def test_scalars_read_the_canonical_block_only(self, monkeypatch):
+        """A scalar cg or 3-jm reads one entry of a canonical block; it never derives a 3-jm block or a swapped cg block."""
+        read = []
+        canonical = wigner._cg_block
+
+        def spy(tj1, tj2, tj):
+            read.append((tj1, tj2, tj))
+            return canonical(tj1, tj2, tj)
+
+        def refuse(*labels):
+            raise AssertionError(f"a scalar read derived the 3-jm block {labels}")
+
+        monkeypatch.setattr(wigner, "_cg_block", spy)
+        monkeypatch.setattr(wigner, "_threejm_block", refuse)
+        assert cg(HALF, HALF, 1, 0, HALF, HALF) == pytest.approx(0.5773502691896257, abs=1e-15)
+        assert threejm(HALF, HALF, 1, -1, HALF, HALF) == pytest.approx(-0.5773502691896257, abs=1e-15)
+        assert threejm(1, 1, 1, -1, 0, 0) == pytest.approx(0.5773502691896257, abs=1e-15)
+        assert read == [(2, 1, 1), (2, 1, 1), (2, 2, 0)]
 
 
 class TestSharedCache:
