@@ -29,13 +29,12 @@ import numpy as np
 
 from .errors import WracahError
 from .fock import quon_operators, verify_quon_relations
-from .qarith import HalfInt, ToleranceRule, all_spins, half_integer_spins, integer_spins
+from .qarith import HalfInt, ToleranceRule, all_spins, check_label, half_integer_spins, integer_spins
 from .report import Check, VerificationReport
 from .serialize import dumps, fmt_cell, matrix_to_csv, rows_to_csv
 from .sphere import QuadratureGrid, SphericalPoint, verify_sphere, y_r_eigenfunction, y_r_grid_values
 from .su2 import ShiftParams, shift_eigenbasis, verify_shift_eigenbasis, verify_sine_algebra, verify_su2
 from .urcoupling import (
-    _validate_s,
     alpha_labels,
     cg_ur,
     cg_ur_table,
@@ -260,7 +259,7 @@ def cg_ur_cmd(j1, j2, j, r, s1, s2, s, fmt, output) -> None:
     if any(x is not None for x in chosen) and not all(x is not None for x in chosen):
         raise click.UsageError("give all of --s1 --s2 --s or none of them")
     if s1 is not None:  # out-of-range labels are a usage error outside the triangle too
-        chosen = (_validate_s(j1, s1, "s1"), _validate_s(j2, s2, "s2"), _validate_s(j, s, "s"))
+        chosen = (check_label(j1, s1, "s1"), check_label(j2, s2, "s2"), check_label(j, s))
     if not triangle(j1, j2, j):
         entries = []
     elif s1 is not None:

@@ -38,6 +38,7 @@ __all__ = [
     "q_factorial",
     "alpha_value",
     "alpha_phase",
+    "check_label",
 ]
 
 # Rational turns with denominators up to this bound take the exact path;
@@ -241,11 +242,17 @@ def q_factorial(n, k) -> complex:
     return value
 
 
-def _alpha_ratio(j, r, s) -> tuple[int, int, int]:
-    """2j and the integers (a, b) with alpha = -j*r + s = a / b, b > 0."""
+def check_label(j, s, name: str = "s") -> int:
+    """The family label s as an int; InvalidArgumentError unless 0 <= s <= 2j."""
     tj, s = HalfInt.of(j).twice, int(s)
     if not 0 <= s <= tj:
-        raise InvalidArgumentError(f"family label s = {s} outside 0..{tj} for j = {HalfInt(tj)}")
+        raise InvalidArgumentError(f"{name} must lie in 0..2j = {tj}, got {s}")
+    return s
+
+
+def _alpha_ratio(j, r, s) -> tuple[int, int, int]:
+    """2j and the integers (a, b) with alpha = -j*r + s = a / b, b > 0."""
+    tj, s = HalfInt.of(j).twice, check_label(j, s)
     p, q = _ratio(r)
     return tj, 2 * q * s - tj * p, 2 * q
 

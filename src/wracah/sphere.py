@@ -2,9 +2,10 @@
 
 For integer angular momentum the shift-labeled states become square
 integrable functions: phase-weighted mixtures of spherical harmonics of a
-single degree.  Harmonics are evaluated through a fully normalized
-associated Legendre recurrence (the sign convention of the coupling
-modules folded in), and orthonormality statements are checked with a
+single degree.  The harmonics of a degree are formed in one routine, for
+points and grids alike, from one table of a fully normalized associated
+Legendre recurrence (the sign convention of the coupling modules folded
+in), and orthonormality statements are checked with a
 Gauss-Legendre times uniform-azimuth product quadrature that is exact at
 the polynomial degrees involved.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedLimitError
-from .qarith import ToleranceRule
+from .qarith import ToleranceRule, check_label
 from .report import Check, VerificationReport
 from .su2 import basis_transform_matrix
 
@@ -137,19 +138,26 @@ def _check_lm(l, m) -> tuple[int, int]:
     return l, m
 
 
-def spherical_harmonic(l, m, p: SphericalPoint) -> complex:
-    """Orthonormal surface harmonic of degree l and order m at a point.
+def _degree_harmonics(l: int, block: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """The 2l+1 harmonics of degree l, m ascending, shaped (2l+1, nodes, n_phi).
 
-    Negative orders come from the reflection Y(l, -m) = (-1)^m conj(Y(l, m)).
+    block is a _legendre_block table of degree >= l on the nodes.  Negative
+    orders come from the reflection Y(l, -m) = (-1)^m conj(Y(l, m)).
     """
+    out = np.empty((2 * l + 1, block.shape[2], phis.shape[0]), dtype=complex)
+    for m in range(l + 1):
+        positive = block[l, m][:, None] * np.exp(1j * m * phis)[None, :]
+        out[l + m] = positive
+        if m > 0:
+            out[l - m] = (-1.0) ** m * np.conj(positive)
+    return out
+
+
+def spherical_harmonic(l, m, p: SphericalPoint) -> complex:
+    """Orthonormal surface harmonic of degree l and order m at a point."""
     l, m = _check_lm(l, m)
-    am = abs(m)
     block = _legendre_block(l, np.array([math.cos(p.theta)]))
-    base = float(block[l, am, 0])
-    value = base * complex(math.cos(am * p.phi), math.sin(am * p.phi))
-    if m < 0:
-        value = (-1.0) ** am * np.conj(value)
-    return complex(value)
+    return complex(_degree_harmonics(l, block, np.array([p.phi]))[l + m, 0, 0])
 
 
 def harmonic_grid_values(l_max: int, grid: QuadratureGrid) -> dict[tuple[int, int], np.ndarray]:
@@ -158,16 +166,10 @@ def harmonic_grid_values(l_max: int, grid: QuadratureGrid) -> dict[tuple[int, in
         raise InvalidArgumentError("l_max must be a nonnegative integer")
     l_max = int(l_max)
     block = _legendre_block(l_max, grid.cos_thetas)
-    azimuth = {
-        m: np.exp(1j * m * grid.phis)[None, :] for m in range(-l_max, l_max + 1)
-    }
     out: dict[tuple[int, int], np.ndarray] = {}
     for l in range(l_max + 1):
-        for m in range(0, l + 1):
-            positive = block[l, m][:, None] * azimuth[m]
-            out[(l, m)] = positive
-            if m > 0:
-                out[(l, -m)] = (-1.0) ** m * np.conj(positive)
+        for m, values in zip(range(-l, l + 1), _degree_harmonics(l, block, grid.phis)):
+            out[(l, m)] = values
     return out
 
 
@@ -179,6 +181,12 @@ def _require_degree(l) -> int:
     return int(l)
 
 
+def _family(l: int, r, cos_thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """All 2l+1 family members on the nodes crossed with the azimuths, shaped (s, nodes, n_phi)."""
+    stack = _degree_harmonics(l, _legendre_block(l, cos_thetas), phis)
+    return np.einsum("ms,mtp->stp", basis_transform_matrix(l, r), stack)
+
+
 def y_r_eigenfunction(l, s: int, r, p: SphericalPoint) -> complex:
     """Shift-family eigenfunction of degree l and label s at a point.
 
@@ -186,23 +194,13 @@ def y_r_eigenfunction(l, s: int, r, p: SphericalPoint) -> complex:
     with alpha_s = -l*r + s.
     """
     l = _require_degree(l)
-    s = int(s)
-    if s < 0 or s > 2 * l:
-        raise InvalidArgumentError(f"label s must lie in 0..2l = {2 * l}, got {s}")
-    mix = basis_transform_matrix(l, r)
-    total = 0.0 + 0.0j
-    for idx, m in enumerate(range(-l, l + 1)):
-        total += mix[idx, s] * spherical_harmonic(l, m, p)
-    return complex(total)
+    s = check_label(l, s)
+    return complex(_family(l, r, np.array([math.cos(p.theta)]), np.array([p.phi]))[s, 0, 0])
 
 
 def y_r_grid_values(l, r, grid: QuadratureGrid) -> np.ndarray:
     """All 2l+1 family members sampled on the grid, shaped (s, n_theta, n_phi)."""
-    l = _require_degree(l)
-    harmonics = harmonic_grid_values(l, grid)
-    stack = np.stack([harmonics[(l, m)] for m in range(-l, l + 1)])
-    mix = basis_transform_matrix(l, r)
-    return np.einsum("ms,mtp->stp", mix, stack)
+    return _family(_require_degree(l), r, grid.cos_thetas, grid.phis)
 
 
 def verify_sphere(

@@ -11,9 +11,10 @@ and the matrix-element factorization check that extracts reduced
 elements.
 
 Tables are dense ndarrays indexed by s labels and are memoized in the
-package's one cache per (labels, r).  r is keyed by its exact rational
-value (a float by its binary expansion), never within a tolerance,
-because it is an input parameter rather than a measured quantity.
+package's one cache per (labels, r), but for f, derived on every read.
+r is keyed by its exact rational value (a float by its binary expansion),
+never within a tolerance, because it is an input parameter rather than a
+measured quantity.
 
 A tensor operator is one read-only stacked array of its spherical
 components.  Its shift-labeled components are not stored: the transforms
@@ -30,7 +31,7 @@ import numpy as np
 
 from ._blas import identity_residual, one_thread
 from .errors import InvalidArgumentError, UndeterminedReducedElementError
-from .qarith import HalfInt, ToleranceRule, _as_fraction, alpha_value, halfint_range
+from .qarith import HalfInt, ToleranceRule, _as_fraction, alpha_value, check_label, halfint_range
 from .report import Check, VerificationReport
 from .su2 import AngularSpace, _expected_ladder, basis_transform_matrix, phase_matrix
 from .wigner import _ninej_network, _ninej_triads, cg_block, clear_cache, default_table, ninej, threejm_block
@@ -59,13 +60,6 @@ __all__ = [
     "wigner_eckart_check",
     "verify_wigner_eckart",
 ]
-
-
-def _validate_s(j: HalfInt, s, label: str) -> int:
-    s = int(s)
-    if s < 0 or s > j.twice:
-        raise InvalidArgumentError(f"{label} must lie in 0..2j = {j.twice}, got {s}")
-    return s
 
 
 def alpha_labels(j, r) -> list[float]:
@@ -123,9 +117,9 @@ def cg_ur_table(j1, j2, j, r) -> np.ndarray:
 def cg_ur(j1, j2, s1, s2, j, s, r) -> complex:
     """Single transformed coupling coefficient; zero outside the triangle."""
     j1, j2, j = HalfInt.of(j1), HalfInt.of(j2), HalfInt.of(j)
-    s1 = _validate_s(j1, s1, "s1")
-    s2 = _validate_s(j2, s2, "s2")
-    s = _validate_s(j, s, "s")
+    s1 = check_label(j1, s1, "s1")
+    s2 = check_label(j2, s2, "s2")
+    s = check_label(j, s)
     return complex(cg_ur_table(j1, j2, j, r)[s1, s2, s])
 
 
@@ -134,17 +128,15 @@ def f_table(j1, j2, j3, r) -> np.ndarray:
 
     Defined as (-1)^(2 j3) (2 j1 + 1)^(-1/2) times the conjugate of the
     transformed coupling coefficient that couples (j2, j3) to j1, with
-    the alpha labels redistributed so the first slot carries j1.
+    the alpha labels redistributed so the first slot carries j1.  Read-only,
+    derived from the cached cg_ur_table on every read and never cached.
     """
     j1, j2, j3 = HalfInt.of(j1), HalfInt.of(j2), HalfInt.of(j3)
-    r = _as_fraction(r)
-
-    def build() -> np.ndarray:
-        base = cg_ur_table(j2, j3, j1, r)  # [s2, s3, s1]
-        sign = -1.0 if j3.twice % 2 else 1.0
-        return sign / math.sqrt(j1.twice + 1) * np.conj(np.transpose(base, (2, 0, 1)))
-
-    return default_table().get(("f", j1.twice, j2.twice, j3.twice, r.numerator, r.denominator), build)
+    base = cg_ur_table(j2, j3, j1, r)  # [s2, s3, s1]
+    sign = -1.0 if j3.twice % 2 else 1.0
+    table = sign / math.sqrt(j1.twice + 1) * np.conj(np.transpose(base, (2, 0, 1)))
+    table.setflags(write=False)
+    return table
 
 
 def fbar_table(j1, j2, j3, r) -> np.ndarray:

@@ -96,10 +96,11 @@ class CouplingTable:
     """LRU memo bounded by the bytes of its arrays, with counters, safe to share between threads.
 
     It is the one cache of the package.  Keys are tuples whose first item
-    names the kind of entry ("cg", "phase", "cg_ur", "f", "fbar"); the rest
+    names the kind of entry ("cg", "phase", "cg_ur", "fbar"); the rest
     are twice-integer labels and, for shift-basis entries, the numerator and
     denominator of the exact family parameter.  cg entries hold the
-    canonical blocks, 2j1 >= 2j2, only.
+    canonical blocks, 2j1 >= 2j2, only.  3-jm blocks and first recoupling
+    symbols (f) are derived from cg blocks and cg_ur tables on every read.
     Cached arrays are read-only.  When the entries hold more than
     _CACHE_BOUND bytes (ndarray.nbytes), the least recently used are
     evicted; an entry larger than the bound is returned without being kept.

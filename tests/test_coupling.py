@@ -194,6 +194,19 @@ class TestFSymbols:
         )
         assert np.max(np.abs(table - want)) < 1e-14
 
+    @pytest.mark.parametrize("r", [1.0, 0.37])
+    def test_f_is_derived_on_read_and_never_cached(self, r):
+        """f keeps the bits of its definition, is read-only, and adds no cache entry of its own."""
+        clear_cache()
+        for j1, j2, j3 in [(ONE, HALF, THREEHALF), (THREEHALF, ONE, HALF), (HalfInt(4), ONE, HalfInt(4))]:
+            table = f_table(j1, j2, j3, r)
+            coup = cg_ur_table(j2, j3, j1, r)
+            sign = -1.0 if j3.twice % 2 else 1.0
+            want = sign / math.sqrt(j1.twice + 1) * np.conj(np.transpose(coup, (2, 0, 1)))
+            assert table.tobytes() == want.tobytes()
+            assert not table.flags.writeable
+        assert "f" not in {key[0] for key in default_table()._entries}
+
     def test_fbar_matches_brute_oracle(self):
         cases = [
             (ONE, ONE, ONE, 0.0),

@@ -14,15 +14,18 @@ from wracah import (
     HalfInt,
     InvalidArgumentError,
     InvalidOrderError,
+    SphericalPoint,
     ToleranceRule,
     alpha_phase,
     alpha_value,
+    cg_ur,
     halfint_range,
     q_bracket,
     q_factorial,
     q_power,
+    y_r_eigenfunction,
 )
-from wracah.qarith import EXACT_DENOMINATOR_LIMIT, _turn_phase
+from wracah.qarith import EXACT_DENOMINATOR_LIMIT, _turn_phase, check_label
 from wracah.su2 import phase_matrix, shift_eigenvalue
 
 from _oracles import (
@@ -244,6 +247,24 @@ class TestAlphaPhases:
     def test_out_of_range_label_rejected(self):
         with pytest.raises(InvalidArgumentError):
             alpha_value(HalfInt.of(1), 0.0, 3)
+
+    def test_every_label_check_gives_one_message(self):
+        """alpha, the shift-basis coupling and the sphere family reject a label outside 0..2j in the same words."""
+        one = HalfInt.of(1)
+        cases = [
+            (lambda: check_label(one, 3), "s must lie in 0..2j = 2, got 3"),
+            (lambda: alpha_value(one, 0.0, 3), "s must lie in 0..2j = 2, got 3"),
+            (lambda: alpha_phase(one, 0.37, -1, HalfInt(0)), "s must lie in 0..2j = 2, got -1"),
+            (lambda: cg_ur(one, one, 3, 0, one, 0, 1.0), "s1 must lie in 0..2j = 2, got 3"),
+            (lambda: cg_ur(one, one, 0, 3, one, 0, 1.0), "s2 must lie in 0..2j = 2, got 3"),
+            (lambda: cg_ur(one, one, 0, 0, one, 3, 1.0), "s must lie in 0..2j = 2, got 3"),
+            (lambda: y_r_eigenfunction(1, 3, 1.0, SphericalPoint(0.5, 0.5)), "s must lie in 0..2j = 2, got 3"),
+        ]
+        for call, message in cases:
+            with pytest.raises(InvalidArgumentError) as caught:
+                call()
+            assert str(caught.value) == message
+        assert check_label(HalfInt(3), 3, "s1") == 3
 
 
 # the orders and family parameters at which the integer-turn routes are

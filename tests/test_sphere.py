@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from wracah import (
     verify_sphere,
     y_r_eigenfunction,
 )
+import wracah.sphere as sphere
 from wracah.sphere import harmonic_grid_values, y_r_grid_values
 
 angles = st.tuples(
@@ -140,6 +142,66 @@ class TestShiftEigenfunctions:
     def test_label_out_of_range(self):
         with pytest.raises(InvalidArgumentError):
             y_r_eigenfunction(1, 3, 1.0, SphericalPoint(0.5, 0.5))
+
+
+class TestOneEvaluator:
+    """Points and grids form their harmonics through one degree routine, from one Legendre table."""
+
+    def test_a_point_builds_one_table(self, monkeypatch):
+        built = []
+        real = sphere._legendre_block
+
+        def spy(l_max, x):
+            built.append((l_max, np.shape(x)))
+            return real(l_max, x)
+
+        monkeypatch.setattr(sphere, "_legendre_block", spy)
+        p = SphericalPoint(0.5, 0.5)
+        y_r_eigenfunction(6, 2, 0.37, p)
+        assert built == [(6, (1,))]
+        built.clear()
+        spherical_harmonic(6, -2, p)
+        assert built == [(6, (1,))]
+        built.clear()
+        y_r_grid_values(6, 0.37, QuadratureGrid(7, 13))
+        harmonic_grid_values(6, QuadratureGrid(7, 13))
+        assert built == [(6, (7,)), (6, (7,))]
+
+    def test_every_harmonic_comes_from_the_degree_routine(self, monkeypatch):
+        degrees = []
+        real = sphere._degree_harmonics
+
+        def spy(l, block, phis):
+            degrees.append(l)
+            return real(l, block, phis)
+
+        monkeypatch.setattr(sphere, "_degree_harmonics", spy)
+        p = SphericalPoint(0.5, 0.5)
+        spherical_harmonic(3, -1, p)
+        y_r_eigenfunction(3, 1, 1.0, p)
+        y_r_grid_values(3, 1.0, QuadratureGrid(4, 7))
+        assert degrees == [3, 3, 3]
+        degrees.clear()
+        harmonic_grid_values(3, QuadratureGrid(4, 7))
+        assert degrees == [0, 1, 2, 3]
+
+    def test_degree_120_point_keeps_its_bits(self):
+        value = y_r_eigenfunction(120, 1, 0.37, SphericalPoint(0.5, 0.5))
+        assert (value.real.hex(), value.imag.hex()) == ("-0x1.1a168aeb44001p-2", "-0x1.653294996b211p-8")
+        value = spherical_harmonic(120, -77, SphericalPoint(2.1, 5.0))
+        assert (value.real.hex(), value.imag.hex()) == ("0x1.62deaefd52906p-8", "0x1.1c1380c0443f4p-5")
+
+    def test_grid_family_peaks_below_four_results(self):
+        """Only degree l is formed: the family route does not hold every degree below it."""
+        grid = QuadratureGrid(100, 200)
+        tracemalloc.start()
+        try:
+            family = y_r_grid_values(40, 0.37, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert family.shape == (81, 100, 200)
+        assert peak < 4 * family.nbytes, (peak, family.nbytes)
 
 
 def test_full_verification_suite():
