@@ -103,18 +103,20 @@ def _resolve_tol(tol: float | None) -> ToleranceRule | None:
 def _write(text: str, output: str | None) -> None:
     """Print text, or write it to the output file, ending in one newline either way.
 
-    A file that cannot be written is a usage error.
+    The missing newline is written on its own, so a large text is not copied
+    to append it.  A file that cannot be written is a usage error.
     """
-    if not text.endswith("\n"):
-        text += "\n"
+    end = "" if text.endswith("\n") else "\n"
     if output:
         try:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
+                fh.write(end)
         except OSError as exc:
             raise click.UsageError(f"cannot write --output {output}: {exc.strerror or exc}") from exc
     else:
         click.echo(text, nl=False)
+        click.echo(end, nl=False)
 
 
 def _fields(columns, rows) -> str:

@@ -2,9 +2,11 @@
 
 Floats are rendered with 17 significant digits (lossless for binary64) and
 dict keys keep their insertion order, so repeated runs produce byte-identical
-output.  `fmt_cell` decides how one value reads in CSV and in the CLI's
-text: a string as it is, None as nothing, booleans as true/false, integers
-in decimal, floats by `fmt_float` and complex values as re+imi.
+output.  `dumps` renders an array a row at a time, a finite complex row in
+one pass, so no dict per entry is built; a complex value reads {"re", "im"}.
+`fmt_cell` decides how one value reads in CSV and in the CLI's text: a
+string as it is, None as nothing, booleans as true/false, integers in
+decimal, floats by `fmt_float` and complex values as re+imi.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ __all__ = [
     "fmt_complex",
     "fmt_cell",
     "dumps",
-    "complex_record",
     "matrix_to_csv",
-    "matrix_to_json_entries",
     "rows_to_csv",
 ]
 
@@ -43,11 +43,6 @@ def fmt_complex(z: complex) -> str:
     return f"{real}{'' if imag.startswith('-') else '+'}{imag}i"
 
 
-def complex_record(z: complex) -> dict:
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
-
-
 def dumps(obj) -> str:
     """Canonical JSON with insertion-ordered keys and 17-digit floats."""
     if obj is None:
@@ -61,11 +56,17 @@ def dumps(obj) -> str:
     if isinstance(obj, numbers.Real):
         return fmt_float(obj)
     if isinstance(obj, numbers.Complex):
-        return dumps(complex_record(obj))
+        return f'{{"re": {fmt_float(obj.real)}, "im": {fmt_float(obj.imag)}}}'
     if isinstance(obj, dict):
         return "{" + ", ".join(f"{json.dumps(str(key))}: {dumps(value)}" for key, value in obj.items()) + "}"
     if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
+        if obj.ndim > 1:
+            return "[" + ", ".join(map(dumps, obj)) + "]"
+        if obj.ndim == 1 and obj.dtype.kind == "c" and np.isfinite(obj).all():
+            pairs = zip(obj.real.tolist(), obj.imag.tolist())
+            return "[" + ", ".join(f'{{"re": {x:.17g}, "im": {y:.17g}}}' for x, y in pairs) + "]"
+        # a 0-d array, a real row, or a row with a non-finite entry, which the scalar path names
+        return dumps(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(map(dumps, obj)) + "]"
     raise InvalidArgumentError(f"cannot serialize {type(obj).__name__}")
@@ -73,16 +74,7 @@ def dumps(obj) -> str:
 
 def matrix_to_csv(mat: np.ndarray) -> str:
     """One matrix row per line, complex entries rendered as re+imi."""
-    mat = np.asarray(mat)
-    lines = []
-    for row in np.atleast_2d(mat):
-        lines.append(",".join(fmt_complex(entry) for entry in row))
-    return "\n".join(lines) + "\n"
-
-
-def matrix_to_json_entries(mat: np.ndarray) -> list[list[dict]]:
-    mat = np.asarray(mat)
-    return [[complex_record(entry) for entry in row] for row in np.atleast_2d(mat)]
+    return "".join(",".join(map(fmt_complex, row.tolist())) + "\n" for row in np.atleast_2d(mat))
 
 
 def fmt_cell(value) -> str:

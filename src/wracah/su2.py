@@ -43,7 +43,6 @@ from .qarith import (
     q_factorial,
 )
 from .report import Check, VerificationReport
-from .serialize import complex_record, matrix_to_json_entries
 from .wigner import default_table
 
 __all__ = [
@@ -407,12 +406,13 @@ class ShiftEigenbasis:
     transform: np.ndarray
 
     def to_dict(self) -> dict:
+        """The labels, with the basis's own read-only eigenvalues and transform arrays, for `dumps`."""
         return {
             "j": str(self.j),
             "r": self.r,
             "alphas": list(self.alphas),
-            "eigenvalues": [complex_record(z) for z in self.eigenvalues],
-            "transform": matrix_to_json_entries(self.transform),
+            "eigenvalues": self.eigenvalues,
+            "transform": self.transform,
         }
 
 

@@ -288,6 +288,20 @@ class TestTableCommands:
                 "quon,2,,mode2_lower_nilpotent,0,1e-10,true\n"
                 "quon,2,,cross_mode_commutators,0,1e-10,true\n",
             ),
+            (
+                ["basis", "--j", "1/2", "--r", "1", "--format", "json"],
+                '{"command": "basis", "j": "1/2", "r": 1, "alphas": [-0.5, 0.5], '
+                '"eigenvalues": [{"re": 0, "im": 1}, {"re": -0, "im": -1}], '
+                '"transform": [[{"re": 0.5, "im": 0.49999999999999989}, '
+                '{"re": 0.49999999999999983, "im": -0.50000000000000011}], '
+                '[{"re": 0.49999999999999983, "im": -0.50000000000000011}, '
+                '{"re": 0.5, "im": 0.49999999999999989}]]}\n',
+            ),
+            (
+                ["basis", "--j", "1/2", "--r", "1", "--format", "csv"],
+                "0.5+0.49999999999999989i,0.49999999999999983-0.50000000000000011i\n"
+                "0.49999999999999983-0.50000000000000011i,0.5+0.49999999999999989i\n",
+            ),
         ],
     )
     def test_rendered_literally(self, runner, args, expected):

@@ -1,6 +1,7 @@
 """Polar su(2) construction, shift eigenbasis, and the sine algebra."""
 
 import cmath
+import json
 import math
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from wracah import (
     verify_su2,
 )
 from wracah.qarith import halfint_range
+from wracah.serialize import dumps
 from wracah.su2 import (
     _shift_action_residuals,
     _shift_family,
@@ -223,12 +225,17 @@ class TestShiftEigenbasis:
         assert hash(a) == hash(a)
 
     def test_to_dict_shape(self):
-        d = shift_eigenbasis(HalfInt(1), 1.0).to_dict()
-        assert d["j"] == "1/2"
-        assert d["r"] == 1.0
-        assert len(d["alphas"]) == 2
-        assert all(set(e) == {"re", "im"} for e in d["eigenvalues"])
-        assert len(d["transform"]) == 2 and len(d["transform"][0]) == 2
+        """to_dict hands the basis's own arrays to dumps, which writes each complex entry as {"re", "im"}."""
+        basis = shift_eigenbasis(HalfInt(1), 1.0)
+        d = basis.to_dict()
+        assert d["transform"] is basis.transform and d["eigenvalues"] is basis.eigenvalues
+        loaded = json.loads(dumps(d))
+        assert loaded["j"] == "1/2"
+        assert loaded["r"] == 1.0
+        assert len(loaded["alphas"]) == 2
+        assert all(set(e) == {"re", "im"} for e in loaded["eigenvalues"])
+        assert len(loaded["transform"]) == 2 and len(loaded["transform"][0]) == 2
+        assert all(set(e) == {"re", "im"} for row in loaded["transform"] for e in row)
 
 
 class TestSineAlgebra:
