@@ -15,11 +15,9 @@ import itertools
 import pathlib
 import sys
 
-import numpy as np
-
 from wracah import HalfInt, cg_ur_table, fbar_table, triangle
 from wracah.qarith import all_spins
-from wracah.serialize import fmt_float, rows_to_csv
+from wracah.serialize import render_table
 from wracah.wigner import export_table
 
 
@@ -28,17 +26,10 @@ def tag(j: HalfInt) -> str:
 
 
 def dump_table(name, build, spins, columns, r, out_dir: pathlib.Path) -> pathlib.Path:
-    """Write build(*spins, r) as name_<j1>_<j2>_<j3>_r<r>.csv, one row per entry, labelled by columns.
-
-    Every cell is rendered here, once, so rows_to_csv takes each as the string it is.
-    """
+    """Write build(*spins, r) as name_<j1>_<j2>_<j3>_r<r>.csv, one row per entry, labelled by columns."""
     table = build(*spins, r)
-    rows = [
-        {**dict(zip(columns, map(str, labels))), "re": fmt_float(value.real), "im": fmt_float(value.imag)}
-        for labels, value in np.ndenumerate(table)
-    ]
     path = out_dir / f"{name}_{'_'.join(tag(j) for j in spins)}_r{r}.csv"
-    path.write_text(rows_to_csv([*columns, "re", "im"], rows))
+    path.write_text(render_table("csv", [{col: range(n)} for col, n in zip(columns, table.shape)], table, value=None))
     return path
 
 

@@ -4,8 +4,8 @@ Exit codes: 0 when every check passes, 1 when a verification fails, 2 for
 usage errors.  Output is deterministic: canonical JSON (insertion-ordered
 keys, 17 significant digits), CSV, or text, which is one `col=value` line
 per row unless the command has its own lines.  `_render` writes the format
-asked for, each value rendered by `serialize.fmt_cell` (complex as re+imi),
-and stdout and an --output file get the same bytes, ending in one newline.
+asked for, a table straight from its array by `serialize.render_table`, and
+stdout and an --output file get the same bytes, ending in one newline.
 A verification's tolerance is --tol when given, else each suite's own
 default.  `report --timings` prints each suite's wall time, the state of
 the package's cache and the process's peak resident memory to stderr and
@@ -31,12 +31,11 @@ from .errors import WracahError
 from .fock import quon_operators, verify_quon_relations
 from .qarith import HalfInt, ToleranceRule, all_spins, check_label, half_integer_spins, integer_spins
 from .report import Check, VerificationReport
-from .serialize import dumps, fmt_cell, matrix_to_csv, rows_to_csv
+from .serialize import dumps, fmt_cell, matrix_to_csv, render_table
 from .sphere import QuadratureGrid, SphericalPoint, verify_sphere, y_r_eigenfunction, y_r_grid_values
 from .su2 import ShiftParams, shift_eigenbasis, verify_shift_eigenbasis, verify_sine_algebra, verify_su2
 from .urcoupling import (
     alpha_labels,
-    cg_ur,
     cg_ur_table,
     fbar_table,
     ninej_from_fbar,
@@ -119,31 +118,25 @@ def _write(text: str, output: str | None) -> None:
         click.echo(end, nl=False)
 
 
-def _fields(columns, rows) -> str:
-    """One line of `col=value` fields per row, each value by fmt_cell; "(no records)" for no rows."""
-    lines = (" ".join(f"{col}={fmt_cell(row[col])}" for col in columns) for row in rows)
-    return "\n".join(lines) or "(no records)"
-
-
-def _valued(records):
-    """Each record with its re and im joined into one complex "value"."""
-    return ({**rec, "value": complex(rec["re"], rec["im"])} for rec in records)
-
-
-def _render(fmt, output, payload: dict, columns, rows, *, text=None, csv=None, code: int = 0) -> NoReturn:
+def _render(fmt, output, payload, axes, values=None, *, key=None, value="value", text=None, csv=None, code=0) -> NoReturn:
     """Write one command's output in fmt, then exit with code.
 
-    json dumps payload.  csv is the command's own csv(), or else
-    rows_to_csv(columns, rows).  text is the command's own text(), or else
-    _fields(columns, rows).  rows is read, and text or csv called, only for
-    the format they serve, so rows given as a generator cost nothing in json.
+    json dumps payload, and when key is given adds the table of axes and
+    values under key as its last entry, an array of records.  csv and text
+    are the command's own csv() or text(), or else render_table(fmt, axes,
+    values, value).  The table is rendered, and text or csv called, only for
+    the format they serve.
     """
     if fmt == "json":
         body = dumps(payload)
-    elif fmt == "csv":
-        body = csv() if csv else rows_to_csv(columns, rows)
+        if key:
+            body = f"{body[:-1]}, {dumps(key)}: {render_table(fmt, axes, values)}}}"
+    elif fmt == "csv" and csv:
+        body = csv()
+    elif fmt == "text" and text:
+        body = text()
     else:
-        body = text() if text else _fields(columns, rows)
+        body = render_table(fmt, axes, values, value)
     _write(body, output)
     sys.exit(code)
 
@@ -158,35 +151,25 @@ def _finish_verification(
     """
     ok = all(rep.passed for rep in reports)
     payload = {"command": command, **params, "pass": ok, "suites": [rep.to_dict() for rep in reports]}
-
-    def rows():
-        for rep in reports:
-            for check in rep.checks:
-                yield {"suite": rep.suite, "k": rep.k, "r": rep.r, **check.to_dict()}
-
-    def line(row) -> str:
-        at = (f"{key}={fmt_cell(row[key])}" for key in ("k", "r") if row[key] is not None)
-        where = " ".join([row["suite"], *at])
-        status = "pass" if row["pass"] else "FAIL"
-        return f"{status}  {where}  {row['name']}  residual={row['residual']:.3e}  tol={row['tol']:.1e}"
-
+    rows = [(rep.suite, rep.k, rep.r, c.name, c.residual, c.tol, c.passed) for rep in reports for c in rep.checks]
     columns = ["suite", "k", "r", "name", "residual", "tol", "pass"]
-    _render(fmt, output, payload, columns, rows(), text=lambda: "\n".join(map(line, rows())), code=0 if ok else 1)
+
+    def line(suite, k, r, name, residual, tol, passed) -> str:
+        at = (f"{key}={fmt_cell(x)}" for key, x in (("k", k), ("r", r)) if x is not None)
+        status = "pass" if passed else "FAIL"
+        return f"{status}  {' '.join([suite, *at])}  {name}  residual={residual:.3e}  tol={tol:.1e}"
+
+    axes = [{col: [row[i] for row in rows] for i, col in enumerate(columns)}]  # one axis, a row per check
+    _render(fmt, output, payload, axes, text=lambda: "\n".join(line(*row) for row in rows), code=0 if ok else 1)
 
 
-def _symbol_out(command: str, names: tuple[str, ...], spins: tuple[HalfInt, ...], r: float, entries, fmt, output):
-    """One record per ((s1, s2, s3), value) of entries, with the spins and alpha labels of names."""
-    alphas = [alpha_labels(j, r) for j in spins]
+def _symbol_out(command, names: tuple[str, ...], spins: tuple[HalfInt, ...], r, table, fmt, output, index=(slice(None),) * 3):
+    """A record per entry of table[index], labelled by the spins of names, their alpha labels at index, and r."""
     alpha_names = ["alpha" + name[1:] for name in names]  # j1 -> alpha1, j -> alpha
-    records = []
-    for labels, value in entries:
-        record = {name: float(j) for name, j in zip(names, spins)}
-        record.update((name, alpha[x]) for name, alpha, x in zip(alpha_names, alphas, labels))
-        record.update(r=float(r), re=value.real, im=value.imag)
-        records.append(record)
-    spin_fields = {name: str(j) for name, j in zip(names, spins)}
-    payload = {"command": command, **spin_fields, "r": float(r), "records": records}
-    _render(fmt, output, payload, [*names, *alpha_names, "r", "value"], _valued(records))
+    axes = [{name: [float(j)]} for name, j in zip(names, spins)]
+    axes += [{name: alpha_labels(j, r)[at]} for name, j, at in zip(alpha_names, spins, index)] + [{"r": [float(r)]}]
+    payload = {"command": command, **{name: str(j) for name, j in zip(names, spins)}, "r": float(r)}
+    _render(fmt, output, payload, axes, table[index], key="records")
 
 
 FORMAT = click.option(
@@ -240,9 +223,9 @@ def su2_check(k: int, r: float, seed: int, fmt: str, output: str | None, tol: fl
 def basis(j: HalfInt, r: float, fmt: str, output: str | None) -> None:
     """Emit the shift eigenbasis: labels, eigenvalues, transform matrix."""
     data = shift_eigenbasis(j, r)
-    rows = ({"s": s, "alpha": a, "eigenvalue": ev} for s, (a, ev) in enumerate(zip(data.alphas, data.eigenvalues)))
+    axes = [{"s": range(len(data.alphas)), "alpha": data.alphas}]
     payload = {"command": "basis", **data.to_dict()}
-    _render(fmt, output, payload, ["s", "alpha", "eigenvalue"], rows, csv=lambda: matrix_to_csv(data.transform))
+    _render(fmt, output, payload, axes, data.eigenvalues, value="eigenvalue", csv=lambda: matrix_to_csv(data.transform))
 
 
 @main.command("cg-ur")
@@ -260,15 +243,15 @@ def cg_ur_cmd(j1, j2, j, r, s1, s2, s, fmt, output) -> None:
     chosen = (s1, s2, s)
     if any(x is not None for x in chosen) and not all(x is not None for x in chosen):
         raise click.UsageError("give all of --s1 --s2 --s or none of them")
+    index = (slice(None),) * 3
     if s1 is not None:  # out-of-range labels are a usage error outside the triangle too
         chosen = (check_label(j1, s1, "s1"), check_label(j2, s2, "s2"), check_label(j, s))
-    if not triangle(j1, j2, j):
-        entries = []
-    elif s1 is not None:
-        entries = [(chosen, cg_ur(j1, j2, s1, s2, j, s, r))]
+        index = tuple(slice(x, x + 1) for x in chosen)  # the entry cg_ur() reads, as a table of one
+    if triangle(j1, j2, j):
+        table = cg_ur_table(j1, j2, j, r)
     else:
-        entries = np.ndenumerate(cg_ur_table(j1, j2, j, r))
-    _symbol_out("cg-ur", ("j1", "j2", "j"), (j1, j2, j), r, entries, fmt, output)
+        table, index = np.zeros((0, 0, 0)), (slice(0),) * 3  # the empty table
+    _symbol_out("cg-ur", ("j1", "j2", "j"), (j1, j2, j), r, table, fmt, output, index)
 
 
 @main.command("fbar")
@@ -280,8 +263,7 @@ def cg_ur_cmd(j1, j2, j, r, s1, s2, s, fmt, output) -> None:
 @OUTPUT
 def fbar_cmd(j1, j2, j3, r, fmt, output) -> None:
     """The symmetric recoupling symbol over all label triples."""
-    entries = np.ndenumerate(fbar_table(j1, j2, j3, r))
-    _symbol_out("fbar", ("j1", "j2", "j3"), (j1, j2, j3), r, entries, fmt, output)
+    _symbol_out("fbar", ("j1", "j2", "j3"), (j1, j2, j3), r, fbar_table(j1, j2, j3, r), fmt, output)
 
 
 @main.command("ortho")
@@ -346,23 +328,18 @@ def yr(ell, s, r, theta, phi, grid_theta, grid_phi, fmt, output) -> None:
     if (grid_theta is None) != (grid_phi is None):
         raise click.UsageError("give both --grid-theta and --grid-phi or neither")
     value = y_r_eigenfunction(ell, s, r, SphericalPoint(theta, phi))  # also rejects an s outside 0..2l
-    columns = ["theta", "phi", "re", "im"]
+    head = {"command": "yr", "l": ell, "s": s, "r": float(r)}
+    split = None if fmt == "csv" else "value"  # csv has re and im columns, text one value
     if grid_theta is not None:
         grid = QuadratureGrid(grid_theta, grid_phi)
-        samples = y_r_grid_values(ell, r, grid)[s]
-        nodes = [
-            {"theta": float(th), "phi": float(ph), "re": samples[it, ip].real, "im": samples[it, ip].imag}
-            for it, th in enumerate(grid.thetas)
-            for ip, ph in enumerate(grid.phis)
-        ]
-        payload = {"command": "yr", "l": ell, "s": s, "r": float(r), "grid": nodes}
-        _render(fmt, output, payload, columns, nodes, text=lambda: _fields(["theta", "phi", "value"], _valued(nodes)))
-    record = {"theta": float(theta), "phi": float(phi), "re": value.real, "im": value.imag}
+        axes = [{"theta": grid.thetas.tolist()}, {"phi": grid.phis.tolist()}]
+        _render(fmt, output, head, axes, y_r_grid_values(ell, r, grid)[s], key="grid", value=split)
 
     def text():
         return f"y[l={ell}, s={s}, r={fmt_cell(r)}]({fmt_cell(theta)}, {fmt_cell(phi)}) = {fmt_cell(value)}"
 
-    _render(fmt, output, {"command": "yr", "l": ell, "s": s, "r": float(r), **record}, columns, [record], text=text)
+    payload = {**head, "theta": float(theta), "phi": float(phi), "re": value.real, "im": value.imag}
+    _render(fmt, output, payload, [{"theta": [float(theta)]}, {"phi": [float(phi)]}], [value], value=split, text=text)
 
 
 # Twice-spins of the 9-j arrays that the substitution check evaluates.

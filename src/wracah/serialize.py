@@ -1,4 +1,4 @@
-"""Deterministic text encodings: canonical JSON, CSV rows, matrix dumps.
+"""Deterministic text encodings: canonical JSON, table rows, matrix dumps.
 
 Floats are rendered with 17 significant digits (lossless for binary64) and
 dict keys keep their insertion order, so repeated runs produce byte-identical
@@ -7,10 +7,13 @@ one pass, so no dict per entry is built; a complex value reads {"re", "im"}.
 `fmt_cell` decides how one value reads in CSV and in the CLI's text: a
 string as it is, None as nothing, booleans as true/false, integers in
 decimal, floats by `fmt_float` and complex values as re+imi.
+`render_table` writes a table's rows, as CSV, text or JSON records, straight
+from its array and the labels of its axes.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -25,7 +28,7 @@ __all__ = [
     "fmt_cell",
     "dumps",
     "matrix_to_csv",
-    "rows_to_csv",
+    "render_table",
 ]
 
 
@@ -94,9 +97,36 @@ def fmt_cell(value) -> str:
     return str(value)
 
 
-def rows_to_csv(columns: list[str], rows) -> str:
-    """A header of columns, then one line per row (a dict keyed by column), each cell by fmt_cell."""
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(fmt_cell(row[col]) for col in columns))
-    return "\n".join(lines) + "\n"
+def render_table(fmt: str, axes, values=None, value: str | None = "value") -> str:
+    """A table as csv lines under a header, text `col=value` lines ("(no records)" for none), or json records.
+
+    axes holds one mapping per axis, from each of its columns to its cells,
+    one per index along the axis; an axis of length one is a column every
+    row shares.  Each cell is rendered once, by fmt_cell (dumps in json), and
+    the rows walk the axes in C order, each ending in its entry of the
+    complex array values, if given: as one re+imi column named value, or as
+    columns re and im when value is None, and always in json.
+    """
+    enc, sep, key = {
+        "json": (dumps, ", ", lambda col: f"{json.dumps(col)}: "),
+        "csv": (fmt_cell, ",", lambda col: ""),
+        "text": (fmt_cell, " ", lambda col: f"{col}="),
+    }[fmt]
+    columns = [col for axis in axes for col in axis]
+    cells = [[sep.join(key(col) + enc(x) for col, x in zip(axis, row)) for row in zip(*axis.values())] for axis in axes]
+    rows = map(sep.join, itertools.product(*cells))
+    if values is not None:
+        entries = zip(rows, np.ravel(values).tolist(), strict=True)
+        if value is None or fmt == "json":
+            columns += ["re", "im"]
+            key_re, key_im = key("re"), key("im")
+            rows = (f"{row}{sep}{key_re}{fmt_float(z.real)}{sep}{key_im}{fmt_float(z.imag)}" for row, z in entries)
+        else:
+            columns.append(value)
+            head = key(value)
+            rows = (f"{row}{sep}{head}{fmt_complex(z)}" for row, z in entries)
+    if fmt == "json":
+        return f"[{', '.join(f'{{{row}}}' for row in rows)}]"
+    if fmt == "csv":
+        return "\n".join([",".join(columns), *rows, ""])
+    return "\n".join([*rows, ""]) or "(no records)\n"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedLimitError
-from .qarith import ToleranceRule, check_label
+from .qarith import ToleranceRule, _as_fraction, check_label
 from .report import Check, VerificationReport
 from .su2 import basis_transform_matrix
 
@@ -257,7 +257,7 @@ def verify_sphere(
     l = min(2, family_l_max) if family_l_max >= 1 else 1
     shift_grid = QuadratureGrid(l + 1, 2 * l + 1)
     base = y_r_grid_values(l, rs[0], shift_grid)
-    moved = y_r_grid_values(l, float(rs[0]) + 2.0, shift_grid)
+    moved = y_r_grid_values(l, _as_fraction(rs[0]) + 2, shift_grid)  # exact: r + 2.0 rounds to r from 2**54
     count = 2 * l + 1
     cyclic = max(
         float(np.max(np.abs(moved[s] - base[(s + 1) % count]))) for s in range(count)

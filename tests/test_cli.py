@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -302,6 +303,100 @@ class TestTableCommands:
                 "0.5+0.49999999999999989i,0.49999999999999983-0.50000000000000011i\n"
                 "0.49999999999999983-0.50000000000000011i,0.5+0.49999999999999989i\n",
             ),
+            # the table commands, each written from its array
+            (
+                ["cg-ur", "--j1", "1/2", "--j2", "1/2", "--j", "1", "--r", "0.37", "--format", "json"],
+                '{"command": "cg-ur", "j1": "1/2", "j2": "1/2", "j": "1", "r": 0.37, "records": ['
+                '{"j1": 0.5, "j2": 0.5, "j": 1, "alpha1": -0.185, "alpha2": -0.185, "alpha": -0.37, '
+                '"r": 0.37, "re": 0.97479787417359087, "im": 3.5696691519876795e-17}, '
+                '{"j1": 0.5, "j2": 0.5, "j": 1, "alpha1": -0.185, "alpha2": -0.185, "alpha": 0.63, '
+                '"r": 0.37, "re": 0.22123448187195308, "im": 7.891329495730916e-17}, '
+                '{"j1": 0.5, "j2": 0.5, "j": 1, "alpha1": -0.185, "alpha2": -0.185, "alpha": 1.6299999999999999, '
+                '"r": 0.37, "re": 0.028712515346045447, "im": 6.6344792027481855e-17}, '
+                '{"j1": 0.5, "j2": 0.5, "j": 1, "alpha1": -0.185, "alpha2": 0.81499999999999995, "alpha": -0.37, '
+                '"r": 0.37, "re": -0.11115260919864896, "im": -4.1698628975691397e-17}, '
+                '{"j1": 0.5, "j2": 0.5, "j": 1, "alpha1": -0.185, "alpha2": 0.81499999999999995, "alpha": 0.63, '
+                '"r": 0.37, "re": 0.54622263659544701, "im": -1.7456785233000626e-16}, '
+                '{"j1": 0.5, "j2": 0.5, "j": 1, "alpha1": -0.185, "alpha2": 0.81499999999999995, "alpha": 1.6299999999999999, '
+                '"r": 0.37, "re": -0.43507002739679823, "im": 2.1146127372297198e-16}, '
+                '{"j1": 0.5, "j2": 0.5, "j": 1, "alpha1": 0.81499999999999995, "alpha2": -0.185, "alpha": -0.37, '
+                '"r": 0.37, "re": -0.11115260919864901, "im": 3.8375842937313878e-17}, '
+                '{"j1": 0.5, "j2": 0.5, "j": 1, "alpha1": 0.81499999999999995, "alpha2": -0.185, "alpha": 0.63, '
+                '"r": 0.37, "re": 0.54622263659544712, "im": -1.3737754800262378e-16}, '
+                '{"j1": 0.5, "j2": 0.5, "j": 1, "alpha1": 0.81499999999999995, "alpha2": -0.185, "alpha": 1.6299999999999999, '
+                '"r": 0.37, "re": -0.43507002739679823, "im": 1.9372941128034866e-16}, '
+                '{"j1": 0.5, "j2": 0.5, "j": 1, "alpha1": 0.81499999999999995, "alpha2": 0.81499999999999995, "alpha": -0.37, '
+                '"r": 0.37, "re": -0.1583012932458647, "im": 1.0810799595161543e-16}, '
+                '{"j1": 0.5, "j2": 0.5, "j": 1, "alpha1": 0.81499999999999995, "alpha2": 0.81499999999999995, "alpha": 0.63, '
+                '"r": 0.37, "re": 0.59526209905577299, "im": -4.4384255820134632e-16}, '
+                '{"j1": 0.5, "j2": 0.5, "j": 1, "alpha1": 0.81499999999999995, "alpha2": 0.81499999999999995, "alpha": 1.6299999999999999, '
+                '"r": 0.37, "re": 0.7877840655816809, "im": -5.8621954462690722e-16}]}\n',
+            ),
+            (
+                ["cg-ur", "--j1", "1/2", "--j2", "1/2", "--j", "1", "--r", "0.37", "--format", "csv"],
+                "j1,j2,j,alpha1,alpha2,alpha,r,value\n"
+                "0.5,0.5,1,-0.185,-0.185,-0.37,0.37,0.97479787417359087+3.5696691519876795e-17i\n"
+                "0.5,0.5,1,-0.185,-0.185,0.63,0.37,0.22123448187195308+7.891329495730916e-17i\n"
+                "0.5,0.5,1,-0.185,-0.185,1.6299999999999999,0.37,0.028712515346045447+6.6344792027481855e-17i\n"
+                "0.5,0.5,1,-0.185,0.81499999999999995,-0.37,0.37,-0.11115260919864896-4.1698628975691397e-17i\n"
+                "0.5,0.5,1,-0.185,0.81499999999999995,0.63,0.37,0.54622263659544701-1.7456785233000626e-16i\n"
+                "0.5,0.5,1,-0.185,0.81499999999999995,1.6299999999999999,0.37,-0.43507002739679823+2.1146127372297198e-16i\n"
+                "0.5,0.5,1,0.81499999999999995,-0.185,-0.37,0.37,-0.11115260919864901+3.8375842937313878e-17i\n"
+                "0.5,0.5,1,0.81499999999999995,-0.185,0.63,0.37,0.54622263659544712-1.3737754800262378e-16i\n"
+                "0.5,0.5,1,0.81499999999999995,-0.185,1.6299999999999999,0.37,-0.43507002739679823+1.9372941128034866e-16i\n"
+                "0.5,0.5,1,0.81499999999999995,0.81499999999999995,-0.37,0.37,-0.1583012932458647+1.0810799595161543e-16i\n"
+                "0.5,0.5,1,0.81499999999999995,0.81499999999999995,0.63,0.37,0.59526209905577299-4.4384255820134632e-16i\n"
+                "0.5,0.5,1,0.81499999999999995,0.81499999999999995,1.6299999999999999,0.37,0.7877840655816809-5.8621954462690722e-16i\n",
+            ),
+            (
+                ["cg-ur", "--j1", "1/2", "--j2", "1/2", "--j", "1", "--r", "0.37", "--s1", "1", "--s2", "0", "--s", "1",
+                 "--format", "json"],
+                '{"command": "cg-ur", "j1": "1/2", "j2": "1/2", "j": "1", "r": 0.37, "records": ['
+                '{"j1": 0.5, "j2": 0.5, "j": 1, "alpha1": 0.81499999999999995, "alpha2": -0.185, "alpha": 0.63, '
+                '"r": 0.37, "re": 0.54622263659544712, "im": -1.3737754800262378e-16}]}\n',
+            ),
+            (
+                ["cg-ur", "--j1", "1/2", "--j2", "1/2", "--j", "2", "--format", "csv"],
+                "j1,j2,j,alpha1,alpha2,alpha,r,value\n",
+            ),
+            (
+                ["cg-ur", "--j1", "1/2", "--j2", "1/2", "--j", "2", "--format", "json"],
+                '{"command": "cg-ur", "j1": "1/2", "j2": "1/2", "j": "2", "r": 1, "records": []}\n',
+            ),
+            (
+                ["fbar", "--j1", "1/2", "--j2", "1/2", "--j3", "0", "--r", "0", "--format", "json"],
+                '{"command": "fbar", "j1": "1/2", "j2": "1/2", "j3": "0", "r": 0, "records": ['
+                '{"j1": 0.5, "j2": 0.5, "j3": 0, "alpha1": 0, "alpha2": 0, "alpha3": 0, '
+                '"r": 0, "re": 0, "im": 0}, '
+                '{"j1": 0.5, "j2": 0.5, "j3": 0, "alpha1": 0, "alpha2": 1, "alpha3": 0, '
+                '"r": 0, "re": 0, "im": 0.70710678118654757}, '
+                '{"j1": 0.5, "j2": 0.5, "j3": 0, "alpha1": 1, "alpha2": 0, "alpha3": 0, '
+                '"r": 0, "re": 0, "im": -0.70710678118654757}, '
+                '{"j1": 0.5, "j2": 0.5, "j3": 0, "alpha1": 1, "alpha2": 1, "alpha3": 0, '
+                '"r": 0, "re": 0, "im": 0}]}\n',
+            ),
+            (
+                ["yr", "--l", "1", "--s", "1", "--r", "0.37", "--theta", "0.5", "--phi", "0.5",
+                 "--grid-theta", "2", "--grid-phi", "3", "--format", "json"],
+                '{"command": "yr", "l": 1, "s": 1, "r": 0.37, "grid": ['
+                '{"theta": 2.1862760354652839, "phi": 0, "re": -0.16286750396763996, "im": -0.31550144367621313}, '
+                '{"theta": 2.1862760354652839, "phi": 2.0943951023931953, "re": -0.16286750396763996, "im": 0.087596599902067501}, '
+                '{"theta": 2.1862760354652839, "phi": 4.1887902047863905, "re": -0.16286750396763996, "im": 0.22790484377414572}, '
+                '{"theta": 0.9553166181245093, "phi": 0, "re": 0.16286750396763996, "im": -0.31550144367621313}, '
+                '{"theta": 0.9553166181245093, "phi": 2.0943951023931953, "re": 0.16286750396763996, "im": 0.087596599902067501}, '
+                '{"theta": 0.9553166181245093, "phi": 4.1887902047863905, "re": 0.16286750396763994, "im": 0.22790484377414572}]}\n',
+            ),
+            (
+                ["yr", "--l", "1", "--s", "1", "--r", "0.37", "--theta", "0.5", "--phi", "0.5",
+                 "--grid-theta", "2", "--grid-phi", "3", "--format", "csv"],
+                "theta,phi,re,im\n"
+                "2.1862760354652839,0,-0.16286750396763996,-0.31550144367621313\n"
+                "2.1862760354652839,2.0943951023931953,-0.16286750396763996,0.087596599902067501\n"
+                "2.1862760354652839,4.1887902047863905,-0.16286750396763996,0.22790484377414572\n"
+                "0.9553166181245093,0,0.16286750396763996,-0.31550144367621313\n"
+                "0.9553166181245093,2.0943951023931953,0.16286750396763996,0.087596599902067501\n"
+                "0.9553166181245093,4.1887902047863905,0.16286750396763994,0.22790484377414572\n",
+            ),
         ],
     )
     def test_rendered_literally(self, runner, args, expected):
@@ -325,6 +420,8 @@ class TestTableCommands:
             ["quon-check", "--k", "2"],
             ["yr", "--l", "1", "--s", "1", "--r", "0.37", "--theta", "0.5", "--phi", "0.5",
              "--grid-theta", "2", "--grid-phi", "3"],
+            ["cg-ur", "--j1", "3/2", "--j2", "1", "--j", "3/2", "--r", "0.37"],
+            ["fbar", "--j1", "1", "--j2", "3/2", "--j3", "3/2", "--r", "0.37"],
         ],
     )
     def test_stdout_matches_output_file(self, runner, tmp_path, args, fmt):
@@ -336,6 +433,22 @@ class TestTableCommands:
         assert written.stdout_bytes == b""
         assert printed.stdout_bytes == target.read_bytes()
         assert printed.stdout_bytes.endswith(b"\n") and not printed.stdout_bytes.endswith(b"\n\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_table_is_written_within_five_times_its_size(self, runner, fmt):
+        """A cached table is written from its array, with no record per entry: its peak stays under 5x the output."""
+        args = ["fbar", "--j1", "8", "--j2", "8", "--j3", "8", "--r", "0.37", "--format", fmt]
+        assert runner.invoke(main, args).exit_code == 0  # builds and caches the table
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0
+        size = len(result.stdout_bytes)
+        assert size > 17**3 * 60  # a line or record per entry of the 17 x 17 x 17 table
+        assert peak < 5 * size, (peak, size)
 
 
 class TestUsageErrors:

@@ -17,7 +17,7 @@ import wracah
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 MODULES = [wracah] + [importlib.import_module(f"wracah.{info.name}") for info in pkgutil.iter_modules(wracah.__path__)]
-REMOVED = ["q_factorial_is_degenerate", "DegenerateFactorialError", "angular_indices"]
+REMOVED = ["q_factorial_is_degenerate", "DegenerateFactorialError", "angular_indices", "rows_to_csv"]
 
 
 def _run(*args):

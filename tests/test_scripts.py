@@ -71,6 +71,31 @@ def test_export_tables_does_not_depend_on_the_cache(tmp_path, monkeypatch):
     assert len(default.splitlines()) == expected
 
 
+def test_export_tables_csv_bytes_pinned(tmp_path):
+    """The exported tables, byte for byte: a header, then a row per entry in C order, re and im by fmt_float."""
+    result = run_script("export_tables.py", "--max-j", "1/2", "--r", "0.37", "--out", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    assert sorted(path.name for path in tmp_path.glob("*.csv")) == [
+        f"{name}_{spins}_r0.37.csv"
+        for name in ("cg_ur", "fbar")
+        for spins in ("0_0_0", "0_1over2_1over2", "1over2_0_1over2", "1over2_1over2_0")
+    ]
+    assert (tmp_path / "cg_ur_1over2_1over2_0_r0.37.csv").read_bytes() == (
+        b"s1,s2,s,re,im\n"
+        b"0,0,0,-3.1094432612640007e-17,-8.6289800756901652e-18\n"
+        b"0,1,0,2.4386733813164378e-16,0.70710678118654757\n"
+        b"1,0,0,-2.35399796913552e-16,-0.70710678118654768\n"
+        b"1,1,0,6.863497641568958e-17,1.0724155167347716e-17\n"
+    )
+    assert (tmp_path / "fbar_1over2_0_1over2_r0.37.csv").read_bytes() == (
+        b"s1,s2,s3,re,im\n"
+        b"0,0,0,3.3421854231275356e-17,6.6014601055633027e-18\n"
+        b"0,0,1,-2.4589485810177061e-16,-0.70710678118654746\n"
+        b"1,0,0,2.3598165231821089e-16,0.70710678118654757\n"
+        b"1,0,1,-1.3630705176963461e-17,-1.1306010572006552e-17\n"
+    )
+
+
 def test_verification_sweep_passes():
     result = run_script("verification_sweep.py", "--k-max", "3", "--r-steps", "1", "--r-span", "1")
     assert result.returncode == 0, result.stdout + result.stderr

@@ -208,3 +208,11 @@ def test_full_verification_suite():
     report = verify_sphere(l_max=6, family_l_max=3, rs=(0.0, 1.0))
     assert report.passed, [(c.name, c.residual) for c in report.checks if not c.passed]
     assert report.max_residual < 1e-10
+
+
+@pytest.mark.parametrize("r", [2.0**54, 2.0**60, -(2.0**60)])
+def test_family_shift_steps_r_exactly(r):
+    """The shift check moves r by exactly 2: from |r| = 2**54 on, the float r + 2.0 is r again."""
+    report = verify_sphere(l_max=2, family_l_max=2, rs=(r,))
+    assert report.passed, [(c.name, c.residual) for c in report.checks if not c.passed]
+    assert {c.name: c.residual for c in report.checks}["family_shift_relabels_cyclically"] == 0.0
