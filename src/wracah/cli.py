@@ -8,8 +8,8 @@ asked for, a table straight from its array by `serialize.render_table`, and
 stdout and an --output file get the same bytes, ending in one newline.
 A verification's tolerance is --tol when given, else each suite's own
 default.  `report --timings` prints each suite's wall time, the state of
-the package's cache and the process's peak resident memory to stderr and
-leaves the output itself unchanged.
+the package's cache with the most the report held in it, and the process's
+peak resident memory to stderr, and leaves the output itself unchanged.
 
 Environment:
   WRACAH_CORRUPT  test hook; when set, the report command falsifies one
@@ -29,16 +29,17 @@ import numpy as np
 
 from .errors import WracahError
 from .fock import quon_operators, verify_quon_relations
-from .qarith import HalfInt, ToleranceRule, all_spins, check_label, half_integer_spins, integer_spins
+from .qarith import HalfInt, ToleranceRule, all_spins, check_label, half_integer_spins, halfint_range, integer_spins
 from .report import Check, VerificationReport
 from .serialize import dumps, fmt_cell, matrix_to_csv, render_table
-from .sphere import QuadratureGrid, SphericalPoint, verify_sphere, y_r_eigenfunction, y_r_grid_values
+from .sphere import QuadratureGrid, SphericalPoint, verify_sphere, y_r_eigenfunction, y_r_grid_member
 from .su2 import ShiftParams, shift_eigenbasis, verify_shift_eigenbasis, verify_sine_algebra, verify_su2
 from .urcoupling import (
     alpha_labels,
     cg_ur_table,
     fbar_table,
     ninej_from_fbar,
+    table_reads,
     verify_cg_ur_interchange,
     verify_cg_ur_unitarity,
     verify_f_interchange,
@@ -47,7 +48,7 @@ from .urcoupling import (
     verify_tensor_transform,
     verify_wigner_eckart,
 )
-from .wigner import default_table, lowering_checks, orthogonality_checks, triangle
+from .wigner import cg_key, default_table, lowering_checks, orthogonality_checks, pair_walk, triangle
 
 
 class HalfIntParam(click.ParamType):
@@ -333,7 +334,7 @@ def yr(ell, s, r, theta, phi, grid_theta, grid_phi, fmt, output) -> None:
     if grid_theta is not None:
         grid = QuadratureGrid(grid_theta, grid_phi)
         axes = [{"theta": grid.thetas.tolist()}, {"phi": grid.phis.tolist()}]
-        _render(fmt, output, head, axes, y_r_grid_values(ell, r, grid)[s], key="grid", value=split)
+        _render(fmt, output, head, axes, y_r_grid_member(ell, s, r, grid), key="grid", value=split)
 
     def text():
         return f"y[l={ell}, s={s}, r={fmt_cell(r)}]({fmt_cell(theta)}, {fmt_cell(phi)}) = {fmt_cell(value)}"
@@ -373,50 +374,106 @@ def _add_tagged(merged: VerificationReport, point: tuple[HalfInt, ...], checks: 
         merged.add(Check(f"{tag}_{check.name}" if check.name else tag, check.residual, check.tol, check.passed))
 
 
+# The pair suites of one walk step, in two halves: the cache drops the cg_ur
+# tables of the pair between them, before the fbar tables are built.
+_PAIR_SUITES = (
+    {"cg-ur-unitarity": verify_cg_ur_unitarity, "cg-ur-interchange": verify_cg_ur_interchange},
+    {"fbar-orthogonality": verify_fbar_orthogonality},
+)
+
+
+def _walk_points(pairs: list[tuple[int, int]]) -> list[tuple[HalfInt, HalfInt]]:
+    """The spins of a walk step's pairs when both are integers, else none: the pair suites' points."""
+    return [(HalfInt(t1), HalfInt(t2)) for t1, t2 in pairs] if pairs[0][0] % 2 == pairs[0][1] % 2 == 0 else []
+
+
+def _walk_reads(pairs: list[tuple[int, int]], r: float) -> list[list[tuple]]:
+    """The cache keys that each half of a walk step reads (_PAIR_SUITES).
+
+    The first half reads the canonical cg blocks of the pair, in the
+    wigner-core suites, and the cg_ur tables of its points; the second the
+    fbar tables, one spin beyond the triangle too.  A table's reads are
+    those of a build (table_reads).
+    """
+    ta, tb = pairs[0]
+    first = [cg_key(ta, tb, tj) for tj in range(ta - tb, ta + tb + 1, 2)]
+    second = []
+    for j1, j2 in _walk_points(pairs):
+        first += [key for j in halfint_range(abs(j1 - j2), j1 + j2) for key in table_reads("cg_ur", j1, j2, j, r)]
+        second += [key for j in halfint_range(abs(j1 - j2), j1 + j2 + 1) for key in table_reads("fbar", j1, j2, j, r)]
+    return [first, second]
+
+
 def _pair_reports(
     max_j: HalfInt, r: float, rule: ToleranceRule | None, timings: dict[str, float]
 ) -> list[VerificationReport]:
-    """wigner-core, wigner-core-orthogonality and the three suites on pairs of integer spins, pair by pair.
+    """wigner-core, wigner-core-orthogonality and the three suites on pairs of integer spins, one unordered pair a step.
 
-    The pairs are walked once, 2j1 major, so that the J^2 oracle is still
-    diagonalized a row at a time.  A pair of integer spins runs its three
-    suites together with its swapped pair, when the first of the two is
-    reached, right after the wigner-core checks that built its cg blocks,
-    which the swapped pair reads too (the cache keeps one orientation).
-    So the blocks and tables of both pairs are read while they are cached,
-    and the cache can drop them afterwards.  The checks go into each suite
-    in the order of its grid, and each suite's wall time is summed over the
-    pairs into timings.
+    The walk (pair_walk) takes each unordered pair {a, b} once, 2a major: its
+    step checks (a, b) and (b, a) in the two wigner-core suites and, when
+    both spins are integers, runs the pair suites on both.  So every read of
+    a canonical cg block, and of the cg_ur and fbar tables of the pair,
+    falls in that one step, and the J^2 oracle is diagonalized an L-shaped
+    row (one 2a) at a time.  Each half of a step (_PAIR_SUITES) ends a step
+    of the cache, which drops what no later step reads (_plan).  The checks
+    go into each suite in the order of its grid, and each suite's wall time
+    is summed over the pairs into timings.
     """
-    cores = [
-        (VerificationReport(suite="wigner-core"), lowering_checks(max_j, rule)),
-        (VerificationReport(suite="wigner-core-orthogonality"), orthogonality_checks(max_j, rule)),
-    ]
-    verifiers = {
-        "cg-ur-unitarity": verify_cg_ur_unitarity,
-        "cg-ur-interchange": verify_cg_ur_interchange,
-        "fbar-orthogonality": verify_fbar_orthogonality,
+    cores = {
+        "wigner-core": lowering_checks(max_j, rule),
+        "wigner-core-orthogonality": orthogonality_checks(max_j, rule),
     }
-    done: dict[tuple, list[Check]] = {}
-    for j1, j2 in itertools.product(all_spins(max_j), repeat=2):
-        for report, checks in cores:
+    done: dict[str, dict[tuple, list[Check]]] = {suite: {} for half in [cores, *_PAIR_SUITES] for suite in half}
+    for pairs in pair_walk(max_j):
+        for suite, checks in cores.items():
             start = time.perf_counter()
-            report.add(next(checks))
-            timings[report.suite] = timings.get(report.suite, 0.0) + time.perf_counter() - start
-        if not (j1.is_integer and j2.is_integer) or j1.twice > j2.twice:
-            continue
-        for point in dict.fromkeys([(j1, j2), (j2, j1)]):
-            for suite, verify in verifiers.items():
-                start = time.perf_counter()
-                done[suite, point] = verify(*point, r, rule).checks
-                timings[suite] = timings.get(suite, 0.0) + time.perf_counter() - start
-    reports = [report for report, _ in cores]
-    for suite in verifiers:
-        merged = VerificationReport(suite=suite, k=None, r=r)
-        for point in itertools.product(integer_spins(max_j), repeat=2):
-            _add_tagged(merged, point, done[suite, point])
-        reports.append(merged)
+            done[suite].update((pair, [check]) for pair, check in next(checks).items())
+            timings[suite] = timings.get(suite, 0.0) + time.perf_counter() - start
+        for half in _PAIR_SUITES:
+            for suite, verify in half.items():
+                for point in _walk_points(pairs):
+                    start = time.perf_counter()
+                    done[suite][point] = verify(*point, r, rule).checks
+                    timings[suite] = timings.get(suite, 0.0) + time.perf_counter() - start
+            default_table().end_step()
+    reports = [VerificationReport(suite=suite) for suite in cores]
+    reports += [VerificationReport(suite=suite, k=None, r=r) for half in _PAIR_SUITES for suite in half]
+    for report in reports:
+        for point, checks in sorted(done[report.suite].items()):
+            if report.suite in cores:
+                report.checks += checks  # named by their labels already
+            else:
+                _add_tagged(report, point, checks)
     return reports
+
+
+def _plan(max_j, r: float, rows) -> dict[tuple, int]:
+    """The last step of the report that reads each cache key.
+
+    The steps are the two halves of each step of the pair walk
+    (_walk_reads), then one per row of rows, whose reads(*point) lists the
+    keys that each point reads.  The rows before the walk read no key.
+    """
+    steps = [keys for pairs in pair_walk(max_j) for keys in _walk_reads(pairs, r)]
+    steps += [[key for point in grid for key in reads(*point)] for _, grid, _, reads in rows]
+    return {key: step for step, keys in enumerate(steps) for key in keys}
+
+
+def _we_ranks(j: HalfInt) -> list[int]:
+    """The tensor ranks that wigner-eckart checks at spin j."""
+    return [0, 1] + ([2] if j.twice >= 2 else [])
+
+
+def _we_reads(j: HalfInt, r: float) -> list[tuple]:
+    """The cache keys of wigner-eckart at j: each rank's f table, and the cg block that builds rank 2."""
+    keys = [key for rank in _we_ranks(j) for key in table_reads("cg_ur", j, rank, j, r)]
+    return keys + ([cg_key(2, 2, 4)] if 2 in _we_ranks(j) else [])
+
+
+def _ninej_reads(js: tuple[HalfInt, ...], r: float) -> list[tuple]:
+    """The cache keys of ninej-substitution: the fbar table of each row and column of the array."""
+    triads = [js[0:3], js[3:6], js[6:9], js[0::3], js[1::3], js[2::3]]
+    return [key for triad in triads for key in table_reads("fbar", *triad, r)]
 
 
 def _build_report(
@@ -427,9 +484,12 @@ def _build_report(
     A grid is a list of spin tuples, each passed to the call.  A row without
     a suite keeps each call's report as it is; the others merge their points
     into one suite, each check name led by the point's tag.  The pair suites
-    run between the rows, pair by pair (_pair_reports).  The README's
-    `report` section says why some suites leave spins out.  Returns the
-    reports and the wall time in seconds of each suite that ran a point.
+    run between the rows, pair by pair (_pair_reports).  The rows after them
+    also carry reads(*point), the cache keys that a point reads, and each
+    ends a step of the cache, so that the cache holds every entry the report
+    builds until its last read (_plan).  The README's `report` section says
+    why some suites leave spins out.  Returns the reports and the wall time
+    in seconds of each suite that ran a point.
     """
     positive_spins = [(j,) for j in all_spins(max_j)[1:]]  # order k = 2j + 1 for the operator suites
     triples_up_to_2 = list(itertools.product(all_spins(min(max_j, HalfInt(4))), repeat=3))
@@ -447,18 +507,30 @@ def _build_report(
         ),
     ]
     after_pairs = [
-        ("fbar-permutation", triples_up_to_2, lambda *js: verify_fbar_permutation(*js, r, rule)),
-        ("f-interchange", triples_up_to_2, lambda *js: verify_f_interchange(*js, r, rule)),
-        ("tensor-transform", positive_spins, lambda j: verify_tensor_transform(j, 1, r, rule)),
+        (
+            "fbar-permutation",
+            triples_up_to_2,
+            lambda *js: verify_fbar_permutation(*js, r, rule),
+            lambda *js: [key for perm in itertools.permutations(js) for key in table_reads("fbar", *perm, r)],
+        ),
+        (
+            "f-interchange",
+            triples_up_to_2,
+            lambda *js: verify_f_interchange(*js, r, rule),
+            lambda j1, j2, j3: table_reads("cg_ur", j2, j3, j1, r) + table_reads("cg_ur", j3, j2, j1, r),
+        ),
+        ("tensor-transform", positive_spins, lambda j: verify_tensor_transform(j, 1, r, rule), lambda j: []),
         (
             "wigner-eckart",
             [(j,) for j in half_integer_spins(max_j)],
-            lambda j: verify_wigner_eckart(j, [0, 1] + ([2] if j.twice >= 2 else []), r, rule),
+            lambda j: verify_wigner_eckart(j, _we_ranks(j), r, rule),
+            lambda j: _we_reads(j, r),
         ),
         (
             "ninej-substitution",
             [tuple(map(HalfInt, case)) for case in _NINEJ_CASES],
             lambda *js: _ninej_check(*js, r=r, bound=bound),
+            lambda *js: _ninej_reads(js, r),
         ),
         (
             None,
@@ -466,6 +538,7 @@ def _build_report(
             lambda j: verify_sphere(
                 l_max=8, family_l_max=min(2 * (j.twice // 2) or 1, 4), rs=[0.0, r or 1.0], tol=rule
             ),
+            lambda j: [],
         ),
     ]
 
@@ -485,9 +558,13 @@ def _build_report(
             if grid:
                 timings[reports[-1].suite] = time.perf_counter() - start
 
-    run(before_pairs)
-    reports.extend(_pair_reports(max_j, r, rule, timings))
-    run(after_pairs)
+    table = default_table()
+    with table.holding(_plan(max_j, r, after_pairs)):
+        run(before_pairs)
+        reports.extend(_pair_reports(max_j, r, rule, timings))
+        for suite, grid, call, _ in after_pairs:
+            run([(suite, grid, call)])
+            table.end_step()
     return reports, timings
 
 
@@ -495,7 +572,12 @@ def _build_report(
 @click.option("--max-j", "max_j", type=HALFINT, required=True)
 @click.option("--r", type=float, default=1.0, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--timings", is_flag=True, help="print each suite's wall time, slowest first, the cache's counters and the peak RSS to stderr")
+@click.option(
+    "--timings",
+    is_flag=True,
+    help="print each suite's wall time, slowest first, the cache's counters, the most the report held "
+    "and the peak RSS to stderr",
+)
 @FORMAT
 @OUTPUT
 @TOL
@@ -510,7 +592,7 @@ def report_cmd(max_j, r, seed, timings, fmt, output, tol) -> None:
         cache = default_table()
         click.echo(
             f"cache: {len(cache)} entries, {cache.bytes / 2**20:.1f} MiB, {cache.hits} hits, "
-            f"{cache.misses} misses, {cache.evictions} evictions",
+            f"{cache.misses} misses, {cache.evictions} evictions, held {cache.held_peak / 2**20:.1f} MiB",
             err=True,
         )
         try:

@@ -30,6 +30,7 @@ __all__ = [
     "harmonic_grid_values",
     "y_r_eigenfunction",
     "y_r_grid_values",
+    "y_r_grid_member",
     "verify_sphere",
 ]
 
@@ -181,10 +182,20 @@ def _require_degree(l) -> int:
     return int(l)
 
 
-def _family(l: int, r, cos_thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """All 2l+1 family members on the nodes crossed with the azimuths, shaped (s, nodes, n_phi)."""
+def _family(l: int, r, cos_thetas: np.ndarray, phis: np.ndarray, members=slice(None)) -> np.ndarray:
+    """The members (a slice of s) of the family on the nodes crossed with the azimuths, shaped (s, nodes, n_phi).
+
+    Each member contracts its own column of the transform with the
+    harmonics, so a slice has the bits of those members of the whole family.
+    """
     stack = _degree_harmonics(l, _legendre_block(l, cos_thetas), phis)
-    return np.einsum("ms,mtp->stp", basis_transform_matrix(l, r), stack)
+    return np.einsum("ms,mtp->stp", basis_transform_matrix(l, r)[:, members], stack)
+
+
+def _member(l, s: int, r, cos_thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    l = _require_degree(l)
+    s = check_label(l, s)
+    return _family(l, r, cos_thetas, phis, slice(s, s + 1))[0]
 
 
 def y_r_eigenfunction(l, s: int, r, p: SphericalPoint) -> complex:
@@ -193,9 +204,16 @@ def y_r_eigenfunction(l, s: int, r, p: SphericalPoint) -> complex:
     The value is (2l+1)^(-1/2) sum_m exp(2*pi*i*alpha_s*m/(2l+1)) Y(l, m)
     with alpha_s = -l*r + s.
     """
-    l = _require_degree(l)
-    s = check_label(l, s)
-    return complex(_family(l, r, np.array([math.cos(p.theta)]), np.array([p.phi]))[s, 0, 0])
+    return complex(_member(l, s, r, np.array([math.cos(p.theta)]), np.array([p.phi]))[0, 0])
+
+
+def y_r_grid_member(l, s: int, r, grid: QuadratureGrid) -> np.ndarray:
+    """Family member s sampled on the grid, shaped (n_theta, n_phi).
+
+    The same bits as y_r_grid_values(l, r, grid)[s], without the other 2l
+    members.
+    """
+    return _member(l, s, r, grid.cos_thetas, grid.phis)
 
 
 def y_r_grid_values(l, r, grid: QuadratureGrid) -> np.ndarray:

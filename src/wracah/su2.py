@@ -57,6 +57,7 @@ __all__ = [
     "verify_su2",
     "basis_transform_matrix",
     "phase_matrix",
+    "phase_key",
     "shift_eigenvalue",
     "shift_eigenbasis",
     "verify_shift_eigenbasis",
@@ -349,10 +350,14 @@ def phase_matrix(j, r, sign: int) -> np.ndarray:
     evaluated on its own: conjugating the sign = +1 one can differ in the
     last bit.
     """
-    j = HalfInt.of(j)
+    key = phase_key(j, r, sign)
+    return default_table().get(key, lambda: _phases(*key[1:]))
+
+
+def phase_key(j, r, sign: int) -> tuple:
+    """The cache key of the phase matrix of (j, exact r, sign): ("phase", 2j, numerator, denominator, sign)."""
     r = _as_fraction(r)
-    key = ("phase", j.twice, r.numerator, r.denominator, sign)
-    return default_table().get(key, lambda: _phases(j.twice, r.numerator, r.denominator, sign))
+    return ("phase", HalfInt.of(j).twice, r.numerator, r.denominator, sign)
 
 
 def _phases(tj: int, p: int, q: int, sign: int) -> np.ndarray:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -33,14 +34,15 @@ from ._blas import identity_residual, one_thread
 from .errors import InvalidArgumentError, UndeterminedReducedElementError
 from .qarith import HalfInt, ToleranceRule, _as_fraction, alpha_value, check_label, halfint_range
 from .report import Check, VerificationReport
-from .su2 import AngularSpace, _expected_ladder, basis_transform_matrix, phase_matrix
-from .wigner import _ninej_network, _ninej_triads, cg_block, clear_cache, default_table, ninej, threejm_block
+from .su2 import AngularSpace, _expected_ladder, basis_transform_matrix, phase_key, phase_matrix
+from .wigner import _ninej_network, _ninej_triads, cg_block, cg_key, clear_cache, default_table, ninej, threejm_block
 
 __all__ = [
     "cg_ur_table",
     "cg_ur",
     "f_table",
     "fbar_table",
+    "table_reads",
     "alpha_labels",
     "clear_cache",
     "verify_cg_ur_unitarity",
@@ -111,7 +113,7 @@ def cg_ur_table(j1, j2, j, r) -> np.ndarray:
         norm = 1.0 / math.sqrt((j1.twice + 1) * (j2.twice + 1) * (j.twice + 1))
         return norm * _phase_transform(p1, p2, p, cg_block(j1, j2, j))
 
-    return default_table().get(("cg_ur", j1.twice, j2.twice, j.twice, r.numerator, r.denominator), build)
+    return default_table().get(_table_key("cg_ur", j1, j2, j, r), build)
 
 
 def cg_ur(j1, j2, s1, s2, j, s, r) -> complex:
@@ -158,7 +160,25 @@ def fbar_table(j1, j2, j3, r) -> np.ndarray:
         norm = 1.0 / math.sqrt((j1.twice + 1) * (j2.twice + 1) * (j3.twice + 1))
         return norm * _phase_transform(p1, p2, p3, core)
 
-    return default_table().get(("fbar", j1.twice, j2.twice, j3.twice, r.numerator, r.denominator), build)
+    return default_table().get(_table_key("fbar", j1, j2, j3, r), build)
+
+
+def _table_key(kind: str, j1: HalfInt, j2: HalfInt, j3: HalfInt, r: Fraction) -> tuple:
+    return (kind, j1.twice, j2.twice, j3.twice, r.numerator, r.denominator)
+
+
+def table_reads(kind: str, j1, j2, j3, r) -> list[tuple]:
+    """The cache keys that a read of the cg_ur or fbar table of (j1, j2, j3) at r can look up.
+
+    The table's own key, then the keys of what a build reads: the cg block
+    of (j1, j2, j3) and the phase matrices of j1, j2 and j3, their signs as
+    in cg_ur_table (-1, -1, +1) or fbar_table (-1, -1, -1).
+    """
+    j1, j2, j3 = HalfInt.of(j1), HalfInt.of(j2), HalfInt.of(j3)
+    r = _as_fraction(r)
+    signs = (-1, -1, 1) if kind == "cg_ur" else (-1, -1, -1)
+    phases = [phase_key(j, r, sign) for j, sign in zip((j1, j2, j3), signs)]
+    return [_table_key(kind, j1, j2, j3, r), cg_key(j1.twice, j2.twice, j3.twice), *phases]
 
 
 def _stacked_residuals(j1, j2, first, second=None) -> tuple[float, float]:

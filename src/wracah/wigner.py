@@ -24,6 +24,7 @@ value, and the verifiers read cg blocks through one coupling-matrix helper.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import operator
@@ -45,12 +46,14 @@ __all__ = [
     "threejm_block",
     "ninej",
     "CouplingTable",
+    "cg_key",
     "default_table",
     "clear_cache",
     "export_table",
     "load_table",
     "lowering_checks",
     "orthogonality_checks",
+    "pair_walk",
     "verify_cg_against_lowering",
     "verify_cg_orthogonality",
 ]
@@ -86,9 +89,9 @@ def _check_labels(twice_j, twice_m) -> None:
             raise InvalidArgumentError(f"|2m| = {abs(tm)} exceeds 2j = {tj}")
 
 
-# Bytes of cached arrays.  The largest pair of integer spins at max-j 10,
-# (10, 10), keeps about 4.7 MB of cg blocks and cg_ur tables resident while
-# report checks it; a pair's tables are read together and then left for good.
+# Bytes of cached arrays.  A report holds each entry it builds until its
+# last read (CouplingTable.holding) whatever the bound, so the bound only
+# limits what library calls keep for reads that may come again.
 _CACHE_BOUND = 5 << 20
 
 
@@ -99,12 +102,18 @@ class CouplingTable:
     names the kind of entry ("cg", "phase", "cg_ur", "fbar"); the rest
     are twice-integer labels and, for shift-basis entries, the numerator and
     denominator of the exact family parameter.  cg entries hold the
-    canonical blocks, 2j1 >= 2j2, only.  3-jm blocks and first recoupling
-    symbols (f) are derived from cg blocks and cg_ur tables on every read.
-    Cached arrays are read-only.  When the entries hold more than
-    _CACHE_BOUND bytes (ndarray.nbytes), the least recently used are
+    canonical blocks, 2j1 >= 2j2, only (cg_key).  3-jm blocks and first
+    recoupling symbols (f) are derived from cg blocks and cg_ur tables on
+    every read.  Cached arrays are read-only.  When the entries hold more
+    than _CACHE_BOUND bytes (ndarray.nbytes), the least recently used are
     evicted; an entry larger than the bound is returned without being kept.
-    A value is the same whether it was cached or built again.
+
+    Inside holding(), an entry whose key the plan names is also held,
+    outside the bound, until the end of its last step (end_step): the LRU
+    may evict it, but it is read from the held entries until then, and then
+    dropped from both.  So a report that knows its reads builds each entry
+    once and keeps none after its last read.  A value is the same whether it
+    was cached, held or built again.
     """
 
     def __init__(self):
@@ -114,13 +123,25 @@ class CouplingTable:
         self.misses = 0
         self.bytes = 0
         self.evictions = 0
+        # while holding: the last step of each planned key not built yet, the
+        # current step, the keys to drop at the end of each step, and the held
+        # entries, their bytes and the most those came to
+        self._plan: dict = {}
+        self._step = 0
+        self._drops: dict[int, list] = {}
+        self._held: dict = {}
+        self.held_bytes = 0
+        self.held_peak = 0
 
     def get(self, key: tuple, build):
         """The value stored under key, built by build() and stored on a miss."""
         with self._lock:
-            value = self._entries.get(key)
+            value = self._held.get(key)
+            if value is None:
+                value = self._entries.get(key)
+                if value is not None:
+                    self._entries.move_to_end(key)
             if value is not None:
-                self._entries.move_to_end(key)
                 self.hits += 1
                 return value
             self.misses += 1
@@ -128,36 +149,80 @@ class CouplingTable:
         value = build()
         value.setflags(write=False)
         size = value.nbytes
-        if size > _CACHE_BOUND:
-            return value
         with self._lock:
-            stored = self._entries.setdefault(key, value)
-            self._entries.move_to_end(key)
-            if stored is value:
+            stored = self._held.get(key)
+            if stored is None:
+                stored = self._entries.get(key)
+            if stored is not None:  # another thread built it first
+                return stored
+            if key in self._plan:
+                self._drops.setdefault(max(self._plan.pop(key), self._step), []).append(key)
+                self._held[key] = value
+                self.held_bytes += size
+                self.held_peak = max(self.held_peak, self.held_bytes)
+            if size <= _CACHE_BOUND:
+                self._entries[key] = value
                 self.bytes += size
                 while self.bytes > _CACHE_BOUND:
                     _, evicted = self._entries.popitem(last=False)
                     self.bytes -= evicted.nbytes
                     self.evictions += 1
-        return stored
+        return value
+
+    @contextlib.contextmanager
+    def holding(self, plan: dict):
+        """Hold each entry that plan names, once built inside the block, until the end of its last step.
+
+        plan maps a key to its last step.  Steps are numbered from 0, and
+        end_step() ends the current one.  The block's end drops every held
+        entry.  held_peak is the most the held entries came to in bytes.
+        One plan at a time: it is a report's.
+        """
+        with self._lock:
+            self._plan, self._step, self.held_peak = dict(plan), 0, 0
+        try:
+            yield self
+        finally:
+            with self._lock:
+                self._plan, self._drops = {}, {}
+                self._drop(list(self._held))
+
+    def end_step(self) -> None:
+        """Drop the held entries whose last step is the current one, and start the next step."""
+        with self._lock:
+            self._drop(self._drops.pop(self._step, ()))
+            self._step += 1
+
+    def _drop(self, keys) -> None:
+        """Drop keys from the held entries and from the LRU (under the lock)."""
+        for key in keys:
+            self.held_bytes -= self._held.pop(key).nbytes
+            value = self._entries.pop(key, None)
+            if value is not None:
+                self.bytes -= value.nbytes
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries.keys() | self._held.keys())
 
     def items(self):
-        """(labels, value) records of the cached cg blocks, canonical ones only, as _block_records gives them."""
+        """(labels, value) records of the cached and held canonical cg blocks, as _block_records gives them."""
         with self._lock:
-            blocks = [(key[1:], value) for key, value in self._entries.items() if key[0] == "cg"]
-        for twice_j, block in blocks:
-            yield from _block_records(twice_j, block)
+            entries = {**self._entries, **self._held}
+        for key, block in entries.items():
+            if key[0] == "cg":
+                yield from _block_records(key[1:], block)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._held.clear()
+            self._drops.clear()
             self.hits = 0
             self.misses = 0
             self.bytes = 0
             self.evictions = 0
+            self.held_bytes = 0
+            self.held_peak = 0
 
 
 def _block_records(twice_j: tuple[int, int, int], block: np.ndarray):
@@ -273,7 +338,12 @@ def _cg_block(tj1: int, tj2: int, tj: int) -> np.ndarray:
             block[entries] = np.concatenate([half, mirrored])
         return block
 
-    return _DEFAULT_TABLE.get(("cg", tj1, tj2, tj), build)
+    return _DEFAULT_TABLE.get(cg_key(tj1, tj2, tj), build)
+
+
+def cg_key(tj1: int, tj2: int, tj: int) -> tuple:
+    """The cache key of the canonical cg block that the (2j1, 2j2, 2j) block is read from."""
+    return ("cg", max(tj1, tj2), min(tj1, tj2), tj)
 
 
 def _threejm_block(tj1: int, tj2: int, tj3: int) -> np.ndarray:
@@ -550,33 +620,61 @@ def _coupling_matrix(tj1: int, tj2: int) -> np.ndarray:
     )
 
 
-def lowering_checks(max_j, tol: ToleranceRule | None = None):
-    """wigner-core's check of each pair (2j1, 2j2) up to 2 max_j, 2j1 major: the closed form against J^2.
+def pair_walk(max_j):
+    """Pairs of spins up to max_j one unordered pair a step, 2a major and 2b <= 2a ascending.
 
-    A generator: the oracle matrices of one row of pairs (one 2j1) are
-    diagonalized together when the row's first check is drawn, which bounds
-    the oracle's memory by one row.  Oracle matrices are never cached.
+    Each step is a list of twice-spin pairs: (2a, 2b) and, when 2b < 2a,
+    (2b, 2a).  Every cg block of either pair is read from a canonical block
+    (2a, 2b, 2j), so one step reads all of them.  The steps of one 2a make
+    an L-shaped row of the (2j1, 2j2) grid.
+    """
+    max_t = _twice(max_j)
+    for ta in range(max_t + 1):
+        for tb in range(ta + 1):
+            yield list(dict.fromkeys([(ta, tb), (tb, ta)]))
+
+
+def lowering_checks(max_j, tol: ToleranceRule | None = None):
+    """wigner-core's checks, the closed form against J^2: one {(2j1, 2j2): check} per step of pair_walk.
+
+    A generator: the oracle matrices of one L-shaped row of the walk (one
+    2a) are diagonalized together when the row's first step is drawn, which
+    bounds the oracle's memory by one row.  Oracle matrices are never cached.
     """
     if tol is None:
         tol = ToleranceRule()
-    max_t = _twice(max_j)
-    for tj1 in range(0, max_t + 1):
-        oracles = _casimir_coupling_matrices([(tj1, tj2) for tj2 in range(0, max_t + 1)])
-        for tj2, oracle in enumerate(oracles):
-            worst = float(np.max(np.abs(_coupling_matrix(tj1, tj2) - oracle)))
-            yield Check.residual_check(f"lowering_agreement_2j1_{tj1}_2j2_{tj2}", worst, tol.abs_tol)
+    for _, row in itertools.groupby(pair_walk(max_j), key=lambda pairs: pairs[0][0]):
+        steps = list(row)
+        oracles = _casimir_coupling_matrices([pair for pairs in steps for pair in pairs])
+        for pairs in steps:
+            yield {
+                (tj1, tj2): Check.residual_check(
+                    f"lowering_agreement_2j1_{tj1}_2j2_{tj2}",
+                    float(np.max(np.abs(_coupling_matrix(tj1, tj2) - next(oracles)))),
+                    tol.abs_tol,
+                )
+                for tj1, tj2 in pairs
+            }
 
 
 def orthogonality_checks(max_j, tol: ToleranceRule | None = None):
-    """wigner-core-orthogonality's check of each pair (2j1, 2j2) up to 2 max_j, 2j1 major."""
+    """wigner-core-orthogonality's checks: one {(2j1, 2j2): check} per step of pair_walk."""
     if tol is None:
         tol = ToleranceRule()
-    max_t = _twice(max_j)
-    for tj1 in range(0, max_t + 1):
-        for tj2 in range(0, max_t + 1):
+    for pairs in pair_walk(max_j):
+        checks = {}
+        for tj1, tj2 in pairs:
             # mat.T @ mat over the coupled states (j, m), both operands views of one contiguous array
             mat = _coupling_matrix(tj1, tj2)
-            yield Check.residual_check(f"orthonormal_2j1_{tj1}_2j2_{tj2}", identity_residual(mat.T, mat), tol.abs_tol)
+            name = f"orthonormal_2j1_{tj1}_2j2_{tj2}"
+            checks[tj1, tj2] = Check.residual_check(name, identity_residual(mat.T, mat), tol.abs_tol)
+        yield checks
+
+
+def _grid_order(steps) -> list[Check]:
+    """The checks of steps of pair_walk in the order of the (2j1, 2j2) grid, 2j1 major."""
+    checks = {pair: check for step in steps for pair, check in step.items()}
+    return [checks[pair] for pair in sorted(checks)]
 
 
 def verify_cg_against_lowering(max_j, tol: ToleranceRule | None = None) -> VerificationReport:
@@ -585,9 +683,9 @@ def verify_cg_against_lowering(max_j, tol: ToleranceRule | None = None) -> Verif
     The suite and check names keep the name of the lowering construction
     that this oracle replaced.
     """
-    return VerificationReport(suite="wigner-core", checks=list(lowering_checks(max_j, tol)))
+    return VerificationReport(suite="wigner-core", checks=_grid_order(lowering_checks(max_j, tol)))
 
 
 def verify_cg_orthogonality(max_j, tol: ToleranceRule | None = None) -> VerificationReport:
     """Row orthonormality of the coupling matrix for every (j1, j2) pair."""
-    return VerificationReport(suite="wigner-core-orthogonality", checks=list(orthogonality_checks(max_j, tol)))
+    return VerificationReport(suite="wigner-core-orthogonality", checks=_grid_order(orthogonality_checks(max_j, tol)))

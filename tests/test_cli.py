@@ -661,7 +661,7 @@ class TestReport:
         assert all(c["pass"] for s in payload["suites"] for c in s["checks"])
 
     def test_timings_leave_output_unchanged(self, tmp_path):
-        """--timings adds a breakdown, the cache's counters and the peak RSS on stderr; stdout and --output keep every byte."""
+        """--timings adds a breakdown, the cache's counters with the most the report held and the peak RSS on stderr; stdout and --output keep every byte."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         args = [sys.executable, "-m", "wracah", "report", "--max-j", "1", "--r", "0.37"]
@@ -674,7 +674,7 @@ class TestReport:
         assert plain.stdout == timed.stdout
         assert plain.stderr == b""
         *lines, cache, peak = timed.stderr.decode().splitlines()
-        assert re.fullmatch(r"cache: \d+ entries, \d+\.\d MiB, \d+ hits, \d+ misses, \d+ evictions", cache)
+        assert re.fullmatch(r"cache: \d+ entries, \d+\.\d MiB, \d+ hits, \d+ misses, \d+ evictions, held \d+\.\d MiB", cache)
         assert re.fullmatch(r"peak: \d+\.\d MiB resident", peak) and float(peak.split()[1]) > 1.0
         seconds = [float(line.split()[0]) for line in lines]
         assert seconds == sorted(seconds, reverse=True)

@@ -20,7 +20,7 @@ from wracah import (
     y_r_eigenfunction,
 )
 import wracah.sphere as sphere
-from wracah.sphere import harmonic_grid_values, y_r_grid_values
+from wracah.sphere import harmonic_grid_values, y_r_grid_member, y_r_grid_values
 
 angles = st.tuples(
     st.floats(min_value=0.05, max_value=math.pi - 0.05),
@@ -202,6 +202,30 @@ class TestOneEvaluator:
             tracemalloc.stop()
         assert family.shape == (81, 100, 200)
         assert peak < 4 * family.nbytes, (peak, family.nbytes)
+
+    @pytest.mark.parametrize("l", [2, 7, 33])
+    def test_one_member_has_the_bits_of_the_family(self, l):
+        """A member on a grid or at a point contracts its own column only, bit for bit as in the whole family."""
+        for grid in (QuadratureGrid(3, 5), QuadratureGrid(20, 30)):
+            for r in (1.0, 0.37):
+                family = y_r_grid_values(l, r, grid)
+                for s in range(2 * l + 1):
+                    assert y_r_grid_member(l, s, r, grid).tobytes() == family[s].tobytes(), (l, s, r)
+        p = SphericalPoint(0.5, 2.5)
+        family = sphere._family(l, 0.37, np.array([math.cos(p.theta)]), np.array([p.phi]))  # every member at p
+        assert all(y_r_eigenfunction(l, s, 0.37, p) == family[s, 0, 0] for s in range(2 * l + 1))
+
+    def test_one_grid_member_peaks_below_the_family(self):
+        """One member of degree 40 on a 100 x 200 grid holds the degree's harmonics, not the other 80 members."""
+        grid = QuadratureGrid(100, 200)
+        tracemalloc.start()
+        try:
+            member = y_r_grid_member(40, 3, 0.37, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert member.shape == (100, 200)
+        assert peak < 81 * member.nbytes * 1.25, (peak, member.nbytes)  # the 81 harmonics, and little more
 
 
 def test_full_verification_suite():

@@ -11,6 +11,7 @@ import itertools
 import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -649,6 +650,107 @@ class TestSharedCache:
         again = [build(3, 2, 4, 0.37).tobytes() for build in (cg_ur_table, fbar_table)]
         assert default_table().misses > misses  # built again, not read back
         assert again == first
+
+    def test_holding_keeps_planned_entries_to_their_last_step(self, monkeypatch):
+        """A planned entry outlives an LRU eviction and is dropped at the end of its last step; others stay plain LRU entries."""
+        monkeypatch.setattr(wigner, "_CACHE_BOUND", 2048)
+        table = CouplingTable()
+        builds = []
+
+        def block(i):
+            return lambda: builds.append(i) or np.full(128, float(i))  # 1 KiB
+
+        with table.holding({("value", 0): 1, ("value", 1): 0}):
+            for i in range(4):
+                table.get(("value", i), block(i))
+            assert table.evictions == 2 and table.bytes == 2048  # the LRU keeps its bound
+            assert (table.held_bytes, table.held_peak) == (2048, 2048)
+            table.end_step()  # the last step of ("value", 1)
+            assert table.get(("value", 0), block(-1))[0] == 0.0  # evicted from the LRU, still held
+            assert table.get(("value", 1), block(1))[0] == 1.0  # dropped, built again
+            assert table.held_bytes == 1024
+            table.end_step()
+            assert table.held_bytes == 0 and ("value", 0) not in table._entries
+        assert builds == [0, 1, 2, 3, 1]
+        assert table.held_peak == 2048 and len(table._held) == 0
+        with table.holding({("value", 5): 0}):
+            table.get(("value", 5), block(5))
+        assert ("value", 5) not in table._entries and table.held_bytes == 0  # the block's end drops it
+
+    @pytest.mark.parametrize("bound", [None, 16 << 10], ids=["default-bound", "16KiB"])
+    @pytest.mark.parametrize("max_j, r", [("2", "1"), ("2", "0.37"), ("4", "1"), ("4", "0.37")])
+    def test_report_builds_each_entry_once(self, monkeypatch, bound, max_j, r):
+        """report builds each cg block, phase matrix, cg_ur and fbar table once, whatever the bound.
+
+        Kernel calls (_cg_values) equal the distinct canonical blocks inside
+        the triangle that the report reads, phase matrices built through the
+        cache (_phases) the distinct phase keys, and the builds of every kind
+        its distinct keys.
+        """
+        from click.testing import CliRunner
+
+        from wracah import su2
+        from wracah.cli import main
+
+        if bound is not None:
+            monkeypatch.setattr(wigner, "_CACHE_BOUND", bound)
+        reads, builds, calls = set(), Counter(), Counter()
+        building = []
+        get, cg_values, phases = wigner.CouplingTable.get, wigner._cg_values, su2._phases
+
+        def counted_get(self, key, build):
+            reads.add(key)
+
+            def counted():
+                builds[key[0]] += 1
+                building.append(key[0])
+                try:
+                    return build()
+                finally:
+                    building.pop()
+
+            return get(self, key, counted)
+
+        def counted_values(*args):
+            calls["kernel"] += 1
+            return cg_values(*args)
+
+        def counted_phases(*args):
+            calls["phase"] += building[-1:] == ["phase"]  # basis_transform_matrix builds outside the cache
+            return phases(*args)
+
+        monkeypatch.setattr(wigner.CouplingTable, "get", counted_get)
+        monkeypatch.setattr(wigner, "_cg_values", counted_values)
+        monkeypatch.setattr(su2, "_phases", counted_phases)
+        clear_cache()
+        result = CliRunner().invoke(main, ["report", "--max-j", max_j, "--r", r, "--seed", "3"])
+        assert result.exit_code == 0, result.output
+        distinct = Counter(key[0] for key in reads)
+        assert set(distinct) == {"cg", "phase", "cg_ur", "fbar"}
+        assert builds == distinct
+        assert calls["kernel"] == sum(1 for key in reads if key[0] == "cg" and wigner._triangle_twice(*key[1:]))
+        assert calls["phase"] == distinct["phase"]
+        assert len(default_table()._held) == 0  # nothing held after the report
+
+    def test_report_does_not_depend_on_the_plan(self, monkeypatch):
+        """An empty plan puts every read of report on the plain LRU: the same bytes, on the default and a 64 KiB bound."""
+        from click.testing import CliRunner
+
+        from wracah import cli
+
+        for args in (["report", "--max-j", "4", "--r", r, "--seed", "3"] for r in ("1", "0.37")):
+            clear_cache()
+            planned = CliRunner().invoke(cli.main, args)
+            assert planned.exit_code == 0, planned.output
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_plan", lambda *_: {})
+                for bound in (wigner._CACHE_BOUND, 64 << 10):
+                    patch.setattr(wigner, "_CACHE_BOUND", bound)
+                    clear_cache()
+                    plain = CliRunner().invoke(cli.main, args)
+                    assert plain.output == planned.output, (args, bound)
+                    assert default_table().held_peak == 0
+                assert default_table().evictions > 0  # the 64 KiB run rebuilt what it evicted
 
     def test_threads_share_one_table(self):
         """Concurrent lookups lose no counter update and see the cold values."""
