@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, formats, determinism, and the
 report schema."""
 
+import hashlib
 import json
 import os
 import re
@@ -629,6 +630,16 @@ class TestReport:
             assert any(name.startswith("tj1_2_tj2_2_") for name in names[suite]), suite
             assert not any(name.startswith("tj1_1_") for name in names[suite]), suite
         assert tags("wigner-eckart") == {"1"}  # odd twice-spins only
+
+    def test_layout_is_pinned(self, runner):
+        """The order of suites and checks: every (suite, k, r, check name), in output order, as one sha256."""
+        result = runner.invoke(main, ["report", "--max-j", "5/2", "--r", "0.37", "--seed", "3"])
+        assert result.exit_code == 0, result.output
+        suites = json.loads(result.output)["suites"]
+        layout = [(s["suite"], s["k"], s["r"], c["name"]) for s in suites for c in s["checks"]]
+        assert (len(suites), len(layout)) == (30, 1350)
+        digest = hashlib.sha256(json.dumps(layout).encode()).hexdigest()
+        assert digest == "3b30c0113f26221d3107dd7ad8be93b482d69c3b139be640d4b36a4e3bde3fc7"
 
     def test_deterministic_at_generic_r(self, runner):
         """At r = 1 the phase matrices are symmetric, so a lost transpose would pass there."""
