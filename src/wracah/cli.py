@@ -7,9 +7,13 @@ per row unless the command has its own lines.  `_render` writes the format
 asked for, a table straight from its array by `serialize.render_table`, and
 stdout and an --output file get the same bytes, ending in one newline.
 A verification's tolerance is --tol when given, else each suite's own
-default.  `report --timings` prints each suite's wall time, the state of
-the package's cache with the most the report held in it, and the process's
-peak resident memory to stderr, and leaves the output itself unchanged.
+default.  `report` lists every suite once, as a row of its spin grid, its
+call and the cache keys each call reads, and runs them all in one loop; the
+cache holds each entry the report builds, apart from its LRU, until the
+last step that reads it.  `report --timings` prints each suite's wall time,
+the state of the package's cache with the most the report held in it (and
+0 evictions), and the process's peak resident memory to stderr, and leaves
+the output itself unchanged.
 
 Environment:
   WRACAH_CORRUPT  test hook; when set, the report command falsifies one
@@ -351,13 +355,25 @@ _NINEJ_CASES = [
     (2, 2, 0, 2, 2, 2, 0, 2, 2),
 ]
 
+# The suites that run on the pair walk, in two halves: each half of a step
+# of pair_walk is a step of the cache, so the cache drops the cg_ur tables
+# of a pair before its fbar tables are built.
+_WALK_HALVES = (
+    ("wigner-core", "wigner-core-orthogonality", "cg-ur-unitarity", "cg-ur-interchange"),
+    ("fbar-orthogonality",),
+)
 
-def _tag(spins: tuple[HalfInt, ...]) -> str:
-    """tj1_<2j1>_tj2_<2j2> for a pair of spins, tj_<2j>_<2j'>_... otherwise."""
-    twice = [j.twice for j in spins]
-    if len(twice) == 2:
-        return f"tj1_{twice[0]}_tj2_{twice[1]}"
-    return "_".join(["tj", *map(str, twice)])
+
+def _tagged(point: tuple[HalfInt, ...], report: VerificationReport) -> VerificationReport:
+    """report with each check name led by the tag of its grid point.
+
+    The tag is tj1_<2j1>_tj2_<2j2> for a pair of spins, tj_<2j>_<2j'>_...
+    otherwise, and a check without a name is named by the tag alone.
+    """
+    twice = [j.twice for j in point]
+    tag = f"tj1_{twice[0]}_tj2_{twice[1]}" if len(twice) == 2 else "_".join(["tj", *map(str, twice)])
+    report.checks = [Check(f"{tag}_{c.name}" if c.name else tag, c.residual, c.tol, c.passed) for c in report.checks]
+    return report
 
 
 def _ninej_check(*js: HalfInt, r: float, bound: float) -> VerificationReport:
@@ -367,96 +383,21 @@ def _ninej_check(*js: HalfInt, r: float, bound: float) -> VerificationReport:
     return report
 
 
-def _add_tagged(merged: VerificationReport, point: tuple[HalfInt, ...], checks: list[Check]) -> None:
-    """Add the checks of one grid point to a merged suite, each name led by the point's tag."""
-    tag = _tag(point)
-    for check in checks:
-        merged.add(Check(f"{tag}_{check.name}" if check.name else tag, check.residual, check.tol, check.passed))
+def _pair_checks(suite: str, steps):
+    """The call of a wigner-core suite: the check of one pair of spins, drawn from steps.
 
-
-# The pair suites of one walk step, in two halves: the cache drops the cg_ur
-# tables of the pair between them, before the fbar tables are built.
-_PAIR_SUITES = (
-    {"cg-ur-unitarity": verify_cg_ur_unitarity, "cg-ur-interchange": verify_cg_ur_interchange},
-    {"fbar-orthogonality": verify_fbar_orthogonality},
-)
-
-
-def _walk_points(pairs: list[tuple[int, int]]) -> list[tuple[HalfInt, HalfInt]]:
-    """The spins of a walk step's pairs when both are integers, else none: the pair suites' points."""
-    return [(HalfInt(t1), HalfInt(t2)) for t1, t2 in pairs] if pairs[0][0] % 2 == pairs[0][1] % 2 == 0 else []
-
-
-def _walk_reads(pairs: list[tuple[int, int]], r: float) -> list[list[tuple]]:
-    """The cache keys that each half of a walk step reads (_PAIR_SUITES).
-
-    The first half reads the canonical cg blocks of the pair, in the
-    wigner-core suites, and the cg_ur tables of its points; the second the
-    fbar tables, one spin beyond the triangle too.  A table's reads are
-    those of a build (table_reads).
+    steps gives one {(2j1, 2j2): check} per step of pair_walk
+    (lowering_checks, orthogonality_checks); the next one is drawn when a
+    pair is not in the current one.
     """
-    ta, tb = pairs[0]
-    first = [cg_key(ta, tb, tj) for tj in range(ta - tb, ta + tb + 1, 2)]
-    second = []
-    for j1, j2 in _walk_points(pairs):
-        first += [key for j in halfint_range(abs(j1 - j2), j1 + j2) for key in table_reads("cg_ur", j1, j2, j, r)]
-        second += [key for j in halfint_range(abs(j1 - j2), j1 + j2 + 1) for key in table_reads("fbar", j1, j2, j, r)]
-    return [first, second]
+    step = {}
 
+    def call(j1: HalfInt, j2: HalfInt) -> VerificationReport:
+        if (j1.twice, j2.twice) not in step:
+            step.update(next(steps))
+        return VerificationReport(suite=suite, checks=[step.pop((j1.twice, j2.twice))])
 
-def _pair_reports(
-    max_j: HalfInt, r: float, rule: ToleranceRule | None, timings: dict[str, float]
-) -> list[VerificationReport]:
-    """wigner-core, wigner-core-orthogonality and the three suites on pairs of integer spins, one unordered pair a step.
-
-    The walk (pair_walk) takes each unordered pair {a, b} once, 2a major: its
-    step checks (a, b) and (b, a) in the two wigner-core suites and, when
-    both spins are integers, runs the pair suites on both.  So every read of
-    a canonical cg block, and of the cg_ur and fbar tables of the pair,
-    falls in that one step, and the J^2 oracle is diagonalized an L-shaped
-    row (one 2a) at a time.  Each half of a step (_PAIR_SUITES) ends a step
-    of the cache, which drops what no later step reads (_plan).  The checks
-    go into each suite in the order of its grid, and each suite's wall time
-    is summed over the pairs into timings.
-    """
-    cores = {
-        "wigner-core": lowering_checks(max_j, rule),
-        "wigner-core-orthogonality": orthogonality_checks(max_j, rule),
-    }
-    done: dict[str, dict[tuple, list[Check]]] = {suite: {} for half in [cores, *_PAIR_SUITES] for suite in half}
-    for pairs in pair_walk(max_j):
-        for suite, checks in cores.items():
-            start = time.perf_counter()
-            done[suite].update((pair, [check]) for pair, check in next(checks).items())
-            timings[suite] = timings.get(suite, 0.0) + time.perf_counter() - start
-        for half in _PAIR_SUITES:
-            for suite, verify in half.items():
-                for point in _walk_points(pairs):
-                    start = time.perf_counter()
-                    done[suite][point] = verify(*point, r, rule).checks
-                    timings[suite] = timings.get(suite, 0.0) + time.perf_counter() - start
-            default_table().end_step()
-    reports = [VerificationReport(suite=suite) for suite in cores]
-    reports += [VerificationReport(suite=suite, k=None, r=r) for half in _PAIR_SUITES for suite in half]
-    for report in reports:
-        for point, checks in sorted(done[report.suite].items()):
-            if report.suite in cores:
-                report.checks += checks  # named by their labels already
-            else:
-                _add_tagged(report, point, checks)
-    return reports
-
-
-def _plan(max_j, r: float, rows) -> dict[tuple, int]:
-    """The last step of the report that reads each cache key.
-
-    The steps are the two halves of each step of the pair walk
-    (_walk_reads), then one per row of rows, whose reads(*point) lists the
-    keys that each point reads.  The rows before the walk read no key.
-    """
-    steps = [keys for pairs in pair_walk(max_j) for keys in _walk_reads(pairs, r)]
-    steps += [[key for point in grid for key in reads(*point)] for _, grid, _, reads in rows]
-    return {key: step for step, keys in enumerate(steps) for key in keys}
+    return call
 
 
 def _we_ranks(j: HalfInt) -> list[int]:
@@ -464,73 +405,128 @@ def _we_ranks(j: HalfInt) -> list[int]:
     return [0, 1] + ([2] if j.twice >= 2 else [])
 
 
-def _we_reads(j: HalfInt, r: float) -> list[tuple]:
-    """The cache keys of wigner-eckart at j: each rank's f table, and the cg block that builds rank 2."""
-    keys = [key for rank in _we_ranks(j) for key in table_reads("cg_ur", j, rank, j, r)]
-    return keys + ([cg_key(2, 2, 4)] if 2 in _we_ranks(j) else [])
+def _schedule(rows, max_j) -> list[list[tuple[int, tuple]]]:
+    """The steps of a report: the (row, point) runs of each, in run order.
 
-
-def _ninej_reads(js: tuple[HalfInt, ...], r: float) -> list[tuple]:
-    """The cache keys of ninej-substitution: the fbar table of each row and column of the array."""
-    triads = [js[0:3], js[3:6], js[6:9], js[0::3], js[1::3], js[2::3]]
-    return [key for triad in triads for key in table_reads("fbar", *triad, r)]
+    Each row is one step, but for the walk suites (_WALK_HALVES).  They run
+    at the place of the first of them, one step of pair_walk at a time,
+    each half a step of its own, on the pairs of the walk step that their
+    grids hold.
+    """
+    where = {suite: i for i, (suite, *_) in enumerate(rows)}
+    halves = [[where[suite] for suite in half] for half in _WALK_HALVES]
+    grids = {i: set(rows[i][1]) for half in halves for i in half}
+    steps = []
+    for i, (_, grid, _, _) in enumerate(rows):
+        if i == halves[0][0]:
+            for pairs in pair_walk(max_j):
+                points = [(HalfInt(t1), HalfInt(t2)) for t1, t2 in pairs]
+                steps += [[(row, p) for row in half for p in points if p in grids[row]] for half in halves]
+        elif i not in grids:
+            steps.append([(i, point) for point in grid])
+    return steps
 
 
 def _build_report(
     max_j: HalfInt, r: float, seed: int, rule: ToleranceRule | None
 ) -> tuple[list[VerificationReport], dict[str, float]]:
-    """Every suite of `report`: rows of (suite, spin grid, call), run by one loop.
+    """Every suite of `report`: rows of (suite, grid, call, reads) in output order, run by one loop.
 
-    A grid is a list of spin tuples, each passed to the call.  A row without
-    a suite keeps each call's report as it is; the others merge their points
-    into one suite, each check name led by the point's tag.  The pair suites
-    run between the rows, pair by pair (_pair_reports).  The rows after them
-    also carry reads(*point), the cache keys that a point reads, and each
-    ends a step of the cache, so that the cache holds every entry the report
-    builds until its last read (_plan).  The README's `report` section says
-    why some suites leave spins out.  Returns the reports and the wall time
-    in seconds of each suite that ran a point.
+    A grid is a list of spin tuples.  At each point, call(*point) returns a
+    report and reads(*point) lists the cache keys that the call reads.  A
+    row without a suite keeps each point's report as it is; the others merge
+    them into one suite with their k and r, the checks in the order of the
+    grid.  _schedule orders the runs into steps, and the cache holds each
+    entry that the report builds until the end of the last step that reads
+    it.  The README's `report` section says why some suites leave spins out.
+    Returns the reports and the wall time in seconds of each suite that ran
+    a point.
     """
     positive_spins = [(j,) for j in all_spins(max_j)[1:]]  # order k = 2j + 1 for the operator suites
+    pairs = list(itertools.product(all_spins(max_j), repeat=2))
+    integer_pairs = list(itertools.product(integer_spins(max_j), repeat=2))
     triples_up_to_2 = list(itertools.product(all_spins(min(max_j, HalfInt(4))), repeat=3))
     sine_rs = [0.0, r] if r else [0.0]
     sine_cases = [(j, rv) for j in integer_spins(min(max_j, HalfInt(4)))[1:] for rv in sine_rs]  # k = 3, 5
     bound = (rule or ToleranceRule()).abs_tol
-    before_pairs = [
-        (None, positive_spins, lambda j: verify_quon_relations(quon_operators(j.twice + 1), rule)),
-        (None, positive_spins, lambda j: verify_su2(ShiftParams(j.twice + 1, r), rule, seed=seed)),
-        (None, positive_spins, lambda j: verify_shift_eigenbasis(j, r, rule)),
+
+    def nothing(*point) -> list[tuple]:
+        return []
+
+    def cg_blocks(j1, j2) -> list[tuple]:
+        """The canonical cg blocks of (j1, j2, j), for each j of the triangle."""
+        return [cg_key(j1.twice, j2.twice, j.twice) for j in halfint_range(abs(j1 - j2), j1 + j2)]
+
+    def tables(kind, j1, j2) -> list[tuple]:
+        """What the tables of kind at (j1, j2, j) read, for each j of the triangle."""
+        return [key for j in halfint_range(abs(j1 - j2), j1 + j2) for key in table_reads(kind, j1, j2, j, r)]
+
+    rows = [
+        (None, positive_spins, lambda j: verify_quon_relations(quon_operators(j.twice + 1), rule), nothing),
+        (None, positive_spins, lambda j: verify_su2(ShiftParams(j.twice + 1, r), rule, seed=seed), nothing),
+        (None, positive_spins, lambda j: verify_shift_eigenbasis(j, r, rule), nothing),
         (
             None,
             sine_cases,
             lambda j, rv: verify_sine_algebra(ShiftParams(j.twice + 1, rv), range(-2, 3), rule),
+            nothing,
         ),
-    ]
-    after_pairs = [
+        ("wigner-core", pairs, _pair_checks("wigner-core", lowering_checks(max_j, rule)), cg_blocks),
+        (
+            "wigner-core-orthogonality",
+            pairs,
+            _pair_checks("wigner-core-orthogonality", orthogonality_checks(max_j, rule)),
+            cg_blocks,
+        ),
+        (
+            "cg-ur-unitarity",
+            integer_pairs,
+            lambda *js: _tagged(js, verify_cg_ur_unitarity(*js, r, rule)),
+            lambda j1, j2: tables("cg_ur", j1, j2),
+        ),
+        (
+            "cg-ur-interchange",
+            integer_pairs,
+            lambda *js: _tagged(js, verify_cg_ur_interchange(*js, r, rule)),
+            lambda j1, j2: tables("cg_ur", j1, j2) + tables("cg_ur", j2, j1),
+        ),
+        (
+            "fbar-orthogonality",
+            integer_pairs,
+            lambda *js: _tagged(js, verify_fbar_orthogonality(*js, r, rule)),
+            lambda j1, j2: tables("fbar", j1, j2) + table_reads("fbar", j1, j2, j1 + j2 + 1, r),  # and one beyond
+        ),
         (
             "fbar-permutation",
             triples_up_to_2,
-            lambda *js: verify_fbar_permutation(*js, r, rule),
+            lambda *js: _tagged(js, verify_fbar_permutation(*js, r, rule)),
             lambda *js: [key for perm in itertools.permutations(js) for key in table_reads("fbar", *perm, r)],
         ),
         (
             "f-interchange",
             triples_up_to_2,
-            lambda *js: verify_f_interchange(*js, r, rule),
+            lambda *js: _tagged(js, verify_f_interchange(*js, r, rule)),
             lambda j1, j2, j3: table_reads("cg_ur", j2, j3, j1, r) + table_reads("cg_ur", j3, j2, j1, r),
         ),
-        ("tensor-transform", positive_spins, lambda j: verify_tensor_transform(j, 1, r, rule), lambda j: []),
+        ("tensor-transform", positive_spins, lambda j: _tagged((j,), verify_tensor_transform(j, 1, r, rule)), nothing),
         (
             "wigner-eckart",
             [(j,) for j in half_integer_spins(max_j)],
-            lambda j: verify_wigner_eckart(j, _we_ranks(j), r, rule),
-            lambda j: _we_reads(j, r),
+            lambda j: _tagged((j,), verify_wigner_eckart(j, _we_ranks(j), r, rule)),
+            # each rank's f table, and the cg block that builds rank 2
+            lambda j: [key for rank in _we_ranks(j) for key in table_reads("cg_ur", j, rank, j, r)]
+            + ([cg_key(2, 2, 4)] if 2 in _we_ranks(j) else []),
         ),
         (
             "ninej-substitution",
             [tuple(map(HalfInt, case)) for case in _NINEJ_CASES],
-            lambda *js: _ninej_check(*js, r=r, bound=bound),
-            lambda *js: _ninej_reads(js, r),
+            lambda *js: _tagged(js, _ninej_check(*js, r=r, bound=bound)),
+            # the fbar table of each row and column of the array
+            lambda *js: [
+                key
+                for triad in (js[:3], js[3:6], js[6:], js[::3], js[1::3], js[2::3])
+                for key in table_reads("fbar", *triad, r)
+            ],
         ),
         (
             None,
@@ -538,33 +534,29 @@ def _build_report(
             lambda j: verify_sphere(
                 l_max=8, family_l_max=min(2 * (j.twice // 2) or 1, 4), rs=[0.0, r or 1.0], tol=rule
             ),
-            lambda j: [],
+            nothing,
         ),
     ]
 
-    reports: list[VerificationReport] = []
+    steps = _schedule(rows, max_j)
+    done: list[dict[tuple, VerificationReport]] = [{} for _ in rows]
     timings: dict[str, float] = {}
-
-    def run(rows) -> None:
-        for suite, grid, call in rows:
-            start = time.perf_counter()
-            if suite is None:
-                reports.extend(call(*point) for point in grid)
-            else:
-                merged = VerificationReport(suite=suite, k=None, r=r)
-                for point in grid:
-                    _add_tagged(merged, point, call(*point).checks)
-                reports.append(merged)
-            if grid:
-                timings[reports[-1].suite] = time.perf_counter() - start
-
     table = default_table()
-    with table.holding(_plan(max_j, r, after_pairs)):
-        run(before_pairs)
-        reports.extend(_pair_reports(max_j, r, rule, timings))
-        for suite, grid, call, _ in after_pairs:
-            run([(suite, grid, call)])
+    plan = {key: step for step, runs in enumerate(steps) for i, point in runs for key in rows[i][3](*point)}
+    with table.holding(plan):
+        for runs in steps:
+            for i, point in runs:
+                start = time.perf_counter()
+                report = done[i][point] = rows[i][2](*point)
+                timings[report.suite] = timings.get(report.suite, 0.0) + time.perf_counter() - start
             table.end_step()
+    reports: list[VerificationReport] = []
+    for (suite, grid, _, _), results in zip(rows, done):
+        parts = [results[point] for point in grid]
+        if suite is None:
+            reports += parts
+        else:
+            reports.append(VerificationReport(suite, parts[0].k, parts[0].r, [c for p in parts for c in p.checks]))
     return reports, timings
 
 

@@ -195,7 +195,9 @@ def _stacked_residuals(j1, j2, first, second=None) -> tuple[float, float]:
 
     left = stack(first)
     right = left if second is None else stack(second)
-    return identity_residual(left.conj().T, right), identity_residual(left, right.conj().T)
+    left_conj = left.conj()
+    right_conj = left_conj if second is None else right.conj()  # conjugated once when right is left
+    return identity_residual(left_conj.T, right), identity_residual(left, right_conj.T)
 
 
 def verify_cg_ur_unitarity(j1, j2, r, tol: ToleranceRule | None = None) -> VerificationReport:

@@ -89,9 +89,9 @@ def _check_labels(twice_j, twice_m) -> None:
             raise InvalidArgumentError(f"|2m| = {abs(tm)} exceeds 2j = {tj}")
 
 
-# Bytes of cached arrays.  A report holds each entry it builds until its
-# last read (CouplingTable.holding) whatever the bound, so the bound only
-# limits what library calls keep for reads that may come again.
+# Bytes of the LRU's arrays.  A report holds each entry it builds apart
+# from the LRU until its last read (CouplingTable.holding), so the bound
+# only limits what library calls keep for reads that may come again.
 _CACHE_BOUND = 5 << 20
 
 
@@ -108,12 +108,12 @@ class CouplingTable:
     than _CACHE_BOUND bytes (ndarray.nbytes), the least recently used are
     evicted; an entry larger than the bound is returned without being kept.
 
-    Inside holding(), an entry whose key the plan names is also held,
-    outside the bound, until the end of its last step (end_step): the LRU
-    may evict it, but it is read from the held entries until then, and then
-    dropped from both.  So a report that knows its reads builds each entry
-    once and keeps none after its last read.  A value is the same whether it
-    was cached, held or built again.
+    Inside holding(), an entry whose key the plan names is built into the
+    held entries instead, outside the bound, and dropped at the end of its
+    last step (end_step); it never enters the LRU.  So a report that knows
+    its reads builds each entry once, evicts none and keeps none after its
+    last read.  A value is the same whether it was cached, held or built
+    again.
     """
 
     def __init__(self):
@@ -160,7 +160,7 @@ class CouplingTable:
                 self._held[key] = value
                 self.held_bytes += size
                 self.held_peak = max(self.held_peak, self.held_bytes)
-            if size <= _CACHE_BOUND:
+            elif size <= _CACHE_BOUND:
                 self._entries[key] = value
                 self.bytes += size
                 while self.bytes > _CACHE_BOUND:
@@ -194,15 +194,12 @@ class CouplingTable:
             self._step += 1
 
     def _drop(self, keys) -> None:
-        """Drop keys from the held entries and from the LRU (under the lock)."""
+        """Drop keys from the held entries (under the lock)."""
         for key in keys:
             self.held_bytes -= self._held.pop(key).nbytes
-            value = self._entries.pop(key, None)
-            if value is not None:
-                self.bytes -= value.nbytes
 
     def __len__(self) -> int:
-        return len(self._entries.keys() | self._held.keys())
+        return len(self._entries) + len(self._held)
 
     def items(self):
         """(labels, value) records of the cached and held canonical cg blocks, as _block_records gives them."""

@@ -618,29 +618,15 @@ class TestSharedCache:
         table.clear()
         assert (len(table), table.bytes, table.evictions, table.hits, table.misses) == (0, 0, 0, 0, 0)
 
-    def test_results_do_not_depend_on_the_cache(self, monkeypatch, tmp_path):
-        """Reports on a 1 GiB, the default and a 64 KiB cache are equal byte for byte; rebuilt tables equal their first build."""
-        from click.testing import CliRunner
+    def test_results_do_not_depend_on_the_cache(self, monkeypatch):
+        """Tables rebuilt after an eviction from a 64 KiB cache equal their first build bit for bit.
 
-        from wracah.cli import main
+        Reports on different bounds, with and without a plan, are compared
+        in test_report_does_not_depend_on_the_plan.
+        """
         from wracah.urcoupling import cg_ur_table, fbar_table
 
-        bounds = (1 << 30, wigner._CACHE_BOUND, 64 << 10)
-        runs = [["report", "--max-j", "3", "--r", "0.37", "--seed", "2"]]
-        runs += [["report", "--max-j", "4", "--r", r, "--seed", "3"] for r in ("1", "0.37")]
-        for args in runs:
-            outputs, evictions = [], []
-            for bound in bounds:
-                monkeypatch.setattr(wigner, "_CACHE_BOUND", bound)
-                clear_cache()
-                result = CliRunner().invoke(main, args)
-                assert result.exit_code == 0, result.output
-                outputs.append(result.output)
-                evictions.append(default_table().evictions)
-            assert outputs[0] == outputs[1] == outputs[2], args
-            assert evictions[0] == 0 and evictions[2] > 0, args
-            assert default_table().bytes <= 64 << 10
-
+        monkeypatch.setattr(wigner, "_CACHE_BOUND", 64 << 10)
         clear_cache()
         first = [build(3, 2, 4, 0.37).tobytes() for build in (cg_ur_table, fbar_table)]
         for r in (1, 2, 3):  # enough tables to evict the first ones
@@ -652,7 +638,10 @@ class TestSharedCache:
         assert again == first
 
     def test_holding_keeps_planned_entries_to_their_last_step(self, monkeypatch):
-        """A planned entry outlives an LRU eviction and is dropped at the end of its last step; others stay plain LRU entries."""
+        """A planned entry is held apart from the LRU, never in it, and dropped at the end of its last step.
+
+        Keys the plan does not name stay plain LRU entries within the bound.
+        """
         monkeypatch.setattr(wigner, "_CACHE_BOUND", 2048)
         table = CouplingTable()
         builds = []
@@ -660,22 +649,26 @@ class TestSharedCache:
         def block(i):
             return lambda: builds.append(i) or np.full(128, float(i))  # 1 KiB
 
+        planned = {("value", 0), ("value", 1)}
         with table.holding({("value", 0): 1, ("value", 1): 0}):
-            for i in range(4):
+            for i in range(5):
                 table.get(("value", i), block(i))
-            assert table.evictions == 2 and table.bytes == 2048  # the LRU keeps its bound
+                assert not planned & table._entries.keys()
             assert (table.held_bytes, table.held_peak) == (2048, 2048)
+            assert table.evictions == 1 and table.bytes == 2048  # ("value", 2) made room for ("value", 4)
+            assert list(table._entries) == [("value", 3), ("value", 4)] and len(table) == 4
             table.end_step()  # the last step of ("value", 1)
-            assert table.get(("value", 0), block(-1))[0] == 0.0  # evicted from the LRU, still held
-            assert table.get(("value", 1), block(1))[0] == 1.0  # dropped, built again
-            assert table.held_bytes == 1024
+            assert table.get(("value", 0), block(-1))[0] == 0.0  # still held
+            assert table.get(("value", 1), block(1))[0] == 1.0  # dropped, built again, unplanned now
+            assert table.held_bytes == 1024 and ("value", 1) in table._entries and table.evictions == 2
             table.end_step()
             assert table.held_bytes == 0 and ("value", 0) not in table._entries
-        assert builds == [0, 1, 2, 3, 1]
-        assert table.held_peak == 2048 and len(table._held) == 0
+        assert builds == [0, 1, 2, 3, 4, 1]
+        assert table.held_peak == 2048 and len(table._held) == 0 and table.bytes == 2048
         with table.holding({("value", 5): 0}):
             table.get(("value", 5), block(5))
-        assert ("value", 5) not in table._entries and table.held_bytes == 0  # the block's end drops it
+            assert ("value", 5) not in table._entries and table.held_bytes == 1024
+        assert table.held_bytes == 0 and len(table) == 2  # the block's end drops it
 
     @pytest.mark.parametrize("bound", [None, 16 << 10], ids=["default-bound", "16KiB"])
     @pytest.mark.parametrize("max_j, r", [("2", "1"), ("2", "0.37"), ("4", "1"), ("4", "0.37")])
@@ -733,24 +726,39 @@ class TestSharedCache:
         assert len(default_table()._held) == 0  # nothing held after the report
 
     def test_report_does_not_depend_on_the_plan(self, monkeypatch):
-        """An empty plan puts every read of report on the plain LRU: the same bytes, on the default and a 64 KiB bound."""
+        """Reports are equal byte for byte planned and with an empty plan, on a 1 GiB, the default and a 64 KiB bound.
+
+        An empty plan puts every read on the plain LRU.  A planned report
+        evicts nothing on any bound; the 64 KiB run without a plan evicts,
+        and rebuilds what it evicted.
+        """
         from click.testing import CliRunner
 
-        from wracah import cli
+        from wracah.cli import main
 
-        for args in (["report", "--max-j", "4", "--r", r, "--seed", "3"] for r in ("1", "0.37")):
-            clear_cache()
-            planned = CliRunner().invoke(cli.main, args)
-            assert planned.exit_code == 0, planned.output
-            with monkeypatch.context() as patch:
-                patch.setattr(cli, "_plan", lambda *_: {})
-                for bound in (wigner._CACHE_BOUND, 64 << 10):
-                    patch.setattr(wigner, "_CACHE_BOUND", bound)
-                    clear_cache()
-                    plain = CliRunner().invoke(cli.main, args)
-                    assert plain.output == planned.output, (args, bound)
-                    assert default_table().held_peak == 0
-                assert default_table().evictions > 0  # the 64 KiB run rebuilt what it evicted
+        holding = wigner.CouplingTable.holding
+        bounds = (1 << 30, wigner._CACHE_BOUND, 64 << 10)
+        runs = [["report", "--max-j", "3", "--r", "0.37", "--seed", "2"]]
+        runs += [["report", "--max-j", "4", "--r", r, "--seed", "3"] for r in ("1", "0.37")]
+        for args in runs:
+            outputs = []
+            for planned in (True, False):
+                with monkeypatch.context() as patch:
+                    if not planned:
+                        patch.setattr(wigner.CouplingTable, "holding", lambda self, plan: holding(self, {}))
+                    for bound in bounds:
+                        patch.setattr(wigner, "_CACHE_BOUND", bound)
+                        clear_cache()
+                        result = CliRunner().invoke(main, args)
+                        assert result.exit_code == 0, result.output
+                        outputs.append(result.output)
+                        table = default_table()
+                        assert (table.held_peak > 0) == planned, (args, bound)
+                        assert table.bytes <= bound
+                        if planned or bound == bounds[0]:
+                            assert table.evictions == 0, (args, planned, bound)
+            assert table.evictions > 0, args  # the 64 KiB run without a plan rebuilt what it evicted
+            assert all(output == outputs[0] for output in outputs), args
 
     def test_threads_share_one_table(self):
         """Concurrent lookups lose no counter update and see the cold values."""
