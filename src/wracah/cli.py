@@ -8,12 +8,13 @@ asked for, a table straight from its array by `serialize.render_table`, and
 stdout and an --output file get the same bytes, ending in one newline.
 A verification's tolerance is --tol when given, else each suite's own
 default.  `report` lists every suite once, as a row of its spin grid, its
-call and the cache keys each call reads, and runs them all in one loop; the
-cache holds each entry the report builds, apart from its LRU, until the
-last step that reads it.  `report --timings` prints each suite's wall time,
-the state of the package's cache with the most the report held in it (and
-0 evictions), and the process's peak resident memory to stderr, and leaves
-the output itself unchanged.
+call and the cache keys the suite looks up itself, and runs them in one
+loop, each walk suite a step of its own at each step of the pair walk; the
+cache holds each entry the report builds, apart from its LRU, to the end of
+the last step that reads it, and a table's inputs to the end of its build's.
+`report --timings` prints each suite's wall time, the state of the cache
+with the most the report held in it (and 0 evictions), and the process's
+peak resident memory to stderr, and leaves the output itself unchanged.
 
 Environment:
   WRACAH_CORRUPT  test hook; when set, the report command falsifies one
@@ -43,7 +44,8 @@ from .urcoupling import (
     cg_ur_table,
     fbar_table,
     ninej_from_fbar,
-    table_reads,
+    table_inputs,
+    table_key,
     verify_cg_ur_interchange,
     verify_cg_ur_unitarity,
     verify_f_interchange,
@@ -355,14 +357,6 @@ _NINEJ_CASES = [
     (2, 2, 0, 2, 2, 2, 0, 2, 2),
 ]
 
-# The suites that run on the pair walk, in two halves: each half of a step
-# of pair_walk is a step of the cache, so the cache drops the cg_ur tables
-# of a pair before its fbar tables are built.
-_WALK_HALVES = (
-    ("wigner-core", "wigner-core-orthogonality", "cg-ur-unitarity", "cg-ur-interchange"),
-    ("fbar-orthogonality",),
-)
-
 
 def _tagged(point: tuple[HalfInt, ...], report: VerificationReport) -> VerificationReport:
     """report with each check name led by the tag of its grid point.
@@ -405,26 +399,20 @@ def _we_ranks(j: HalfInt) -> list[int]:
     return [0, 1] + ([2] if j.twice >= 2 else [])
 
 
-def _schedule(rows, max_j) -> list[list[tuple[int, tuple]]]:
+def _schedule(rows, walk: range, max_j) -> list[list[tuple[int, tuple]]]:
     """The steps of a report: the (row, point) runs of each, in run order.
 
-    Each row is one step, but for the walk suites (_WALK_HALVES).  They run
-    at the place of the first of them, one step of pair_walk at a time,
-    each half a step of its own, on the pairs of the walk step that their
-    grids hold.
+    Each row is one step, but for the walk rows, rows[walk].  They run at
+    the place of the first of them, one step of pair_walk at a time; at
+    each, every walk row is a step of its own, on the pairs of that walk
+    step that its grid holds.
     """
-    where = {suite: i for i, (suite, *_) in enumerate(rows)}
-    halves = [[where[suite] for suite in half] for half in _WALK_HALVES]
-    grids = {i: set(rows[i][1]) for half in halves for i in half}
-    steps = []
-    for i, (_, grid, _, _) in enumerate(rows):
-        if i == halves[0][0]:
-            for pairs in pair_walk(max_j):
-                points = [(HalfInt(t1), HalfInt(t2)) for t1, t2 in pairs]
-                steps += [[(row, p) for row in half for p in points if p in grids[row]] for half in halves]
-        elif i not in grids:
-            steps.append([(i, point) for point in grid])
-    return steps
+    grids = {i: set(rows[i][1]) for i in walk}
+    steps = [[(i, point) for point in rows[i][1]] for i in range(walk.start)]
+    for pairs in pair_walk(max_j):
+        points = [(HalfInt(t1), HalfInt(t2)) for t1, t2 in pairs]
+        steps += [[(i, p) for p in points if p in grids[i]] for i in walk]
+    return steps + [[(i, point) for point in rows[i][1]] for i in range(walk.stop, len(rows))]
 
 
 def _build_report(
@@ -433,14 +421,16 @@ def _build_report(
     """Every suite of `report`: rows of (suite, grid, call, reads) in output order, run by one loop.
 
     A grid is a list of spin tuples.  At each point, call(*point) returns a
-    report and reads(*point) lists the cache keys that the call reads.  A
-    row without a suite keeps each point's report as it is; the others merge
-    them into one suite with their k and r, the checks in the order of the
-    grid.  _schedule orders the runs into steps, and the cache holds each
-    entry that the report builds until the end of the last step that reads
-    it.  The README's `report` section says why some suites leave spins out.
-    Returns the reports and the wall time in seconds of each suite that ran
-    a point.
+    report and reads(*point) lists the cache keys that the suite looks up
+    itself: table keys and cg blocks, not what a table's build reads.  A row
+    without a suite keeps each point's report as it is; the others merge them
+    into one suite with their k and r, the checks in the order of the grid.
+    _schedule orders the runs into steps.  The plan gives each key the last
+    step that reads it, and a table's inputs (table_inputs) the step of its
+    first read, which builds it; the cache holds each entry that the report
+    builds until the end of that step.  The README's `report` section says
+    why some suites leave spins out.  Returns the reports and the wall time
+    in seconds of each suite that ran a point.
     """
     positive_spins = [(j,) for j in all_spins(max_j)[1:]]  # order k = 2j + 1 for the operator suites
     pairs = list(itertools.product(all_spins(max_j), repeat=2))
@@ -458,10 +448,10 @@ def _build_report(
         return [cg_key(j1.twice, j2.twice, j.twice) for j in halfint_range(abs(j1 - j2), j1 + j2)]
 
     def tables(kind, j1, j2) -> list[tuple]:
-        """What the tables of kind at (j1, j2, j) read, for each j of the triangle."""
-        return [key for j in halfint_range(abs(j1 - j2), j1 + j2) for key in table_reads(kind, j1, j2, j, r)]
+        """The keys of the tables of kind at (j1, j2, j), for each j of the triangle."""
+        return [table_key(kind, j1, j2, j, r) for j in halfint_range(abs(j1 - j2), j1 + j2)]
 
-    rows = [
+    operators = [
         (None, positive_spins, lambda j: verify_quon_relations(quon_operators(j.twice + 1), rule), nothing),
         (None, positive_spins, lambda j: verify_su2(ShiftParams(j.twice + 1, r), rule, seed=seed), nothing),
         (None, positive_spins, lambda j: verify_shift_eigenbasis(j, r, rule), nothing),
@@ -471,6 +461,8 @@ def _build_report(
             lambda j, rv: verify_sine_algebra(ShiftParams(j.twice + 1, rv), range(-2, 3), rule),
             nothing,
         ),
+    ]
+    walk = [  # the suites over pairs of spins, run one step of pair_walk at a time
         ("wigner-core", pairs, _pair_checks("wigner-core", lowering_checks(max_j, rule)), cg_blocks),
         (
             "wigner-core-orthogonality",
@@ -494,38 +486,41 @@ def _build_report(
             "fbar-orthogonality",
             integer_pairs,
             lambda *js: _tagged(js, verify_fbar_orthogonality(*js, r, rule)),
-            lambda j1, j2: tables("fbar", j1, j2) + table_reads("fbar", j1, j2, j1 + j2 + 1, r),  # and one beyond
+            lambda j1, j2: tables("fbar", j1, j2) + [table_key("fbar", j1, j2, j1 + j2 + 1, r)],  # and one beyond
         ),
+    ]
+    rows = operators + walk + [
         (
             "fbar-permutation",
             triples_up_to_2,
             lambda *js: _tagged(js, verify_fbar_permutation(*js, r, rule)),
-            lambda *js: [key for perm in itertools.permutations(js) for key in table_reads("fbar", *perm, r)],
+            lambda *js: [table_key("fbar", *perm, r) for perm in itertools.permutations(js)],
         ),
         (
             "f-interchange",
             triples_up_to_2,
             lambda *js: _tagged(js, verify_f_interchange(*js, r, rule)),
-            lambda j1, j2, j3: table_reads("cg_ur", j2, j3, j1, r) + table_reads("cg_ur", j3, j2, j1, r),
+            lambda j1, j2, j3: [table_key("cg_ur", j2, j3, j1, r), table_key("cg_ur", j3, j2, j1, r)],
         ),
         ("tensor-transform", positive_spins, lambda j: _tagged((j,), verify_tensor_transform(j, 1, r, rule)), nothing),
         (
             "wigner-eckart",
             [(j,) for j in half_integer_spins(max_j)],
             lambda j: _tagged((j,), verify_wigner_eckart(j, _we_ranks(j), r, rule)),
-            # each rank's f table, and the cg block that builds rank 2
-            lambda j: [key for rank in _we_ranks(j) for key in table_reads("cg_ur", j, rank, j, r)]
+            # the cg_ur table under each rank's f table, and the cg block that builds rank 2
+            lambda j: [table_key("cg_ur", j, rank, j, r) for rank in _we_ranks(j)]
             + ([cg_key(2, 2, 4)] if 2 in _we_ranks(j) else []),
         ),
         (
             "ninej-substitution",
             [tuple(map(HalfInt, case)) for case in _NINEJ_CASES],
             lambda *js: _tagged(js, _ninej_check(*js, r=r, bound=bound)),
-            # the fbar table of each row and column of the array
+            # the fbar table of each row and column of the array, and the cg block under its 3-jm block
+            # in the magnetic 9-j that is the reference
             lambda *js: [
                 key
                 for triad in (js[:3], js[3:6], js[6:], js[::3], js[1::3], js[2::3])
-                for key in table_reads("fbar", *triad, r)
+                for key in (table_key("fbar", *triad, r), cg_key(*(j.twice for j in triad)))
             ],
         ),
         (
@@ -538,11 +533,17 @@ def _build_report(
         ),
     ]
 
-    steps = _schedule(rows, max_j)
+    steps = _schedule(rows, range(len(operators), len(operators) + len(walk)), max_j)
+    plan: dict[tuple, int] = {}
+    for step, runs in enumerate(steps):
+        for i, point in runs:
+            for key in rows[i][3](*point):
+                if key not in plan:  # the first read of a table builds it
+                    plan.update(dict.fromkeys(table_inputs(key), step))
+                plan[key] = step
     done: list[dict[tuple, VerificationReport]] = [{} for _ in rows]
     timings: dict[str, float] = {}
     table = default_table()
-    plan = {key: step for step, runs in enumerate(steps) for i, point in runs for key in rows[i][3](*point)}
     with table.holding(plan):
         for runs in steps:
             for i, point in runs:

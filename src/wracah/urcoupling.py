@@ -42,7 +42,8 @@ __all__ = [
     "cg_ur",
     "f_table",
     "fbar_table",
-    "table_reads",
+    "table_key",
+    "table_inputs",
     "alpha_labels",
     "clear_cache",
     "verify_cg_ur_unitarity",
@@ -93,27 +94,63 @@ def _phase_transform(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, core: np.nd
         return np.einsum("am,bn,mnc->abc", p1, p2, step, optimize=True)
 
 
+# The recipe of each kind of shift-basis table: the signs of the phase
+# matrices applied along its three axes (_phase_transform), and the magnetic
+# block they transform.
+_RECIPES = {
+    "cg_ur": ((-1, -1, +1), cg_block),
+    "fbar": ((-1, -1, -1), threejm_block),
+}
+
+
+def table_key(kind: str, j1, j2, j3, r) -> tuple:
+    """(kind, 2j1, 2j2, 2j3, numerator, denominator): the cache key of a "cg_ur" or "fbar" table at the exact r."""
+    r = _as_fraction(r)
+    return (kind, *(HalfInt.of(j).twice for j in (j1, j2, j3)), r.numerator, r.denominator)
+
+
+def table_inputs(key: tuple) -> list[tuple]:
+    """The cache keys that building the entry of key reads.
+
+    For a table, the cg block of its spins and the phase matrices of its
+    three spins, with the signs of its recipe; for any other key none: a cg
+    block or a phase matrix is built without reading the cache.
+    """
+    if key[0] not in _RECIPES:
+        return []
+    kind, t1, t2, t3, p, q = key
+    signs, _ = _RECIPES[kind]
+    phases = [phase_key(HalfInt(t), Fraction(p, q), sign) for t, sign in zip((t1, t2, t3), signs)]
+    return [cg_key(t1, t2, t3), *phases]
+
+
+def _table(key: tuple) -> np.ndarray:
+    """The table of key, from the cache or built there by its recipe, normalized by [(2j1+1)(2j2+1)(2j3+1)]^(-1/2).
+
+    Returned arrays are read-only and shared through the memo table.
+    """
+
+    def build() -> np.ndarray:
+        kind, *twice, p, q = key
+        signs, block = _RECIPES[kind]
+        js = [HalfInt(t) for t in twice]
+        phases = [phase_matrix(j, Fraction(p, q), sign) for j, sign in zip(js, signs)]
+        norm = 1.0 / math.sqrt(math.prod(t + 1 for t in twice))
+        return norm * _phase_transform(*phases, block(*js))
+
+    return default_table().get(key, build)
+
+
 def cg_ur_table(j1, j2, j, r) -> np.ndarray:
     """Coupling coefficients between shift eigenbases, indexed [s1, s2, s].
 
     Entry (s1, s2, s) is the overlap of the coupled state labeled by
     (j, alpha_s) with the product of states (j1, alpha_s1) and
-    (j2, alpha_s2), obtained by the triple phase transform of the
-    magnetic-basis coefficients with the normalization
-    [(2j1+1)(2j2+1)(2j+1)]^(-1/2).  Returned arrays are read-only and
-    shared through the memo table.
+    (j2, alpha_s2): the magnetic-basis cg block with a conjugated phase
+    transform along s1 and s2 and a plain one along s, normalized as every
+    table (_table).
     """
-    j1, j2, j = HalfInt.of(j1), HalfInt.of(j2), HalfInt.of(j)
-    r = _as_fraction(r)
-
-    def build() -> np.ndarray:
-        p1 = phase_matrix(j1, r, -1)
-        p2 = phase_matrix(j2, r, -1)
-        p = phase_matrix(j, r, +1)
-        norm = 1.0 / math.sqrt((j1.twice + 1) * (j2.twice + 1) * (j.twice + 1))
-        return norm * _phase_transform(p1, p2, p, cg_block(j1, j2, j))
-
-    return default_table().get(_table_key("cg_ur", j1, j2, j, r), build)
+    return _table(table_key("cg_ur", j1, j2, j, r))
 
 
 def cg_ur(j1, j2, s1, s2, j, s, r) -> complex:
@@ -144,41 +181,12 @@ def f_table(j1, j2, j3, r) -> np.ndarray:
 def fbar_table(j1, j2, j3, r) -> np.ndarray:
     """Symmetric recoupling symbol, indexed [s1, s2, s3].
 
-    The 3-jm block is contracted with one conjugated phase transform per
-    column and normalized by [(2j1+1)(2j2+1)(2j3+1)]^(-1/2).  The result
-    inherits the 3-jm permutation signs column-wise and obeys the
-    conjugation law fbar* = (-1)^(j1+j2+j3) fbar.
+    The 3-jm block with one conjugated phase transform per column,
+    normalized as every table (_table).  The result inherits the 3-jm
+    permutation signs column-wise and obeys the conjugation law
+    fbar* = (-1)^(j1+j2+j3) fbar.
     """
-    j1, j2, j3 = HalfInt.of(j1), HalfInt.of(j2), HalfInt.of(j3)
-    r = _as_fraction(r)
-
-    def build() -> np.ndarray:
-        p1 = phase_matrix(j1, r, -1)
-        p2 = phase_matrix(j2, r, -1)
-        p3 = phase_matrix(j3, r, -1)
-        core = threejm_block(j1, j2, j3)
-        norm = 1.0 / math.sqrt((j1.twice + 1) * (j2.twice + 1) * (j3.twice + 1))
-        return norm * _phase_transform(p1, p2, p3, core)
-
-    return default_table().get(_table_key("fbar", j1, j2, j3, r), build)
-
-
-def _table_key(kind: str, j1: HalfInt, j2: HalfInt, j3: HalfInt, r: Fraction) -> tuple:
-    return (kind, j1.twice, j2.twice, j3.twice, r.numerator, r.denominator)
-
-
-def table_reads(kind: str, j1, j2, j3, r) -> list[tuple]:
-    """The cache keys that a read of the cg_ur or fbar table of (j1, j2, j3) at r can look up.
-
-    The table's own key, then the keys of what a build reads: the cg block
-    of (j1, j2, j3) and the phase matrices of j1, j2 and j3, their signs as
-    in cg_ur_table (-1, -1, +1) or fbar_table (-1, -1, -1).
-    """
-    j1, j2, j3 = HalfInt.of(j1), HalfInt.of(j2), HalfInt.of(j3)
-    r = _as_fraction(r)
-    signs = (-1, -1, 1) if kind == "cg_ur" else (-1, -1, -1)
-    phases = [phase_key(j, r, sign) for j, sign in zip((j1, j2, j3), signs)]
-    return [_table_key(kind, j1, j2, j3, r), cg_key(j1.twice, j2.twice, j3.twice), *phases]
+    return _table(table_key("fbar", j1, j2, j3, r))
 
 
 def _stacked_residuals(j1, j2, first, second=None) -> tuple[float, float]:
@@ -437,14 +445,9 @@ def verify_tensor_transform(j, rank: int, r, tol: ToleranceRule | None = None) -
     report = VerificationReport(suite="tensor-transform", k=None, r=float(r))
     report.add(Check.residual_check("round_trip", worst, tol.abs_tol))
 
-    count = tensor.rank.twice + 1
     mix = basis_transform_matrix(tensor.rank, r)
-    gram = mix.conj().T @ mix
-    report.add(
-        Check.residual_check(
-            "component_map_unitary", float(np.max(np.abs(gram - np.eye(count)))), tol.abs_tol
-        )
-    )
+    unitary = identity_residual(mix.conj().T, mix)  # on the owned thread
+    report.add(Check.residual_check("component_map_unitary", unitary, tol.abs_tol))
 
     if tensor.rank.is_integer:
         # stepped exactly: in floating point r + 2.0 rounds back to r once |r| >= 2**54

@@ -13,7 +13,7 @@ from wracah import HalfInt
 from wracah import _blas
 from wracah._blas import identity_residual, one_thread, row_product
 from wracah.cli import main
-from wracah.su2 import phase_matrix
+from wracah.su2 import phase_matrix, verify_shift_eigenbasis
 from wracah.urcoupling import _phase_transform, cg_ur_table, fbar_table
 from wracah.wigner import cg_block, threejm_block
 
@@ -92,6 +92,19 @@ def test_identity_residual_reads_the_largest_deviation():
     assert identity_residual(bent.conj().T, bent) == pytest.approx(6e-6, rel=1e-5)
     expected = np.max(np.abs(bent.conj().T @ bent - np.eye(120)))
     assert identity_residual(bent.conj().T, bent) == pytest.approx(expected, rel=1e-12)
+
+
+def test_shift_eigenbasis_residuals_do_not_depend_on_the_thread_count(two_threads):
+    """Every residual of the order-170 eigenbasis check has the bits it has on one thread.
+
+    A plain product of the 170 x 170 transforms, split over two threads,
+    moved transform_unitary in its last bits.
+    """
+    residuals = [c.residual.hex() for c in verify_shift_eigenbasis(HalfInt(169), 0.37).checks]
+    assert two_threads() == 2
+    with one_thread():
+        alone = [c.residual.hex() for c in verify_shift_eigenbasis(HalfInt(169), 0.37).checks]
+    assert residuals == alone
 
 
 class TestOneThread:

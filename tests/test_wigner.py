@@ -725,6 +725,41 @@ class TestSharedCache:
         assert calls["phase"] == distinct["phase"]
         assert len(default_table()._held) == 0  # nothing held after the report
 
+    @pytest.mark.parametrize("max_j, r", [("2", "1"), ("2", "0.37"), ("4", "1"), ("4", "0.37")])
+    def test_report_plan_is_exact(self, monkeypatch, max_j, r):
+        """report holds every entry it reads and drops each at the end of the last step that reads it.
+
+        So it evicts nothing and leaves nothing in the cache.  A plan that
+        named a table's inputs at every read of the table held them past
+        their last read; one that left out the cg blocks of the magnetic 9-j
+        reference left them in the LRU.
+        """
+        from click.testing import CliRunner
+
+        from wracah.cli import main
+
+        last_read, dropped = {}, {}
+        get, drop = wigner.CouplingTable.get, wigner.CouplingTable._drop
+
+        def traced_get(self, key, build):
+            last_read[key] = self._step
+            return get(self, key, build)
+
+        def traced_drop(self, keys):
+            keys = list(keys)
+            dropped.update(dict.fromkeys(keys, self._step))  # the block's end drops at the step after the last
+            drop(self, keys)
+
+        monkeypatch.setattr(wigner.CouplingTable, "get", traced_get)
+        monkeypatch.setattr(wigner.CouplingTable, "_drop", traced_drop)
+        clear_cache()
+        result = CliRunner().invoke(main, ["report", "--max-j", max_j, "--r", r, "--seed", "3"])
+        assert result.exit_code == 0, result.output
+        assert last_read.keys() == dropped.keys()  # every entry read was held
+        assert {key: (last_read[key], step) for key, step in dropped.items() if step != last_read[key]} == {}
+        table = default_table()
+        assert (len(table), table.evictions) == (0, 0)
+
     def test_report_does_not_depend_on_the_plan(self, monkeypatch):
         """Reports are equal byte for byte planned and with an empty plan, on a 1 GiB, the default and a 64 KiB bound.
 
