@@ -54,7 +54,7 @@ from .urcoupling import (
     verify_tensor_transform,
     verify_wigner_eckart,
 )
-from .wigner import cg_key, default_table, lowering_checks, orthogonality_checks, pair_walk, triangle
+from .wigner import cg_key, default_table, pair_walk, triangle, verify_cg_pair_lowering, verify_cg_pair_orthogonality
 
 
 class HalfIntParam(click.ParamType):
@@ -377,23 +377,6 @@ def _ninej_check(*js: HalfInt, r: float, bound: float) -> VerificationReport:
     return report
 
 
-def _pair_checks(suite: str, steps):
-    """The call of a wigner-core suite: the check of one pair of spins, drawn from steps.
-
-    steps gives one {(2j1, 2j2): check} per step of pair_walk
-    (lowering_checks, orthogonality_checks); the next one is drawn when a
-    pair is not in the current one.
-    """
-    step = {}
-
-    def call(j1: HalfInt, j2: HalfInt) -> VerificationReport:
-        if (j1.twice, j2.twice) not in step:
-            step.update(next(steps))
-        return VerificationReport(suite=suite, checks=[step.pop((j1.twice, j2.twice))])
-
-    return call
-
-
 def _we_ranks(j: HalfInt) -> list[int]:
     """The tensor ranks that wigner-eckart checks at spin j."""
     return [0, 1] + ([2] if j.twice >= 2 else [])
@@ -463,13 +446,8 @@ def _build_report(
         ),
     ]
     walk = [  # the suites over pairs of spins, run one step of pair_walk at a time
-        ("wigner-core", pairs, _pair_checks("wigner-core", lowering_checks(max_j, rule)), cg_blocks),
-        (
-            "wigner-core-orthogonality",
-            pairs,
-            _pair_checks("wigner-core-orthogonality", orthogonality_checks(max_j, rule)),
-            cg_blocks,
-        ),
+        ("wigner-core", pairs, lambda *js: verify_cg_pair_lowering(*js, rule), cg_blocks),
+        ("wigner-core-orthogonality", pairs, lambda *js: verify_cg_pair_orthogonality(*js, rule), cg_blocks),
         (
             "cg-ur-unitarity",
             integer_pairs,

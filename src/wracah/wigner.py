@@ -11,15 +11,15 @@ before the square root.
 
 An independent oracle, the eigenvectors of J^2 on each subspace of fixed
 m with signs fixed by the Condon-Shortley convention alone, is compared
-with the closed form by the verification suite; the two routes are never
-merged, and the oracle is never cached.
+with the closed form on those subspaces, one pair of spins per call; the
+two routes are never merged, and the oracle is never cached.
 
 The package's one bounded cache keeps each cg block once, under its
 canonical orientation 2j1 >= 2j2; the swapped block is read from it by the
 exact exchange symmetry, and a 3-jm block is derived from its cg block on
 every read.  Each value has one route: cg() and threejm() read one entry
 of a canonical block, ninej() contracts 3-jm blocks without caching its
-value, and the verifiers read cg blocks through one coupling-matrix helper.
+value, and the verifiers read cg blocks through one fixed-m helper.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from collections import Counter, OrderedDict
 
 import numpy as np
 
-from ._blas import identity_residual
+from ._blas import one_thread
 from .errors import InvalidArgumentError, TableConflictError
-from .qarith import HalfInt, ToleranceRule
+from .qarith import HalfInt, ToleranceRule, all_spins
 from .report import Check, VerificationReport
 
 __all__ = [
@@ -51,11 +51,11 @@ __all__ = [
     "clear_cache",
     "export_table",
     "load_table",
-    "lowering_checks",
-    "orthogonality_checks",
     "pair_walk",
     "verify_cg_against_lowering",
     "verify_cg_orthogonality",
+    "verify_cg_pair_lowering",
+    "verify_cg_pair_orthogonality",
 ]
 
 
@@ -532,89 +532,78 @@ def load_table(path) -> dict[tuple[int, int, int], np.ndarray]:
     return blocks
 
 
-def _casimir_vectors(tj1: np.ndarray, tj2: np.ndarray, tm: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors of J^2 on the n product states of each (2j1, 2j2, 2m) in the columns tj1, tj2, tm.
+def _fixed_m_labels(tj1: int, tj2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """2m, and 2m1 and 2j of the k-th product and coupled state, of each subspace of fixed m of (2j1, 2j2).
 
-    Returns the flat position of each entry in its pair's coupling matrix
-    (laid out as in _casimir_coupling_matrices) and its value, both of shape
-    (len(tm), n, n): [., i, c] is the i-th m1 and the c-th j, each ascending.
+    2m is a column, m ascending; 2m1 and 2j are arrays [m, k], ascending in
+    k and padded to the largest subspace.  A subspace has as many m1 as j,
+    and its k-th states exist where that 2j is at most 2j1 + 2j2.
     """
-    k = np.arange(n)
-    tm1 = np.maximum(-tj1, tm - tj2) + 2 * k
-    tm2 = tm - tm1
-    lo = np.abs(tj1 - tj2)
-    tj = np.maximum(np.abs(tm), lo) + 2 * k  # the j of each eigenvector
-    # four times J^2, so that every entry is an integer or the root of one
-    casimir = np.zeros((len(tm), n, n))
-    casimir[:, k, k] = tj1 * (tj1 + 2) + tj2 * (tj2 + 2) + 2 * tm1 * tm2
-    ladder = np.sqrt((tj1 - tm1) * (tj1 + tm1 + 2) * (tj2 + tm2) * (tj2 - tm2 + 2))[:, :-1]
-    casimir[:, k[:-1], k[1:]] = ladder
-    casimir[:, k[1:], k[:-1]] = ladder
-    vectors = np.linalg.eigh(casimir)[1]
-    phase = np.where(((tj1 + tj2 - tj) // 2) % 2, -1.0, 1.0)
-    lead = np.where(tm >= tj1 - tj2, vectors[:, -1, :], phase * vectors[:, 0, :])
-    vectors *= np.sign(lead)[:, None, :]
-    rows = ((tm1 + tj1) // 2) * (tj2 + 1) + (tm2 + tj2) // 2
-    p = (tj - lo) // 2
-    columns = p * (lo + 1) + p * (p - 1) + (tm + tj) // 2
-    return (rows * (tj1 + 1) * (tj2 + 1))[:, :, None] + columns[:, None, :], vectors
+    tm = np.arange(-tj1 - tj2, tj1 + tj2 + 1, 2)[:, None]
+    k = np.arange(min(tj1, tj2) + 1)
+    return tm, np.maximum(-tj1, tm - tj2) + 2 * k, np.maximum(np.abs(tm), abs(tj1 - tj2)) + 2 * k
 
 
-def _casimir_coupling_matrices(pairs: list[tuple[int, int]]):
-    """The coupling matrix of each (2j1, 2j2) of pairs from eigenvectors of J^2, independent of the closed form.
+def _fixed_m_cg(tj1: int, tj2: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """(labels, values, off): the cg blocks of (2j1, 2j2) on the subspaces of fixed m of labels (_fixed_m_labels).
 
-    Yields one matrix at a time, in the order of pairs.  Rows are the
-    product states (m1, m2), m1 major; columns are the coupled states
-    (j, m), j ascending and m ascending within each j: the cg blocks of each
-    j, reshaped to (d1 d2, 2j + 1) and set side by side.
+    values[m, i, c] is <j1 m1, j2 m-m1 | j m> for the i-th m1 and c-th j of
+    the subspace of m, zero in the padding; off is every block entry and a
+    padding zero, zeroed where read into values: what is left has m != m1 + m2.
+    """
+    labels = tm, tm1, tj = _fixed_m_labels(tj1, tj2)
+    lo, hi = abs(tj1 - tj2), tj1 + tj2
+    off = np.concatenate([_cg_block(tj1, tj2, t).ravel() for t in range(lo, hi + 1, 2)] + [[0.0]])
+    b = (tj - lo) // 2  # the block of each coupled state; it starts after the blocks of lower j
+    column = (tj1 + 1) * (tj2 + 1) * b * (lo + b) + (tm + tj) // 2
+    row = (tm1 + tj1) // 2 * tj2 + (tm + hi) // 2  # the (m1, m2) row of each product state in a block
+    real = tj <= hi
+    place = column[:, None, :] + row[:, :, None] * (tj + 1)[:, None, :]
+    place = np.where(real[:, :, None] & real[:, None, :], place, off.size - 1)  # [m, i, c] in off
+    values = off[place]
+    off[place] = 0.0
+    return labels, values, off
 
-    On the states of one m = m1 + m2, J^2 = J1^2 + J2^2 + 2 J1z J2z + J1+ J2-
-    + J1- J2+ is a symmetric tridiagonal matrix in m1 (the three-term
-    recursion of Schulten & Gordon, J. Math. Phys. 16, 1961 (1975)).  Its
-    eigenvalues j(j+1) are at least 2 apart, so eigh returns the
-    eigenvectors in order of ascending j.  The subspaces of one size, over
-    all the pairs, are diagonalized in one stacked call.  The signs follow
+
+def _casimir_vectors(tj1: int, tj2: int, labels) -> np.ndarray:
+    """Eigenvectors of J^2 on the subspaces of fixed m of labels, laid out as the values of _fixed_m_cg.
+
+    Independent of the closed form.  On the states of one m = m1 + m2,
+    J^2 = J1^2 + J2^2 + 2 J1z J2z + J1+ J2- + J1- J2+ is a symmetric
+    tridiagonal matrix in m1 (the three-term recursion of Schulten & Gordon,
+    J. Math. Phys. 16, 1961 (1975)).  Its eigenvalues j(j+1) are at least 2
+    apart, so eigh returns the eigenvectors in order of ascending j.  The
+    pair's subspaces are diagonalized in one stacked call, each padded with
+    uncoupled diagonal entries above its spectrum: 4j(j+1) of the j above
+    j1 + j2 that a padded column stands for.  LAPACK's tridiagonal solvers
+    split a matrix at each zero off-diagonal and solve the parts apart, and
+    the padded eigenvalues sort last, so a subspace's vectors keep the bits
+    they have unpadded and alone, with zeros in the padding; a tier-1 test
+    checks this for every subspace with 2j1, 2j2 <= 28.  The signs follow
     from the Condon-Shortley convention alone, never from the closed form:
       - <j1 j1, j2 m-j1 | j m> > 0 where m1 = j1 is allowed (the last m1);
       - otherwise <j1 m-j2, j2 j2 | j m> has the sign (-1)^(j1+j2-j);
       - otherwise, by m -> -m, <j1 -j1, j2 m+j1 | j m> has that sign.
-    In the last two cases the entry is the one of the least m1.
+    In the last two cases the entry is the one of the least m1.  A padded
+    column has no sign and is zeroed.
     """
-    twice_1, twice_2 = (np.array(labels) for labels in zip(*pairs))
-    # one row per (pair, m)
-    pair = np.repeat(np.arange(len(pairs)), twice_1 + twice_2 + 1)
-    tj1, tj2 = twice_1[pair, None], twice_2[pair, None]
-    tm = np.concatenate([np.arange(-t, t + 1, 2) for t in twice_1 + twice_2])[:, None]
-    sizes = (tj1 + tj2 + 2 - np.maximum(np.abs(tm), np.abs(tj1 - tj2)))[:, 0] // 2  # as many m1 as j
-    owners, places, values = [], [], []
-    for n in np.unique(sizes):
-        chosen = sizes == n
-        place, vectors = _casimir_vectors(tj1[chosen], tj2[chosen], tm[chosen], n)
-        owners.append(np.repeat(pair[chosen], n * n))
-        places.append(place.ravel())
-        values.append(vectors.ravel())
-    owner, place, value = (np.concatenate(parts) for parts in (owners, places, values))
-    for index, (t1, t2) in enumerate(pairs):
-        dim = (t1 + 1) * (t2 + 1)
-        matrix = np.zeros(dim * dim)
-        mine = owner == index
-        matrix[place[mine]] = value[mine]
-        yield matrix.reshape(dim, dim)
-
-
-def _coupling_matrix(tj1: int, tj2: int) -> np.ndarray:
-    """The cg blocks of (2j1, 2j2) side by side, laid out as in _casimir_coupling_matrices.
-
-    Rows are the product states (m1, m2), m1 major; columns are the coupled
-    states (j, m), j ascending and m ascending within each j.
-    """
-    return np.concatenate(
-        [
-            _cg_block(tj1, tj2, tj).reshape((tj1 + 1) * (tj2 + 1), tj + 1)
-            for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
-        ],
-        axis=1,
-    )
+    tm, tm1, tj = labels
+    real = tj <= tj1 + tj2
+    tm2 = tm - tm1
+    size, n = tj.shape
+    # four times J^2, so that every entry is an integer or the root of one: flat n x n
+    # matrices, their diagonal at steps of n + 1 from 0 and its neighbours from 1 and n
+    casimir = np.zeros((size, n * n))
+    casimir[:, :: n + 1] = np.where(real, tj1 * (tj1 + 2) + tj2 * (tj2 + 2) + 2 * tm1 * tm2, tj * (tj + 2))
+    # zero after the last m1, where m1 = j1 or m2 = -j2
+    ladder = np.sqrt(real * (tj1 - tm1) * (tj1 + tm1 + 2) * (tj2 + tm2) * (tj2 - tm2 + 2))[:, :-1]
+    casimir[:, 1 :: n + 1] = casimir[:, n :: n + 1] = ladder
+    vectors = np.linalg.eigh(casimir.reshape(size, n, n))[1]
+    phase = 1 - 2 * ((tj1 + tj2 - tj) // 2 % 2)
+    last = vectors[np.arange(size), np.count_nonzero(real, axis=1) - 1, :]
+    lead = np.where(tm >= tj1 - tj2, last, phase * vectors[:, 0, :])
+    vectors *= np.sign(lead)[:, None, :]
+    return vectors
 
 
 def pair_walk(max_j):
@@ -622,8 +611,7 @@ def pair_walk(max_j):
 
     Each step is a list of twice-spin pairs: (2a, 2b) and, when 2b < 2a,
     (2b, 2a).  Every cg block of either pair is read from a canonical block
-    (2a, 2b, 2j), so one step reads all of them.  The steps of one 2a make
-    an L-shaped row of the (2j1, 2j2) grid.
+    (2a, 2b, 2j), so one step reads all of them.
     """
     max_t = _twice(max_j)
     for ta in range(max_t + 1):
@@ -631,58 +619,52 @@ def pair_walk(max_j):
             yield list(dict.fromkeys([(ta, tb), (tb, ta)]))
 
 
-def lowering_checks(max_j, tol: ToleranceRule | None = None):
-    """wigner-core's checks, the closed form against J^2: one {(2j1, 2j2): check} per step of pair_walk.
+def verify_cg_pair_lowering(j1, j2, tol: ToleranceRule | None = None) -> VerificationReport:
+    """wigner-core at one pair of spins: the closed form against the eigenvectors of J^2.
 
-    A generator: the oracle matrices of one L-shaped row of the walk (one
-    2a) are diagonalized together when the row's first step is drawn, which
-    bounds the oracle's memory by one row.  Oracle matrices are never cached.
+    The residual is the largest |difference| on the subspaces of fixed m, or
+    the largest |entry| of a cg block off them where that is more: those
+    must be exact zeros.
     """
-    if tol is None:
-        tol = ToleranceRule()
-    for _, row in itertools.groupby(pair_walk(max_j), key=lambda pairs: pairs[0][0]):
-        steps = list(row)
-        oracles = _casimir_coupling_matrices([pair for pairs in steps for pair in pairs])
-        for pairs in steps:
-            yield {
-                (tj1, tj2): Check.residual_check(
-                    f"lowering_agreement_2j1_{tj1}_2j2_{tj2}",
-                    float(np.max(np.abs(_coupling_matrix(tj1, tj2) - next(oracles)))),
-                    tol.abs_tol,
-                )
-                for tj1, tj2 in pairs
-            }
+    tj1, tj2 = _spins(j1, j2)
+    labels, values, off = _fixed_m_cg(tj1, tj2)
+    residual = max(np.max(np.abs(values - _casimir_vectors(tj1, tj2, labels))), np.max(np.abs(off)))
+    check = Check.residual_check(f"lowering_agreement_2j1_{tj1}_2j2_{tj2}", residual, (tol or ToleranceRule()).abs_tol)
+    return VerificationReport("wigner-core", checks=[check])
 
 
-def orthogonality_checks(max_j, tol: ToleranceRule | None = None):
-    """wigner-core-orthogonality's checks: one {(2j1, 2j2): check} per step of pair_walk."""
-    if tol is None:
-        tol = ToleranceRule()
-    for pairs in pair_walk(max_j):
-        checks = {}
-        for tj1, tj2 in pairs:
-            # mat.T @ mat over the coupled states (j, m), both operands views of one contiguous array
-            mat = _coupling_matrix(tj1, tj2)
-            name = f"orthonormal_2j1_{tj1}_2j2_{tj2}"
-            checks[tj1, tj2] = Check.residual_check(name, identity_residual(mat.T, mat), tol.abs_tol)
-        yield checks
+def verify_cg_pair_orthogonality(j1, j2, tol: ToleranceRule | None = None) -> VerificationReport:
+    """wigner-core-orthogonality at one pair of spins: the coupled states are orthonormal.
 
-
-def _grid_order(steps) -> list[Check]:
-    """The checks of steps of pair_walk in the order of the (2j1, 2j2) grid, 2j1 major."""
-    checks = {pair: check for step in steps for pair, check in step.items()}
-    return [checks[pair] for pair in sorted(checks)]
+    States of different m share no product state, so this is the Gram
+    matrix of each subspace of fixed m minus the identity on its coupled
+    states, formed on the owned BLAS thread (_blas.one_thread): its bits do
+    not depend on the thread count.
+    """
+    tj1, tj2 = _spins(j1, j2)
+    labels, values, _ = _fixed_m_cg(tj1, tj2)
+    with one_thread():
+        gram = np.matmul(values.transpose(0, 2, 1), values)
+    k = np.arange(gram.shape[1])
+    gram[:, k, k] -= labels[2] <= tj1 + tj2  # the identity on the j >= |m| that exist
+    residual = np.max(np.abs(gram))
+    check = Check.residual_check(f"orthonormal_2j1_{tj1}_2j2_{tj2}", residual, (tol or ToleranceRule()).abs_tol)
+    return VerificationReport("wigner-core-orthogonality", checks=[check])
 
 
 def verify_cg_against_lowering(max_j, tol: ToleranceRule | None = None) -> VerificationReport:
-    """Compare the closed-form coefficients with the eigenvectors of J^2, for every pair of spins up to max_j.
+    """wigner-core over every pair of spins up to max_j, 2j1 major.
 
     The suite and check names keep the name of the lowering construction
     that this oracle replaced.
     """
-    return VerificationReport(suite="wigner-core", checks=_grid_order(lowering_checks(max_j, tol)))
+    pairs = itertools.product(all_spins(max_j), repeat=2)
+    checks = [c for js in pairs for c in verify_cg_pair_lowering(*js, tol).checks]
+    return VerificationReport("wigner-core", checks=checks)
 
 
 def verify_cg_orthogonality(max_j, tol: ToleranceRule | None = None) -> VerificationReport:
-    """Row orthonormality of the coupling matrix for every (j1, j2) pair."""
-    return VerificationReport(suite="wigner-core-orthogonality", checks=_grid_order(orthogonality_checks(max_j, tol)))
+    """wigner-core-orthogonality over every pair of spins up to max_j, 2j1 major."""
+    pairs = itertools.product(all_spins(max_j), repeat=2)
+    checks = [c for js in pairs for c in verify_cg_pair_orthogonality(*js, tol).checks]
+    return VerificationReport("wigner-core-orthogonality", checks=checks)

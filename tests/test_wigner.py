@@ -38,6 +38,7 @@ from wracah.wigner import (
     threejm_block,
     verify_cg_against_lowering,
     verify_cg_orthogonality,
+    verify_cg_pair_lowering,
 )
 
 from _oracles import brute_ninej, cg_fraction, cg_lowering_table, sympy_3jm, sympy_9j, sympy_cg
@@ -339,21 +340,36 @@ class TestLoweringConstruction:
             assert value == pytest.approx(direct, abs=1e-13)
 
     def test_three_oracles_agree(self):
-        """J^2 eigenvectors, lowering and sympy on every block with 2j1, 2j2 <= 6."""
-        pairs = list(itertools.product(range(7), repeat=2))
-        for (tj1, tj2), casimir in zip(pairs, wigner._casimir_coupling_matrices(pairs)):
+        """J^2 eigenvectors, lowering and sympy on every block with 2j1, 2j2 <= 6, on the subspaces of fixed m.
+
+        The lowering table names every state of every subspace, the oracle is
+        zero in the padding, and every entry of a cg block off m = m1 + m2 is zero.
+        """
+        for tj1, tj2 in itertools.product(range(7), repeat=2):
+            labels, values, off = wigner._fixed_m_cg(tj1, tj2)
+            _, m1s, js = labels  # the 2m1 and 2j of each subspace's states, [m, k]
+            casimir = wigner._casimir_vectors(tj1, tj2, labels)
             lowering = cg_lowering_table(Fraction(tj1, 2), Fraction(tj2, 2))
             visited = np.zeros(casimir.shape, dtype=bool)
             for (tm1, tm2, tj, tm), value in lowering.items():
-                row = (tm1 + tj1) // 2 * (tj2 + 1) + (tm2 + tj2) // 2
-                p = (tj - abs(tj1 - tj2)) // 2
-                column = p * (abs(tj1 - tj2) + 1) + p * (p - 1) + (tm + tj) // 2
-                visited[row, column] = True
-                labels = (Fraction(t, 2) for t in (tj1, tm1, tj2, tm2, tj, tm))
-                expected = sympy_cg(*labels)
-                assert casimir[row, column] == pytest.approx(expected, abs=1e-14), (tj1, tm1, tj2, tm2, tj)
+                m = (tm + tj1 + tj2) // 2
+                at = (m, (tm1 - m1s[m, 0]) // 2, (tj - js[m, 0]) // 2)
+                visited[at] = True
+                expected = sympy_cg(*(Fraction(t, 2) for t in (tj1, tm1, tj2, tm2, tj, tm)))
+                assert casimir[at] == pytest.approx(expected, abs=1e-14), (tj1, tm1, tj2, tm2, tj)
                 assert value == pytest.approx(expected, abs=1e-13), (tj1, tm1, tj2, tm2, tj)
-            assert not casimir[~visited].any()  # m != m1 + m2
+            real = js <= tj1 + tj2
+            assert (visited == real[:, :, None] & real[:, None, :]).all()
+            assert not casimir[~visited].any()  # the padding
+            assert not values[~visited].any()
+            assert not off.any()  # m != m1 + m2
+
+
+def _planted_off_m(block):
+    """block with 1e-6 at [0, 0, 0]: m1 + m2 = -(j1 + j2) there, off m = -j for the mutated labels."""
+    planted = block.copy()
+    planted[0, 0, 0] = 1e-6
+    return planted
 
 
 class TestCasimirOracle:
@@ -366,6 +382,7 @@ class TestCasimirOracle:
             pytest.param(lambda block: -block, id="negated-block"),
             pytest.param(lambda block: np.where(block == block.flat[np.flatnonzero(block)[-2]], -block, block), id="negated-entry"),
             pytest.param(lambda block: block[[1, 0, *range(2, len(block))]], id="swapped-m1-rows"),
+            pytest.param(_planted_off_m, id="off-m-entry"),
         ],
     )
     def test_mutated_closed_form_fails(self, monkeypatch, labels, mutation):
@@ -386,9 +403,36 @@ class TestCasimirOracle:
         assert verify_cg_against_lowering(6).max_residual <= 1e-14
 
     def test_accurate_where_lowering_is_not(self):
-        pairs = [(15, 16), (20, 20)]
-        for (tj1, tj2), casimir in zip(pairs, wigner._casimir_coupling_matrices(pairs)):
-            assert np.max(np.abs(wigner._coupling_matrix(tj1, tj2) - casimir)) <= 1e-13, (tj1, tj2)
+        """The residual compares every entry of the cg blocks: those on the subspaces of fixed m, and zero off them."""
+        for tj1, tj2 in [(15, 16), (20, 20)]:
+            assert verify_cg_pair_lowering(Fraction(tj1, 2), Fraction(tj2, 2)).max_residual <= 1e-13, (tj1, tj2)
+
+    def test_padding_keeps_every_bit(self, monkeypatch):
+        """Each subspace with 2j1, 2j2 <= 28, diagonalized padded in its pair's stack, gets the vectors it gets alone.
+
+        The padded rows and columns of its vectors are zeros.
+        """
+        eigh = np.linalg.eigh
+        calls = []
+
+        def recorded(stack):
+            result = eigh(stack)
+            calls.append((stack.copy(), result[1].copy()))  # the signs are fixed in place
+            return result
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        checked = 0
+        for tj1, tj2 in itertools.product(range(29), repeat=2):
+            labels = wigner._fixed_m_labels(tj1, tj2)
+            wigner._casimir_vectors(tj1, tj2, labels)
+            (stack, vectors), = calls
+            calls.clear()
+            for m, n in enumerate(np.count_nonzero(labels[2] <= tj1 + tj2, axis=1)):
+                alone = eigh(stack[m, :n, :n].copy())[1]
+                assert vectors[m, :n, :n].tobytes() == alone.tobytes(), (tj1, tj2, m)
+                assert not vectors[m, n:, :n].any() and not vectors[m, :n, n:].any(), (tj1, tj2, m)
+                checked += 1
+        assert checked == 29**3
 
     def test_cold_run_caches_only_closed_form_blocks(self):
         clear_cache()
