@@ -176,22 +176,29 @@ _set_space, _set_target, _set_weight = (getattr(Operator, name).__set__ for name
 def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
     """values[..., index[..., c]] per column c, for stacked or single operands.
 
-    Plain fancy indexing wherever one side is a single operator; only two
-    stacks take the slower take_along_axis.
+    Plain fancy indexing wherever one side is a single operator, also one
+    on stack axes of length 1, which stay in the result.  Two stacks
+    broadcast their stack axes and are read through one flat index.
     """
     if values.ndim == 1:
         return values[index]
     if index.ndim == 1:
-        return values[:, index]
-    return np.take_along_axis(values, index, axis=-1)
+        return values[..., index]
+    dim = values.shape[-1]
+    if values.size == dim or index.size == dim:
+        out = values.reshape(-1)[index] if values.size == dim else values[..., index.reshape(-1)]
+        return out.reshape((1,) * (max(values.ndim, index.ndim) - out.ndim) + out.shape)
+    offsets = np.arange(0, values.size, dim).reshape(*values.shape[:-1], 1)
+    return values.reshape(-1)[offsets + index]
 
 
 def _product(target_a, weight_a, target_b, weight_b) -> tuple[np.ndarray, np.ndarray]:
     """Target rows and weights of the monomial product A @ B.
 
     Column c of B sends its weight to row b = target_b[c], and column b of A
-    moves it on to row target_a[b].  Either operand may be a stack along a
-    leading axis; the result is then stacked too.
+    moves it on to row target_a[b].  Either operand may be a stack along
+    leading axes; the stack axes broadcast, and the result is stacked too.
+    A stack's target and weight have the same shape.
     """
     a, b = _gather(weight_a, target_b), weight_b
     # separate real ufuncs, never a fused multiply-add, so that the
@@ -240,16 +247,17 @@ def _spectral_norms(target: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Spectral norm of each monomial along the last axis.
 
     With one entry per column, A A^H is diagonal and holds the squared
-    row 2-norms, so the largest of those is exact, not a bound.  A stack
-    gives one norm per operator; each row is summed by its own bins, in
-    column order, as a single operator would be.
+    row 2-norms, so the largest of those is exact, not a bound.  A stack,
+    along any number of leading axes, gives one norm per operator; each
+    row is summed by its own bins, in column order, as a single operator
+    would be.
     """
     dim = target.shape[-1]
     squares = weight.real**2 + weight.imag**2
     if target.ndim > 1:
-        target = target + dim * np.arange(target.shape[0])[:, None]
+        target = target.reshape(-1, dim) + dim * np.arange(target.size // dim)[:, None]
     rows = np.bincount(target.ravel(), weights=squares.ravel(), minlength=target.size)
-    return np.sqrt(rows.reshape(target.shape).max(axis=-1))
+    return np.sqrt(rows.reshape(weight.shape).max(axis=-1))
 
 
 def commutator(x: Operator, y: Operator) -> Operator:

@@ -487,7 +487,13 @@ def _monomial_grid(u: Operator, shifts, clocks) -> tuple[np.ndarray, np.ndarray]
     All powers come from one chain P_n = U @ P_(n-1) from the identity, and
     likewise for U^H, which is how `Operator.power` forms each power; each
     clock V^m2 is one diagonal.  So every monomial has the bits of its
-    own `power` chain times its clock times its phase.
+    own `power` chain times its clock times its phase.  The clock entries
+    and the phases q^(m1 m2) are read from one table of the k turns
+    `_turn_phase(n, k)`, n = 0..k-1, by their integer turn mod k: after its
+    gcd reduction `_turn_phase(n, k)` depends on n mod k only, so each
+    value has the bits of its own call.  The grid itself holds
+    |shifts| |clocks| k entries; the commutator stacks of
+    `verify_sine_algebra` stay within their own fixed entry budget.
     """
     if not all(isinstance(m, numbers.Integral) for m in (*shifts, *clocks)):
         raise InvalidArgumentError("monomial indices must be integers")
@@ -503,23 +509,25 @@ def _monomial_grid(u: Operator, shifts, clocks) -> tuple[np.ndarray, np.ndarray]
     shift_target = np.stack([powers[m][0] for m in shifts])
     shift_weight = np.stack([powers[m][1] for m in shifts])
 
-    tj = k - 1
-    targets = np.empty((len(shifts), len(clocks), k), dtype=np.intp)
-    weights = np.empty((len(shifts), len(clocks), k), dtype=complex)
-    for col, m2 in enumerate(clocks):
-        clock = np.array([_turn_phase(tm * m2, k) for tm in range(-tj, tj + 1, 2)])
-        target, weight = _product(shift_target, shift_weight, one.target, clock)
-        phases = np.array([_turn_phase(m1 * m2, k) for m1 in shifts])
-        targets[:, col] = target
-        weights[:, col] = weight * phases[:, None]
+    turns = np.array([_turn_phase(n, k) for n in range(k)])
+    tms = np.arange(-(k - 1), k, 2)
+    clock = turns[np.multiply.outer(clocks, tms) % k]
+    phases = turns[np.multiply.outer(shifts, clocks) % k]
+    diagonals = np.broadcast_to(one.target, clock.shape)
+    targets, weights = _product(shift_target[:, None], shift_weight[:, None], diagonals, clock)
+    weights *= phases[..., None]
     return targets, weights
 
 
-def _sine_factors(m, ns, k: int) -> np.ndarray:
-    """2i sin((2*pi/k) (m1 n2 - m2 n1)) for each n: minus the structure
-    constant, so that [T_m, T_n] + factor T_(m+n) vanishes."""
-    m1, m2 = m
-    return np.array([2j * math.sin(2 * math.pi * (m1 * n2 - m2 * n1) / k) for n1, n2 in ns])
+# entries (m per block x pairs n x columns) of each commutator stack of
+# `verify_sine_algebra`, unless a single m takes more
+_SINE_BLOCK_ENTRIES = 2**12
+
+
+def _sine_constants(ds, k: int) -> np.ndarray:
+    """2i sin((2*pi/k) d) for each integer d = m1 n2 - m2 n1: minus the
+    structure constant, so that [T_m, T_n] + constant T_(m+n) vanishes."""
+    return np.array([2j * math.sin(2 * math.pi * d / k) for d in ds])
 
 
 def verify_sine_algebra(
@@ -532,11 +540,16 @@ def verify_sine_algebra(
 
     Every monomial is derived from one restricted shift, through one power
     chain of U and of U^H (`_monomial_grid`).  T_m^H T_m - I is evaluated
-    for every m in one stack, and for each m the commutators with all n
-    are evaluated at once, on stacks of |pairs| operators, with the fock
-    module's stacked adjoint, product, sum and norm; memory stays at
-    O(|pairs| k).  Each residual has the bits of the same chain of single
-    `Operator` calls.
+    for every m in one stack.  The commutators are evaluated for a block
+    of m at a time against all n, on (block, |pairs|, k) stacks, with the
+    fock module's stacked product, sum and norm.  A block holds as many m
+    as fit in `_SINE_BLOCK_ENTRIES` entries, and at least one, so a stack
+    holds at most max(budget, |pairs| k) entries, however many blocks
+    there are.  The structure constants are evaluated once per integer
+    d = m1 n2 - m2 n1, with d not reduced, and gathered by d.  Each
+    residual has the bits of the same chain of single `Operator` calls:
+    the stacks apply the same element-wise operations, each norm sums its
+    rows in column order, and a max of maxes is exact.
     """
     k = params.k
     if tol is None:
@@ -544,29 +557,46 @@ def verify_sine_algebra(
     indices = list(index_range)
     if not indices:
         raise InvalidArgumentError("the sine algebra check needs at least one monomial index")
-    pairs = [(a, b) for a in indices for b in indices]
     values = sorted(set(indices) | {a + b for a in indices for b in indices})
     u = restrict_to_angular(shift_op(params))
     targets, weights = _monomial_grid(u, values, values)
-    at = {m: i for i, m in enumerate(values)}
 
-    def stacked(keys):
-        rows, cols = [at[a] for a, _ in keys], [at[b] for _, b in keys]
-        return targets[rows, cols], weights[rows, cols]
+    # the pairs n = (n1, n2) in the order (a, b) for a in indices for b in indices,
+    # each component located in `values` (indices may repeat or leave gaps)
+    index = np.array(indices, dtype=np.int64)
+    first, second = np.repeat(index, len(index)), np.tile(index, len(index))
+    values = np.array(values, dtype=np.int64)
+    at = np.searchsorted(values, first), np.searchsorted(values, second)
+    n_target, n_weight = targets[at], weights[at]
 
-    n_target, n_weight = stacked(pairs)
     eye = Operator.identity(u.space)
     gram = _product(*_adjoint(n_target, n_weight), n_target, n_weight)
     worst_unitary = float(np.max(_spectral_norms(*_monomial_sum(*gram, eye.target, -eye.weight))))
+
+    # every d = m1 n2 - m2 n1 is a difference of two products of indices: the
+    # table spans their range, or holds only the differences where they are fewer
+    products = {a * b for a in indices for b in indices}
+    span = max(products) - min(products)
+    if 2 * span + 1 <= len(products) ** 2:
+        ds = range(-span, span + 1)
+    else:
+        ds = sorted({x - y for x in products for y in products})
+    constants = _sine_constants(ds, k)
+    ds = np.array(ds, dtype=np.int64)
+
+    pairs = len(first)
+    size = max(1, _SINE_BLOCK_ENTRIES // (pairs * k))
+    t_n = n_target[None], n_weight[None]
     worst_comm = 0.0
-    for am, bm in pairs:
-        t_m = Operator._built(u.space, targets[at[am], at[bm]], weights[at[am], at[bm]])
-        mn = _product(t_m.target, t_m.weight, n_target, n_weight)
-        nm_target, nm_weight = _product(n_target, n_weight, t_m.target, t_m.weight)
+    for start in range(0, pairs, size):
+        m1, m2 = first[start : start + size, None], second[start : start + size, None]
+        t_m = n_target[start : start + size, None], n_weight[start : start + size, None]
+        mn = _product(*t_m, *t_n)
+        nm_target, nm_weight = _product(*t_n, *t_m)
         commutators = _monomial_sum(*mn, nm_target, -nm_weight)
-        sum_target, sum_weight = stacked([(am + an, bm + bn) for an, bn in pairs])
-        terms = sum_weight * _sine_factors((am, bm), pairs, k)[:, None]
-        residuals = _monomial_sum(*commutators, sum_target, terms)
+        sums = np.searchsorted(values, m1 + first), np.searchsorted(values, m2 + second)
+        terms = weights[sums] * constants[np.searchsorted(ds, m1 * second - m2 * first)][..., None]
+        residuals = _monomial_sum(*commutators, targets[sums], terms)
         worst_comm = max(worst_comm, float(np.max(_spectral_norms(*residuals))))
 
     report = VerificationReport(suite="sine-algebra", k=k, r=float(params.r))

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wracah.su2
 from wracah import (
     FockSpace,
     InvalidArgumentError,
@@ -149,6 +150,31 @@ def test_stacked_algebra_matches_single_operators_bitwise(seed):
 
     norms = _spectral_norms(x_t, x_w)
     assert [n.hex() for n in norms.tolist()] == [x.norm().hex() for x in xs]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("blocks", (1, 3))
+def test_broadcast_stacks_match_single_operators_bitwise(seed, blocks):
+    """A (blocks, 1) stack against a (1, pairs) stack gives entry [b, p] the
+    bits of the single product, and the norm of each of its operators; one
+    stack with a single row takes the plain gathers and keeps its axes."""
+    rng = np.random.default_rng(seed)
+    space = FockSpace(3)
+    xs = [_random_monomial(rng, space, injective=True) for _ in range(blocks)]
+    ys = [_random_monomial(rng, space, injective=True) for _ in range(7)]
+    x_t, x_w = np.stack([x.target for x in xs])[:, None], np.stack([x.weight for x in xs])[:, None]
+    y_t, y_w = np.stack([y.target for y in ys])[None], np.stack([y.weight for y in ys])[None]
+    for (target, weight), pairs in (
+        (_product(x_t, x_w, y_t, y_w), [[x @ y for y in ys] for x in xs]),
+        (_product(y_t, y_w, x_t, x_w), [[y @ x for y in ys] for x in xs]),
+    ):
+        assert target.shape == weight.shape == (blocks, len(ys), space.dim)
+        for b, row in enumerate(pairs):
+            for p, op in enumerate(row):
+                assert target[b, p].tobytes() == op.target.tobytes()
+                assert weight[b, p].tobytes() == op.weight.tobytes()
+        norms = _spectral_norms(target, weight)
+        assert [[n.hex() for n in row] for row in norms.tolist()] == [[op.norm().hex() for op in row] for row in pairs]
 
 
 # the orders and family parameters at which the raw-array paths are pinned
@@ -401,6 +427,23 @@ def test_sine_residuals_match_looped_operator_calls_bitwise(k, indices):
         assert [c.residual.hex() for c in report.checks] == [x.hex() for x in looped], r
 
 
+@pytest.mark.parametrize("k", (2, 3, 7, 13))
+@pytest.mark.parametrize("indices", SINE_INDICES, ids=str)
+def test_sine_block_boundaries_match_looped_operator_calls_bitwise(monkeypatch, k, indices):
+    """One m per block, and blocks that leave a short last block, reproduce
+    the per-pair chain of Operator calls bit for bit."""
+    pairs = len(indices) ** 2
+    short = pairs // 2 + 1
+    assert pairs % short, "the last block must be short"
+    for r in _sine_r_values(k):
+        params = ShiftParams(k, r)
+        looped = [x.hex() for x in looped_sine_residuals(params, list(indices))]
+        for per_block in (1, short):
+            monkeypatch.setattr(wracah.su2, "_SINE_BLOCK_ENTRIES", per_block * pairs * k)
+            report = verify_sine_algebra(params, indices)
+            assert [c.residual.hex() for c in report.checks] == looped, (r, per_block)
+
+
 @pytest.mark.parametrize(("k", "indices"), _sine_grid(range(2, 8)), ids=str)
 def test_sine_residuals_match_dense_svd(k, indices):
     for r in _sine_r_values(k):
@@ -426,14 +469,26 @@ def test_su2_passes_at_order_101(seed):
     assert report.passed, [(c.name, c.residual) for c in report.checks if not c.passed]
 
 
-def test_sine_algebra_memory_at_order_101():
-    """Stacks per m keep the check at O(|pairs| k); one (|pairs|^2, k) stack
-    would peak near 35 MB here."""
+def _sine_peak(params, indices):
     tracemalloc.start()
     try:
-        report = verify_sine_algebra(ShiftParams(101, 0.3), range(-3, 4))
+        report = verify_sine_algebra(params, indices)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert report.passed, [(c.name, c.residual) for c in report.checks]
+    return peak
+
+
+def test_sine_algebra_memory_at_order_101():
+    """Blocks of m keep the commutator stacks within a fixed entry budget;
+    one (|pairs|^2, k) stack would peak near 35 MB here."""
+    peak = _sine_peak(ShiftParams(101, 0.3), range(-3, 4))
+    assert peak < 8_000_000, peak
+
+
+def test_sine_algebra_memory_at_index_20():
+    """The same budget holds for the 1,681 pairs of indices -20..20, whose
+    commutators would fill a (1681^2, 3) stack."""
+    peak = _sine_peak(ShiftParams(3, 0.37), range(-20, 21))
     assert peak < 8_000_000, peak

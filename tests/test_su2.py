@@ -270,8 +270,24 @@ class TestSineAlgebra:
         self._only_commutation_fails()
 
     def test_flipped_structure_constant_fails_commutation(self, monkeypatch):
-        factors = wracah.su2._sine_factors
-        monkeypatch.setattr(wracah.su2, "_sine_factors", lambda *args: -factors(*args))
+        constants = wracah.su2._sine_constants
+        monkeypatch.setattr(wracah.su2, "_sine_constants", lambda *args: -constants(*args))
+        self._only_commutation_fails()
+
+    # 25 pairs of range(-2, 3) at k = 5: every m in one block, one m per
+    # block, and blocks of three that leave the last pair, m = (2, 2), alone
+    @pytest.mark.parametrize("per_block", (25, 1, 3))
+    def test_negated_last_monomial_fails_commutation(self, monkeypatch, per_block):
+        """-T_(2,2) is the last m of the pair order, so as an m it falls in the last block only."""
+        build = wracah.su2._monomial_grid
+
+        def negated(u, shifts, clocks):
+            targets, weights = build(u, shifts, clocks)
+            weights[shifts.index(2), clocks.index(2)] *= -1
+            return targets, weights
+
+        monkeypatch.setattr(wracah.su2, "_monomial_grid", negated)
+        monkeypatch.setattr(wracah.su2, "_SINE_BLOCK_ENTRIES", per_block * 25 * 5)
         self._only_commutation_fails()
 
     @staticmethod
