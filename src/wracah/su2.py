@@ -509,10 +509,13 @@ def _monomial_grid(u: Operator, shifts, clocks) -> tuple[np.ndarray, np.ndarray]
     shift_target = np.stack([powers[m][0] for m in shifts])
     shift_weight = np.stack([powers[m][1] for m in shifts])
 
+    # the indices are reduced mod k as Python integers, so that no product
+    # of two of them overflows the integer arrays
     turns = np.array([_turn_phase(n, k) for n in range(k)])
     tms = np.arange(-(k - 1), k, 2)
-    clock = turns[np.multiply.outer(clocks, tms) % k]
-    phases = turns[np.multiply.outer(shifts, clocks) % k]
+    shift_turns, clock_turns = [m % k for m in shifts], [m % k for m in clocks]
+    clock = turns[np.multiply.outer(clock_turns, tms) % k]
+    phases = turns[np.multiply.outer(shift_turns, clock_turns) % k]
     diagonals = np.broadcast_to(one.target, clock.shape)
     targets, weights = _product(shift_target[:, None], shift_weight[:, None], diagonals, clock)
     weights *= phases[..., None]
@@ -573,14 +576,9 @@ def verify_sine_algebra(
     gram = _product(*_adjoint(n_target, n_weight), n_target, n_weight)
     worst_unitary = float(np.max(_spectral_norms(*_monomial_sum(*gram, eye.target, -eye.weight))))
 
-    # every d = m1 n2 - m2 n1 is a difference of two products of indices: the
-    # table spans their range, or holds only the differences where they are fewer
+    # every d = m1 n2 - m2 n1 is a difference of two products of indices
     products = {a * b for a in indices for b in indices}
-    span = max(products) - min(products)
-    if 2 * span + 1 <= len(products) ** 2:
-        ds = range(-span, span + 1)
-    else:
-        ds = sorted({x - y for x in products for y in products})
+    ds = sorted({x - y for x in products for y in products})
     constants = _sine_constants(ds, k)
     ds = np.array(ds, dtype=np.int64)
 

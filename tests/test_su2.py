@@ -276,19 +276,35 @@ class TestSineAlgebra:
 
     # 25 pairs of range(-2, 3) at k = 5: every m in one block, one m per
     # block, and blocks of three that leave the last pair, m = (2, 2), alone
-    @pytest.mark.parametrize("per_block", (25, 1, 3))
-    def test_negated_last_monomial_fails_commutation(self, monkeypatch, per_block):
-        """-T_(2,2) is the last m of the pair order, so as an m it falls in the last block only."""
-        build = wracah.su2._monomial_grid
+    @pytest.mark.parametrize(
+        ("per_block", "blocks"), ((25, [25]), (1, [1] * 25), (3, [3] * 8 + [1])), ids=("one", "single", "short-last")
+    )
+    def test_last_block_enters_commutation_residual(self, monkeypatch, per_block, blocks):
+        """The blocks of m run in order over every pair, and a residual
+        poisoned in the last block alone fails the check.
 
-        def negated(u, shifts, clocks):
-            targets, weights = build(u, shifts, clocks)
-            weights[shifts.index(2), clocks.index(2)] *= -1
-            return targets, weights
+        No mutation of a monomial or a constant singles out the last m:
+        each bracket [T_m, T_n] with n != m is checked again, up to sign,
+        as [T_n, T_m] in the block of n, and [T_m, T_m] vanishes.  So the
+        poison goes into the commutator norms of the block that holds the
+        last m.
+        """
+        norms = wracah.su2._spectral_norms
+        seen = []
 
-        monkeypatch.setattr(wracah.su2, "_monomial_grid", negated)
+        def poisoned(target, weight):
+            out = norms(target, weight)
+            if target.ndim == 3:
+                seen.append(target.shape[0])
+                assert target.shape[1:] == (25, 5)
+                if sum(seen) == 25:
+                    out = out + 10.0
+            return out
+
+        monkeypatch.setattr(wracah.su2, "_spectral_norms", poisoned)
         monkeypatch.setattr(wracah.su2, "_SINE_BLOCK_ENTRIES", per_block * 25 * 5)
         self._only_commutation_fails()
+        assert seen == blocks
 
     @staticmethod
     def _only_commutation_fails():
@@ -297,6 +313,16 @@ class TestSineAlgebra:
         assert checks["monomial_unitary"].passed
         assert not checks["sine_commutation"].passed
         assert checks["sine_commutation"].residual > 1.0
+
+    def test_huge_clock_index_keeps_every_bit(self):
+        """Only m1 drives the power chain, so a clock index past the int64
+        range costs nothing, and the monomial is the one of m2 mod k."""
+        params = ShiftParams(3, 0.37)
+        for m1 in (-1, 0, 1):
+            for m2 in (2**62, 2**63, 2**64 + 1, -(2**63) - 1):
+                big, small = clock_shift_monomial(params, m1, m2), clock_shift_monomial(params, m1, m2 % 3)
+                assert big.target.tobytes() == small.target.tobytes(), (m1, m2)
+                assert big.weight.tobytes() == small.weight.tobytes(), (m1, m2)
 
     def test_monomials_unitary(self):
         params = ShiftParams(5, 1.0)
