@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SpaceMismatchError
+from .errors import InvalidArgumentError, InvalidOrderError, SpaceMismatchError
 from .qarith import ToleranceRule, _require_order, _turn_phase, q_bracket
 from .report import Check, VerificationReport
 
@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 
+# the largest array index, so the largest dimension a space can have
+_MAX_INDEX = np.iinfo(np.intp).max
+
+
 @dataclass(frozen=True)
 class FockSpace:
     """Occupation pairs (n1, n2) with 0 <= n_i <= k-1, ordered lexicographically."""
@@ -48,7 +52,9 @@ class FockSpace:
     k: int
 
     def __post_init__(self):
-        _require_order(self.k)
+        k = _require_order(self.k)
+        if k * k > _MAX_INDEX:
+            raise InvalidOrderError(f"order k = {k} needs k^2 = {k * k} basis states, more than an index array holds")
 
     @property
     def dim(self) -> int:

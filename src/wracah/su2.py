@@ -491,21 +491,24 @@ def _monomial_grid(u: Operator, shifts, clocks) -> tuple[np.ndarray, np.ndarray]
     and the phases q^(m1 m2) are read from one table of the k turns
     `_turn_phase(n, k)`, n = 0..k-1, by their integer turn mod k: after its
     gcd reduction `_turn_phase(n, k)` depends on n mod k only, so each
-    value has the bits of its own call.  The grid itself holds
-    |shifts| |clocks| k entries; the commutator stacks of
-    `verify_sine_algebra` stay within their own fixed entry budget.
+    value has the bits of its own call.  The chains keep only the powers in
+    `shifts`, so memory grows with their number, not with the largest one.
+    The grid itself holds |shifts| |clocks| k entries; the commutator stacks
+    of `verify_sine_algebra` stay within their own fixed entry budget.
     """
     if not all(isinstance(m, numbers.Integral) for m in (*shifts, *clocks)):
         raise InvalidArgumentError("monomial indices must be integers")
     shifts, clocks = [int(m) for m in shifts], [int(m) for m in clocks]
     k = u.space.k
     one = Operator.identity(u.space)
+    wanted = set(shifts)
     powers = {0: (one.target, one.weight)}
     for sign, factor in ((1, u), (-1, u.adjoint())):
         power = powers[0]
         for n in range(1, max(0, *(sign * m for m in shifts)) + 1):
             power = _product(factor.target, factor.weight, *power)
-            powers[sign * n] = power
+            if sign * n in wanted:
+                powers[sign * n] = power
     shift_target = np.stack([powers[m][0] for m in shifts])
     shift_weight = np.stack([powers[m][1] for m in shifts])
 

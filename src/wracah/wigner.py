@@ -3,11 +3,10 @@
 Vector coupling coefficients follow the Condon-Shortley convention (all
 real, highest-weight component positive) and are evaluated from Racah's
 single-sum closed form in exact integer arithmetic.  One kernel serves a
-whole (j1, j2, j) block: it takes the factorials that do not depend on m
-once, sums each entry's alternating series by Horner's rule on the ratio
-of consecutive terms as one integer over one common denominator, and
-rounds the squared value exactly once, by one integer true division,
-before the square root.
+whole (j1, j2, j) block: it takes the rows of binomial coefficients that do
+not depend on m once, sums each entry's alternating series of products of
+three binomials as one integer, and rounds the squared value exactly once,
+by one integer true division, before the square root.
 
 An independent oracle, the eigenvectors of J^2 on each subspace of fixed
 m with signs fixed by the Condon-Shortley convention alone, is compared
@@ -27,7 +26,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import operator
 import threading
 from collections import Counter, OrderedDict
 
@@ -252,47 +250,32 @@ def _cg_values(tj1: int, tj2: int, tj: int, pairs) -> list[float]:
     """<j1 m1 j2 m2 | j m> for each (2m1, 2m2) of pairs, with m = m1 + m2.
 
     (j1, j2, j) must obey the triangle rule and every |m| must be at most j.
-    Each call builds its own list of factorials, with no state shared between
-    calls, and takes the ones that do not depend on m once.  Racah's sum
-    over t of (-1)^t / (t! (a-t)! (x-t)! (y-t)! (u+t)! (v+t)!) is taken by
-    Horner's rule on the ratio of consecutive terms,
-    -(a-t)(x-t)(y-t) / ((t+1)(u+t+1)(v+t+1)), as one integer total over one
-    integer common denominator.  The squared value is then the ratio of two
-    integers, and the one int / int true division rounds it correctly, so
-    each value is rounded once before the square root.
+    Racah's single sum is taken in binomial form (L. Wei, Comput. Phys.
+    Commun. 120, 222 (1999)).  With a, b, c = j1+j2-j, j1-j2+j, -j1+j2+j,
+    x = j1-m1, y = j2+m2 and J = j1+j2+j, the sum is
+    S = sum over z of (-1)^z C(a, z) C(b, x-z) C(c, y-z), and the squared value is
+    (2j+1) C(2j1, a) C(2j2, a) S^2 / ((J+1) C(J, a) C(2j1, x) C(2j2, j2-m2) C(2j, j-m)).
+    Each call builds its own rows of binomials, with no state shared between
+    calls, and takes the ones that do not depend on m once.  The squared
+    value is the ratio of two integers, and the one int / int true division
+    rounds it correctly, so each value is rounded once before the square
+    root; it takes the sign of S, and S = 0 gives +0.0.
     """
-    fact = list(itertools.accumulate(range(1, (tj1 + tj2 + tj) // 2 + 2), operator.mul, initial=1))
-    a = (tj1 + tj2 - tj) // 2
-    fixed = (tj + 1) * fact[a] * fact[(tj1 - tj2 + tj) // 2] * fact[(-tj1 + tj2 + tj) // 2]
-    den = fact[(tj1 + tj2 + tj) // 2 + 1]
+    a, b, c = (tj1 + tj2 - tj) // 2, (tj1 - tj2 + tj) // 2, (tj2 - tj1 + tj) // 2
+    ca = [(-1) ** z * math.comb(a, z) for z in range(a + 1)]
+    cb, cc, c1, c2, c3 = ([math.comb(n, i) for i in range(n + 1)] for n in (b, c, tj1, tj2, tj))
+    num = (tj + 1) * c1[a] * c2[a]
+    den = (a + b + c + 1) * math.comb(a + b + c, a)
     values = []
     for tm1, tm2 in pairs:
-        tm = tm1 + tm2
-        x = (tj1 - tm1) // 2
-        y = (tj2 + tm2) // 2
-        u = (tj - tj2 + tm1) // 2
-        v = (tj - tj1 - tm2) // 2
-        # squared prefactor num / den
-        num = fixed * fact[tj1 - x] * fact[x] * fact[y] * fact[tj2 - y]
-        num *= fact[(tj + tm) // 2] * fact[(tj - tm) // 2]
-        t_min = max(0, -u, -v)
-        t_max = min(a, x, y)
-        # Horner from the last term: total / common becomes the sum divided by its first term
-        total = common = 1
-        for t in range(t_max - 1, t_min - 1, -1):
-            step = (t + 1) * (u + t + 1) * (v + t + 1)
-            total = step * common - (a - t) * (x - t) * (y - t) * total
-            common *= step
-        # times the first term, 1 / (t_min! (a-t_min)! ...), whose sign (-1)^t_min is applied last
-        common *= (
-            fact[t_min] * fact[a - t_min] * fact[x - t_min] * fact[y - t_min] * fact[u + t_min] * fact[v + t_min]
-        )
-        if total == 0:
+        x, y = (tj1 - tm1) // 2, (tj2 + tm2) // 2
+        s = sum(ca[z] * cb[x - z] * cc[y - z] for z in range(max(0, x - b, y - c), min(a, x, y) + 1))
+        if s == 0:
             values.append(0.0)
             continue
         # an int / int true division rounds correctly, so this is rounded once
-        magnitude = math.sqrt(total * total * num / (common * common * den))
-        values.append(magnitude if (total > 0) == (t_min % 2 == 0) else -magnitude)
+        magnitude = math.sqrt(num * s * s / (den * c1[x] * c2[tj2 - y] * c3[(tj - tm1 - tm2) // 2]))
+        values.append(magnitude if s > 0 else -magnitude)
     return values
 
 

@@ -518,6 +518,23 @@ class TestUsageErrors:
         assert "out of memory" in result.output
         assert "TiB" in result.output
 
+    @pytest.mark.parametrize(
+        "args, k",
+        [
+            (["quon-check", "--k", "10000000000"], 10**10),
+            (["su2-check", "--k", "100000000000"], 10**11),
+            (["winf", "--k", "10000000000", "--max-index", "0"], 10**10),
+        ],
+    )
+    def test_order_beyond_the_index_range(self, runner, args, k):
+        """k^2 past the largest array index is refused when the space is made:
+        exit 2 naming k and k^2, not numpy's ValueError with exit 1."""
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"order k = {k} needs k^2 = {k * k} basis states" in result.output
+        assert "Traceback" not in result.output
+
     # Malformed values only: a well-formed large --k or --j is a valid and
     # expensive request, not a usage error.
     _not_numbers = st.text(alphabet="abxe/._- ", max_size=5)

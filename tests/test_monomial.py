@@ -492,3 +492,17 @@ def test_sine_algebra_memory_at_index_20():
     commutators would fill a (1681^2, 3) stack."""
     peak = _sine_peak(ShiftParams(3, 0.37), range(-20, 21))
     assert peak < 8_000_000, peak
+
+
+def test_monomial_memory_at_power_20000():
+    """The power chain keeps only the powers it is asked for: keeping every
+    U^1 .. U^20000 of order 3 peaked near 8 MB here."""
+    params = ShiftParams(3, 0.37)
+    wracah.su2.clock_shift_monomial(params, 1, 0)  # the shift and its caches, outside the measurement
+    tracemalloc.start()
+    try:
+        wracah.su2.clock_shift_monomial(params, 20000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak

@@ -177,6 +177,47 @@ class TestAgainstFractionKernel:
             self.assert_same_bits(*half)
             checked += 1
 
+    # (2j1, 2m1, 2j2, 2m2, 2j) whose sum vanishes: two by parity (m1 = m2 = 0,
+    # j1 + j2 + j odd), two by exchange (j1 = j2, m1 = m2, 2j1 - j odd), and
+    # twelve with no symmetry behind them, found by scanning 2j1, 2j2 <= 40
+    _vanishing = [
+        (20, 0, 20, 0, 18),
+        (8, 0, 12, 0, 6),
+        (13, 3, 13, 3, 24),
+        (40, -2, 40, -2, 78),
+        (27, 7, 27, 21, 34),
+        (33, 31, 39, 13, 58),
+        (29, 5, 32, -10, 29),
+        (25, -3, 22, -12, 31),
+        (15, -3, 14, 0, 13),
+        (39, -5, 37, -1, 52),
+        (20, -10, 11, 5, 11),
+        (22, 16, 29, -5, 31),
+        (24, 16, 6, 4, 28),
+        (30, -16, 33, -7, 43),
+        (16, 4, 8, 2, 22),
+        (26, 24, 38, -12, 38),
+    ]
+
+    def test_seeded_entries_and_vanishing_sums_up_to_spin_twenty(self):
+        """1,500 seeded entries with 2j1, 2j2 <= 40 and any 2j up to 2j1 + 2j2,
+        and the entries whose sum vanishes, which must be +0.0 as cg_fraction gives."""
+        rng = random.Random(17)
+        sample = []
+        while len(sample) < 1_500:
+            tj1, tj2 = rng.randint(0, 40), rng.randint(0, 40)
+            tj = rng.randrange(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+            tm1, tm2 = rng.randrange(-tj1, tj1 + 1, 2), rng.randrange(-tj2, tj2 + 1, 2)
+            if abs(tm1 + tm2) <= tj:
+                sample.append((tj1, tm1, tj2, tm2, tj))
+        for labels in sample + self._vanishing:
+            tj1, tm1, tj2, tm2, tj = labels
+            (got,) = wigner._cg_values(tj1, tj2, tj, [(tm1, tm2)])
+            expected = cg_fraction(*(Fraction(t, 2) for t in (tj1, tm1, tj2, tm2, tj, tm1 + tm2)))
+            assert got.hex() == expected.hex(), labels
+            if labels in self._vanishing:
+                assert expected == 0.0, labels
+
 
 class TestAgainstSympy:
     def test_cg_random_sample(self):
