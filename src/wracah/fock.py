@@ -41,8 +41,8 @@ __all__ = [
 ]
 
 
-# the largest array index, so the largest dimension a space can have
-_MAX_INDEX = np.iinfo(np.intp).max
+# numpy caps an array at the largest index in bytes, and a complex weight takes 16 per state
+_MAX_DIM = np.iinfo(np.intp).max // 16
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class FockSpace:
 
     def __post_init__(self):
         k = _require_order(self.k)
-        if k * k > _MAX_INDEX:
-            raise InvalidOrderError(f"order k = {k} needs k^2 = {k * k} basis states, more than an index array holds")
+        if k * k > _MAX_DIM:
+            raise InvalidOrderError(f"order k = {k} needs k^2 = {k * k} basis states, more than an array of weights holds")
 
     @property
     def dim(self) -> int:

@@ -186,11 +186,12 @@ class ToleranceRule:
 def _turn_phase(num: int, den: int) -> complex:
     """exp(2*pi*i * num/den) for integers num and den > 0.
 
-    The package's one conversion of exact turns: the turn is reduced into
+    The package's one conversion of exact turns, the sines of the
+    sine-algebra structure constants included: the turn is reduced into
     [0, 1) by one gcd, quarter turns are exact, turns with a reduced
     denominator d up to EXACT_DENOMINATOR_LIMIT evaluate 2*pi*i*n/d from
     the integers, finer ones 2*pi*i*(n/d) from the correctly rounded
-    quotient.
+    quotient.  So the value depends on num mod den only.
     """
     g = math.gcd(num, den)
     d = den // g
@@ -243,8 +244,11 @@ def q_factorial(n, k) -> complex:
 
 
 def check_label(j, s, name: str = "s") -> int:
-    """The family label s as an int; InvalidArgumentError unless 0 <= s <= 2j."""
-    tj, s = HalfInt.of(j).twice, int(s)
+    """The family label s as an int; InvalidArgumentError unless s is an integer with 0 <= s <= 2j."""
+    tj = HalfInt.of(j).twice
+    if not isinstance(s, numbers.Integral) or isinstance(s, bool):
+        raise InvalidArgumentError(f"{name} must be an integer, got {s!r}")
+    s = int(s)
     if not 0 <= s <= tj:
         raise InvalidArgumentError(f"{name} must lie in 0..2j = {tj}, got {s}")
     return s

@@ -203,14 +203,11 @@ def _ladders(ops: QuonOps, h: Operator, u: Operator) -> Su2Ops:
 
 
 def _expected_ladder(space: AngularSpace, sign: int) -> np.ndarray:
+    """<j m+sign| J_sign |j m> = sqrt((j - sign m)(j + sign m + 1)) on the diagonal -sign."""
     j = float(space.j)
-    ms = [float(m) for m in space.m_values()]
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for i, m in enumerate(ms):
-        target = i + sign
-        if 0 <= target < space.dim:
-            mat[target, i] = math.sqrt((j - sign * m) * (j + sign * m + 1))
-    return mat
+    ms = np.array([float(m) for m in space.m_values()])
+    m = ms[:-1] if sign > 0 else ms[1:]
+    return np.diag(np.sqrt((j - sign * m) * (j + sign * m + 1)), -sign).astype(complex)
 
 
 def _shift_action_residuals(u: Operator, half: complex, wrap: complex) -> dict[str, float]:
@@ -530,10 +527,11 @@ def _monomial_grid(u: Operator, shifts, clocks) -> tuple[np.ndarray, np.ndarray]
 _SINE_BLOCK_ENTRIES = 2**12
 
 
-def _sine_constants(ds, k: int) -> np.ndarray:
-    """2i sin((2*pi/k) d) for each integer d = m1 n2 - m2 n1: minus the
+def _sine_constants(k: int) -> np.ndarray:
+    """2i sin((2*pi/k) d) for each residue d = 0..k-1 of m1 n2 - m2 n1 mod k,
+    the imaginary part of the exact turn `_turn_phase(d, k)`: minus the
     structure constant, so that [T_m, T_n] + constant T_(m+n) vanishes."""
-    return np.array([2j * math.sin(2 * math.pi * d / k) for d in ds])
+    return np.array([2j * _turn_phase(d, k).imag for d in range(k)])
 
 
 def verify_sine_algebra(
@@ -551,8 +549,8 @@ def verify_sine_algebra(
     fock module's stacked product, sum and norm.  A block holds as many m
     as fit in `_SINE_BLOCK_ENTRIES` entries, and at least one, so a stack
     holds at most max(budget, |pairs| k) entries, however many blocks
-    there are.  The structure constants are evaluated once per integer
-    d = m1 n2 - m2 n1, with d not reduced, and gathered by d.  Each
+    there are.  The structure constants depend on d = m1 n2 - m2 n1 mod k
+    only: they come from one table of k values, gathered by d mod k.  Each
     residual has the bits of the same chain of single `Operator` calls:
     the stacks apply the same element-wise operations, each norm sums its
     rows in column order, and a max of maxes is exact.
@@ -579,11 +577,7 @@ def verify_sine_algebra(
     gram = _product(*_adjoint(n_target, n_weight), n_target, n_weight)
     worst_unitary = float(np.max(_spectral_norms(*_monomial_sum(*gram, eye.target, -eye.weight))))
 
-    # every d = m1 n2 - m2 n1 is a difference of two products of indices
-    products = {a * b for a in indices for b in indices}
-    ds = sorted({x - y for x in products for y in products})
-    constants = _sine_constants(ds, k)
-    ds = np.array(ds, dtype=np.int64)
+    constants = _sine_constants(k)
 
     pairs = len(first)
     size = max(1, _SINE_BLOCK_ENTRIES // (pairs * k))
@@ -596,7 +590,7 @@ def verify_sine_algebra(
         nm_target, nm_weight = _product(*t_n, *t_m)
         commutators = _monomial_sum(*mn, nm_target, -nm_weight)
         sums = np.searchsorted(values, m1 + first), np.searchsorted(values, m2 + second)
-        terms = weights[sums] * constants[np.searchsorted(ds, m1 * second - m2 * first)][..., None]
+        terms = weights[sums] * constants[(m1 * second - m2 * first) % k][..., None]
         residuals = _monomial_sum(*commutators, targets[sums], terms)
         worst_comm = max(worst_comm, float(np.max(_spectral_norms(*residuals))))
 

@@ -12,14 +12,17 @@ so agreement is meaningful.
 Some functions are exceptions: they reuse the package to pin an
 evaluation order bit for bit.  `looped_sine_residuals` keeps the per-pair
 loop of single `Operator` calls that the stacked sine-algebra check
-replaced, with each T_m^H T_m - I formed from `sorted_adjoint`;
-`dense_sine_residuals` is the independent oracle for the same identity.
+replaced, with each T_m^H T_m - I formed from `sorted_adjoint` and each
+structure constant from the Fraction turn of the unreduced d = m1 n2 - m2 n1
+(the package gathers it by d mod k); `dense_sine_residuals`, with its sine
+of the unreduced d, is the independent oracle for the same identity.
 `looped_angular_momentum_tensor` and `looped_tensor_transform` keep the
 scalar `cg` loop and the tuple of components that the stacked tensor
 builder replaced.  `chained_power` keeps `Operator.power` as a chain of
 `@`, `sorted_adjoint` the single-operator adjoint with its `np.unique`
-check, and `looped_shift_action` the per-entry loop of the literal
-shift-action check.
+check, `looped_shift_action` the per-entry loop of the literal
+shift-action check, and `looped_expected_ladder` the per-entry loop of
+the ladder matrices.
 """
 
 from __future__ import annotations
@@ -503,9 +506,9 @@ def looped_shift_action(u: Operator, half: complex, wrap: complex) -> dict[str, 
 
 def looped_sine_residuals(params, indices) -> tuple[float, float]:
     """(monomial_unitary, sine_commutation) one pair at a time: each monomial
-    from its own `chained_power`, clock and phase from Fraction turns, each
-    T_m^H T_m - I from `sorted_adjoint`, and each commutator residual as a
-    chain of single `Operator` calls."""
+    from its own `chained_power`, clock, phase and structure constant from
+    Fraction turns, each T_m^H T_m - I from `sorted_adjoint`, and each
+    commutator residual as a chain of single `Operator` calls."""
     k = params.k
     u = restrict_to_angular(shift_op(params))
 
@@ -522,10 +525,21 @@ def looped_sine_residuals(params, indices) -> tuple[float, float]:
         t_m = monomial(am, bm)
         unitary = max(unitary, (sorted_adjoint(t_m) @ t_m - eye).norm())
         for an, bn in pairs:
-            factor = 2j * math.sin(2 * math.pi * (am * bn - bm * an) / k)
+            factor = 2j * fraction_q_power(am * bn - bm * an, k).imag
             residual = commutator(t_m, monomial(an, bn)) + factor * monomial(am + an, bm + bn)
             worst = max(worst, residual.norm())
     return unitary, worst
+
+
+def looped_expected_ladder(space: AngularSpace, sign: int) -> np.ndarray:
+    """The ladder matrix J_sign of `space`, one entry
+    sqrt((j - sign m)(j + sign m + 1)) at a time with `math.sqrt`."""
+    j = float(space.j)
+    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    for i, m in enumerate(float(m) for m in space.m_values()):
+        if 0 <= i + sign < space.dim:
+            mat[i + sign, i] = math.sqrt((j - sign * m) * (j + sign * m + 1))
+    return mat
 
 
 def looped_angular_momentum_tensor(j, rank: int) -> tuple[np.ndarray, ...]:

@@ -524,6 +524,10 @@ class TestUsageErrors:
             (["quon-check", "--k", "10000000000"], 10**10),
             (["su2-check", "--k", "100000000000"], 10**11),
             (["winf", "--k", "10000000000", "--max-index", "0"], 10**10),
+            # k^2 is a valid index, but 16 k^2 bytes of complex weights pass numpy's size limit
+            (["quon-check", "--k", "1100000000"], 1100000000),
+            (["su2-check", "--k", "3037000499"], 3037000499),
+            (["winf", "--k", "1100000000", "--max-index", "0"], 1100000000),
         ],
     )
     def test_order_beyond_the_index_range(self, runner, args, k):

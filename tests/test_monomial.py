@@ -417,7 +417,11 @@ def _sine_grid(ks):
     return [(k, indices) for k in ks for indices in SINE_INDICES] + [(ks[-1], range(-3, 4))]
 
 
-@pytest.mark.parametrize(("k", "indices"), _sine_grid((2, 3, 4, 7, 13)), ids=str)
+# sparse, large index sets, whose d = m1 n2 - m2 n1 lie far outside 0..k-1
+SPARSE_SINE_GRID = [(k, indices) for k in (3, 4, 7) for indices in ([0, 1000], [-7, 3, 250])]
+
+
+@pytest.mark.parametrize(("k", "indices"), _sine_grid((2, 3, 4, 7, 13)) + SPARSE_SINE_GRID, ids=str)
 def test_sine_residuals_match_looped_operator_calls_bitwise(k, indices):
     """The stacked check reproduces the per-pair chain of Operator calls bit for bit."""
     for r in _sine_r_values(k):

@@ -266,6 +266,24 @@ class TestAlphaPhases:
             assert str(caught.value) == message
         assert check_label(HalfInt(3), 3, "s1") == 3
 
+    def test_non_integer_labels_refused(self):
+        """A label is not truncated: s1 = 0.9 is not the label 0, nor s = 1.5 the label 1."""
+        one = HalfInt.of(1)
+        point = SphericalPoint(0.5, 0.5)
+        cases = [
+            (lambda: cg_ur(1, 1, 0.9, 1, 1, 1, 0.5), "s1 must be an integer, got 0.9"),
+            (lambda: cg_ur(one, one, 0, Fraction(1), one, 1, 0.5), "s2 must be an integer, got Fraction(1, 1)"),
+            (lambda: cg_ur(one, one, 0, 1, one, True, 0.5), "s must be an integer, got True"),
+            (lambda: alpha_value(2, 1, 1.5), "s must be an integer, got 1.5"),
+            (lambda: alpha_phase(one, 0.37, 1.0, HalfInt(0)), "s must be an integer, got 1.0"),
+            (lambda: y_r_eigenfunction(1, 1.0, 0.37, point), "s must be an integer, got 1.0"),
+        ]
+        for call, message in cases:
+            with pytest.raises(InvalidArgumentError) as caught:
+                call()
+            assert str(caught.value) == message
+        assert check_label(one, np.int64(2)) == 2
+
 
 # the orders and family parameters at which the integer-turn routes are
 # pinned to the Fraction routes they replaced

@@ -36,6 +36,8 @@ from wracah import (
 from wracah.qarith import halfint_range
 from wracah.serialize import dumps
 from wracah.su2 import (
+    AngularSpace,
+    _expected_ladder,
     _shift_action_residuals,
     _shift_family,
     phase_matrix,
@@ -44,7 +46,7 @@ from wracah.su2 import (
 )
 from wracah.wigner import clear_cache, default_table
 
-from _oracles import looped_shift_action
+from _oracles import looped_expected_ladder, looped_shift_action
 
 R_GRID = (0.0, 0.5, 1.0, 2.37)
 
@@ -314,6 +316,14 @@ class TestSineAlgebra:
         assert not checks["sine_commutation"].passed
         assert checks["sine_commutation"].residual > 1.0
 
+    def test_sparse_large_indices_pass(self):
+        """d = m1 n2 - m2 n1 reaches 10^6 here; its sine taken at the unreduced
+        d read 2.26e-10, past the bound, for this true identity."""
+        report = verify_sine_algebra(ShiftParams(3, 0.37), [0, 1000])
+        checks = {c.name: c for c in report.checks}
+        assert report.passed
+        assert checks["sine_commutation"].residual <= 1e-13
+
     def test_huge_clock_index_keeps_every_bit(self):
         """Only m1 drives the power chain, so a clock index past the int64
         range costs nothing, and the monomial is the one of m2 mod k."""
@@ -340,6 +350,13 @@ class TestSineAlgebra:
         lhs = t10 @ t01 - t01 @ t10
         rhs = -2j * math.sin(2 * math.pi / 3) * t11
         assert np.max(np.abs(lhs - rhs)) < 1e-13
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_expected_ladder_matches_entrywise_loop_bitwise(sign):
+    for tj in range(61):
+        space = AngularSpace(HalfInt(tj))
+        assert _expected_ladder(space, sign).tobytes() == looped_expected_ladder(space, sign).tobytes(), tj
 
 
 def test_basis_transform_matrix_is_unitary():
