@@ -60,14 +60,14 @@ def _ratio(x) -> tuple[int, int]:
         return x.twice, 2
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
-    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise InvalidArgumentError(f"expected a real number, got {x!r}")
+    if isinstance(x, numbers.Integral):
         return int(x), 1
-    if isinstance(x, numbers.Real):
-        xf = float(x)
-        if not math.isfinite(xf):
-            raise InvalidArgumentError(f"expected a finite real number, got {x!r}")
-        return xf.as_integer_ratio()
-    raise InvalidArgumentError(f"expected a real number, got {x!r}")
+    xf = float(x)
+    if not math.isfinite(xf):
+        raise InvalidArgumentError(f"expected a finite real number, got {x!r}")
+    return xf.as_integer_ratio()
 
 
 def _as_fraction(x) -> Fraction:

@@ -76,7 +76,7 @@ class ShiftParams:
 
     def __post_init__(self):
         _require_order(self.k)
-        if not isinstance(self.r, numbers.Real) or not math.isfinite(float(self.r)):
+        if isinstance(self.r, bool) or not isinstance(self.r, numbers.Real) or not math.isfinite(float(self.r)):
             raise InvalidArgumentError(f"family parameter r must be a finite real, got {self.r!r}")
 
     @property

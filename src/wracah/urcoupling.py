@@ -72,26 +72,26 @@ def alpha_labels(j, r) -> list[float]:
 
 
 # Multiply-adds of the product over a block's third axis above which that
-# axis is contracted first.
+# axis is contracted first, whatever the sizes of the other two.
 _THIRD_AXIS_FIRST = 1 << 16
 
 
 def _phase_transform(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, core: np.ndarray) -> np.ndarray:
     """einsum("am,bn,cp,mnp->abc"): one phase matrix applied along each axis of a block, on one BLAS thread.
 
-    The contraction order is the one the tables have always had.  Up to
-    _THIRD_AXIS_FIRST, numpy's path contracts the whole block.  Above it the
-    third axis is contracted first, as one product, and numpy's path the
-    rest; for some large blocks (2j1 = 8, 2j2 = 20, 2j = 18, say) numpy's
-    path over the whole block would take another order and move entries by
-    up to 7e-15.
+    The path is stated, not searched: the phase matrices by descending
+    dimension, ties by axis.  numpy's greedy search takes that order too, as
+    it contracts first the product that removes the largest index, so the
+    tables keep their bits.  Above _THIRD_AXIS_FIRST the third axis goes
+    first; numpy's whole-block path would move some large blocks (2j1 = 8,
+    2j2 = 20, 2j = 18, say) by up to 7e-15.
     """
-    d1, d2, d3 = core.shape
+    big = core.size * core.shape[2] > _THIRD_AXIS_FIRST
+    o0, o1, _ = sorted(range(3), key=lambda i: (i != 2 or not big, -core.shape[i]))
+    # each product goes last among the operands left, so o1 moves down one place where o0 came before it
+    path = ["einsum_path", (o0, 3), (o1 - (o1 > o0), 2), (0, 1)]
     with one_thread():
-        if core.size * d3 <= _THIRD_AXIS_FIRST:
-            return np.einsum("am,bn,cp,mnp->abc", p1, p2, p3, core, optimize=True)
-        step = np.matmul(core.reshape(d1 * d2, d3), p3.T).reshape(d1, d2, d3)
-        return np.einsum("am,bn,mnc->abc", p1, p2, step, optimize=True)
+        return np.einsum("am,bn,cp,mnp->abc", p1, p2, p3, core, optimize=path)
 
 
 # The recipe of each kind of shift-basis table: the signs of the phase

@@ -1,5 +1,7 @@
 """Products on one owned BLAS thread: the cap, its restore, values and the tables built on them."""
 
+import importlib
+import math
 import sys
 import threading
 
@@ -14,8 +16,8 @@ from wracah import _blas
 from wracah._blas import identity_residual, one_thread, row_product
 from wracah.cli import main
 from wracah.su2 import phase_matrix, verify_shift_eigenbasis
-from wracah.urcoupling import _phase_transform, cg_ur_table, fbar_table
-from wracah.wigner import cg_block, threejm_block
+from wracah.urcoupling import _RECIPES, _THIRD_AXIS_FIRST, _phase_transform, cg_ur_table, fbar_table
+from wracah.wigner import cg_block, clear_cache, threejm_block
 
 from _oracles import brute_cg_ur, brute_fbar
 
@@ -229,3 +231,89 @@ def test_large_tables_match_brute_sums(tjs, r):
         values = table(f1, f2, f3, r)
         for labels in zip(*(rng.integers(0, t + 1, size=6) for t in tjs)):
             assert values[labels] == pytest.approx(brute(*labels), abs=1e-12), (table.__name__, tjs, labels)
+
+
+def _shapes(max_twice, beyond=True):
+    """(2j1, 2j2, 2j3) for every triangle with 2j1, 2j2 <= max_twice, and with beyond the 2j3 one past each triangle.
+
+    The one past is the out-of-triangle fbar table that fbar-orthogonality and
+    the fbar command build.
+    """
+    for t1 in range(max_twice + 1):
+        for t2 in range(max_twice + 1):
+            yield from ((t1, t2, t3) for t3 in range(abs(t1 - t2), t1 + t2 + (3 if beyond else 1), 2))
+
+
+def _searched_transform(p1, p2, p3, core):
+    """The transform on numpy's path search: over the whole block up to the bound, after the matmul-first step above it."""
+    with one_thread():
+        if core.size * core.shape[2] <= _THIRD_AXIS_FIRST:
+            return np.einsum("am,bn,cp,mnp->abc", p1, p2, p3, core, optimize=True)
+        step = (core.reshape(-1, core.shape[2]) @ p3.T).reshape(core.shape)
+        return np.einsum("am,bn,mnc->abc", p1, p2, step, optimize=True)
+
+
+def test_stated_path_is_numpys_greedy_path(monkeypatch):
+    """The one einsum of the transform takes numpy's own greedy path, on every shape up to 2j1, 2j2 = 40.
+
+    Above the bound that is the third axis first and then numpy's path over
+    the rest.  This fails the day numpy's greedy choice changes.
+    """
+    asked = []
+    monkeypatch.setattr(np, "einsum", lambda *operands, optimize: asked.append(optimize))
+    above = 0
+    for tjs in _shapes(40):
+        dims = [t + 1 for t in tjs]
+        p1, p2, p3 = (np.zeros((d, d)) for d in dims)
+        core = np.zeros(dims)
+        _phase_transform(p1, p2, p3, core)
+        if core.size * dims[2] <= _THIRD_AXIS_FIRST:
+            expected = np.einsum_path("am,bn,cp,mnp->abc", p1, p2, p3, core, optimize=True)[0]
+        else:
+            above += 1
+            rest = np.einsum_path("am,bn,mnc->abc", p1, p2, core, optimize=True)[0]
+            expected = ["einsum_path", (2, 3), *rest[1:]]
+        assert asked == [expected], tjs
+        asked.clear()
+    assert above == 21818  # of 25,502 shapes
+
+
+@pytest.mark.parametrize("r", [1, 0.37])
+def test_tables_keep_the_bits_of_numpys_search(r):
+    """Every cg_ur and fbar table with 2j1, 2j2 <= 12 has the bits of the transform on numpy's searched path."""
+    tables = {"cg_ur": cg_ur_table, "fbar": fbar_table}
+    for kind, (signs, block) in _RECIPES.items():
+        for tjs in _shapes(12, beyond=kind == "fbar"):
+            js = [HalfInt(t) for t in tjs]
+            core = block(*js)
+            searched = _searched_transform(*(phase_matrix(j, r, sign) for j, sign in zip(js, signs)), core)
+            norm = 1.0 / math.sqrt(math.prod(t + 1 for t in tjs))
+            assert tables[kind](*js, r).tobytes() == (norm * searched).tobytes(), (kind, tjs)
+
+
+def _refuse_path_search(monkeypatch):
+    """Make numpy's path searches raise; an explicit path still goes through einsum_path, which is left alone."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("einsum searched for a contraction path")
+
+    try:
+        einsumfunc = importlib.import_module("numpy._core.einsumfunc")
+    except ImportError:  # numpy 1
+        einsumfunc = importlib.import_module("numpy.core.einsumfunc")
+    monkeypatch.setattr(einsumfunc, "_greedy_path", refuse)
+    monkeypatch.setattr(einsumfunc, "_optimal_path", refuse)
+
+
+# two shapes at or under the bound, two above it
+@pytest.mark.parametrize("tjs", [(2, 2, 2), (4, 6, 8), (12, 12, 24), (8, 20, 18)])
+def test_tables_build_without_a_path_search(monkeypatch, tjs):
+    """Fresh tables build with numpy's path search made to raise, and keep their bits."""
+    js = [HalfInt(t) for t in tjs]
+    before = [table(*js, 0.37).tobytes() for table in (cg_ur_table, fbar_table)]
+    clear_cache()
+    _refuse_path_search(monkeypatch)
+    try:
+        assert [table(*js, 0.37).tobytes() for table in (cg_ur_table, fbar_table)] == before
+    finally:
+        clear_cache()

@@ -26,7 +26,8 @@ from wracah import (
     y_r_eigenfunction,
 )
 from wracah.qarith import EXACT_DENOMINATOR_LIMIT, _turn_phase, check_label
-from wracah.su2 import phase_matrix, shift_eigenvalue
+from wracah.su2 import ShiftParams, phase_matrix, shift_eigenvalue
+from wracah.urcoupling import cg_ur_table
 
 from _oracles import (
     exact_fraction,
@@ -283,6 +284,24 @@ class TestAlphaPhases:
                 call()
             assert str(caught.value) == message
         assert check_label(one, np.int64(2)) == 2
+
+    def test_boolean_family_parameters_refused(self):
+        """r = True is not the family at r = 1: every route that reads r refuses a bool, as spins and labels do."""
+        one = HalfInt.of(1)
+        calls = [
+            lambda r: ShiftParams(3, r),
+            lambda r: q_power(r, 3),
+            lambda r: q_bracket(r, 3),
+            lambda r: alpha_value(one, r, 0),
+            lambda r: alpha_phase(one, r, 0, HalfInt(0)),
+            lambda r: cg_ur_table(one, one, one, r),
+            lambda r: phase_matrix(one, r, 1),
+        ]
+        for call in calls:
+            for r in (True, False):
+                with pytest.raises(InvalidArgumentError):
+                    call(r)
+            call(1)  # the integer is still a family parameter
 
 
 # the orders and family parameters at which the integer-turn routes are
