@@ -71,32 +71,32 @@ def alpha_labels(j, r) -> list[float]:
     return [alpha_value(j, r, s) for s in range(j.twice + 1)]
 
 
-# Multiply-adds of the product over a block's third axis above which that
-# axis is contracted first, whatever the sizes of the other two.
+# Multiply-adds of the product over a block's third axis above which that axis
+# goes first, whatever the sizes of the other two: the large tables' bits rest on it.
 _THIRD_AXIS_FIRST = 1 << 16
 
 
 def _phase_transform(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """einsum("am,bn,cp,mnp->abc"): one phase matrix applied along each axis of a block, on one BLAS thread.
+    """sum_mnp p1[a, m] p2[b, n] p3[c, p] core[m, n, p]: one phase matrix applied along each axis of a block.
 
-    The path is stated, not searched: the phase matrices by descending
-    dimension, ties by axis.  numpy's greedy search takes that order too, as
-    it contracts first the product that removes the largest index, so the
-    tables keep their bits.  Above _THIRD_AXIS_FIRST the third axis goes
-    first; numpy's whole-block path would move some large blocks (2j1 = 8,
-    2j2 = 20, 2j = 18, say) by up to 7e-15.
+    Three np.matmul calls on one BLAS thread, each moving one axis last as x @ P.T:
+    by descending dimension, ties by axis, but the third axis first above
+    _THIRD_AXIS_FIRST.  numpy's einsum on its greedy path makes these products in
+    this order, so the tables keep its bits.  _table stores the strided result C-ordered.
     """
     big = core.size * core.shape[2] > _THIRD_AXIS_FIRST
-    o0, o1, _ = sorted(range(3), key=lambda i: (i != 2 or not big, -core.shape[i]))
-    # each product goes last among the operands left, so o1 moves down one place where o0 came before it
-    path = ["einsum_path", (o0, 3), (o1 - (o1 > o0), 2), (0, 1)]
+    phases, table = (p1, p2, p3), core
     with one_thread():
-        return np.einsum("am,bn,cp,mnp->abc", p1, p2, p3, core, optimize=path)
+        for axis in sorted(range(3), key=lambda i: (i != 2 or not big, -core.shape[i])):
+            moved = np.moveaxis(table, axis, -1)
+            rows = np.matmul(moved.reshape(-1, moved.shape[-1]), phases[axis].T)
+            table = np.moveaxis(rows.reshape(moved.shape), -1, axis)
+    return table
 
 
 # The recipe of each kind of shift-basis table: the signs of the phase
 # matrices applied along its three axes (_phase_transform), and the magnetic
-# block they transform.
+# block they transform.  Every table is stored C-ordered, as a block is.
 _RECIPES = {
     "cg_ur": ((-1, -1, +1), cg_block),
     "fbar": ((-1, -1, -1), threejm_block),
@@ -136,7 +136,7 @@ def _table(key: tuple) -> np.ndarray:
         js = [HalfInt(t) for t in twice]
         phases = [phase_matrix(j, Fraction(p, q), sign) for j, sign in zip(js, signs)]
         norm = 1.0 / math.sqrt(math.prod(t + 1 for t in twice))
-        return norm * _phase_transform(*phases, block(*js))
+        return np.multiply(norm, _phase_transform(*phases, block(*js)), order="C")
 
     return default_table().get(key, build)
 

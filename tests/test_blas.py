@@ -1,6 +1,5 @@
 """Products on one owned BLAS thread: the cap, its restore, values and the tables built on them."""
 
-import importlib
 import math
 import sys
 import threading
@@ -20,6 +19,7 @@ from wracah.urcoupling import _RECIPES, _THIRD_AXIS_FIRST, _phase_transform, cg_
 from wracah.wigner import cg_block, clear_cache, threejm_block
 
 from _oracles import brute_cg_ur, brute_fbar
+from test_wigner import _forbid_path_search
 
 
 def _random(rng, shape, complex_):
@@ -253,29 +253,23 @@ def _searched_transform(p1, p2, p3, core):
         return np.einsum("am,bn,mnc->abc", p1, p2, step, optimize=True)
 
 
-def test_stated_path_is_numpys_greedy_path(monkeypatch):
-    """The one einsum of the transform takes numpy's own greedy path, on every shape up to 2j1, 2j2 = 40.
+def test_products_go_in_the_stated_order(two_threads, matmul_calls):
+    """Three products on one BLAS thread per block, on every shape up to 2j1, 2j2 = 40.
 
-    Above the bound that is the third axis first and then numpy's path over
-    the rest.  This fails the day numpy's greedy choice changes.
+    Their inner dimensions descend, but above the bound the third axis goes first.
     """
-    asked = []
-    monkeypatch.setattr(np, "einsum", lambda *operands, optimize: asked.append(optimize))
     above = 0
     for tjs in _shapes(40):
         dims = [t + 1 for t in tjs]
-        p1, p2, p3 = (np.zeros((d, d)) for d in dims)
-        core = np.zeros(dims)
-        _phase_transform(p1, p2, p3, core)
-        if core.size * dims[2] <= _THIRD_AXIS_FIRST:
-            expected = np.einsum_path("am,bn,cp,mnp->abc", p1, p2, p3, core, optimize=True)[0]
-        else:
-            above += 1
-            rest = np.einsum_path("am,bn,mnc->abc", p1, p2, core, optimize=True)[0]
-            expected = ["einsum_path", (2, 3), *rest[1:]]
-        assert asked == [expected], tjs
-        asked.clear()
+        big = math.prod(dims) * dims[2] > _THIRD_AXIS_FIRST
+        above += big
+        # only the shapes matter here, and single precision halves the time
+        _phase_transform(*(np.zeros((d, d), np.float32) for d in dims), np.zeros(dims, np.float32))
+        inner = [dims[2], *sorted(dims[:2], reverse=True)] if big else sorted(dims, reverse=True)
+        assert [(a[-1], b[0], threads) for a, b, threads in matmul_calls] == [(d, d, 1) for d in inner], tjs
+        matmul_calls.clear()
     assert above == 21818  # of 25,502 shapes
+    assert two_threads() == 2
 
 
 @pytest.mark.parametrize("r", [1, 0.37])
@@ -291,28 +285,28 @@ def test_tables_keep_the_bits_of_numpys_search(r):
             assert tables[kind](*js, r).tobytes() == (norm * searched).tobytes(), (kind, tjs)
 
 
-def _refuse_path_search(monkeypatch):
-    """Make numpy's path searches raise; an explicit path still goes through einsum_path, which is left alone."""
+def test_tables_are_stored_c_ordered_and_read_only():
+    """Every cg_ur and fbar table with 2j1, 2j2 <= 12, whatever layout its last product leaves."""
+    tables = {"cg_ur": cg_ur_table, "fbar": fbar_table}
+    for kind, table in tables.items():
+        for tjs in _shapes(12, beyond=kind == "fbar"):
+            values = table(*(HalfInt(t) for t in tjs), 0.37)
+            assert values.flags.c_contiguous and not values.flags.writeable, (kind, tjs)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("einsum searched for a contraction path")
 
-    try:
-        einsumfunc = importlib.import_module("numpy._core.einsumfunc")
-    except ImportError:  # numpy 1
-        einsumfunc = importlib.import_module("numpy.core.einsumfunc")
-    monkeypatch.setattr(einsumfunc, "_greedy_path", refuse)
-    monkeypatch.setattr(einsumfunc, "_optimal_path", refuse)
+def _refuse_einsum(*operands, **kwargs):
+    raise AssertionError("a table was built with einsum")
 
 
 # two shapes at or under the bound, two above it
 @pytest.mark.parametrize("tjs", [(2, 2, 2), (4, 6, 8), (12, 12, 24), (8, 20, 18)])
 def test_tables_build_without_a_path_search(monkeypatch, tjs):
-    """Fresh tables build with numpy's path search made to raise, and keep their bits."""
+    """Fresh tables build with einsum and its path search made to raise, and keep their bits."""
     js = [HalfInt(t) for t in tjs]
     before = [table(*js, 0.37).tobytes() for table in (cg_ur_table, fbar_table)]
     clear_cache()
-    _refuse_path_search(monkeypatch)
+    _forbid_path_search(monkeypatch)
+    monkeypatch.setattr(np, "einsum", _refuse_einsum)
     try:
         assert [table(*js, 0.37).tobytes() for table in (cg_ur_table, fbar_table)] == before
     finally:
